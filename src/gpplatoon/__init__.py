@@ -8,15 +8,11 @@ from .gp import (
     IllConditionedKernelError,
     KernelHyper,
     SparseGpModel,
-    SparseOpts,
-    TrainOpts,
     build_sparse,
     kernel_eval,
     load_model,
     log_marginal_likelihood,
     normal_quantile,
-    predict_exact,
-    predict_sparse,
     save_model,
     train_exact,
 )
@@ -24,7 +20,7 @@ from .hv import (
     ArxParams,
     DriverTrace,
     VelocityHistory,
-    arx_predict,
+    arx_step,
     build_discrepancy_dataset,
     default_disturbance,
     fit_hv_correction,

@@ -10,7 +10,8 @@ tightening.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -18,6 +19,8 @@ from scipy.optimize import minimize
 
 # Added to kernel diagonals before factorization; below all test tolerances.
 JITTER = 1e-10
+# Lower bound of the noise variance during marginal-likelihood ascent.
+NOISE_FLOOR = 1e-10
 
 
 class IllConditionedKernelError(RuntimeError):
@@ -104,34 +107,14 @@ class Dataset:
 
 def save_dataset_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV with header a1,...,ad,g."""
-    d = data.n_dims
-    header = ",".join(f"a{i + 1}" for i in range(d)) + ",g"
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row, g in zip(data.inputs, data.targets):
-            fh.write(",".join(_fmt17(v) for v in row) + "," + _fmt17(g) + "\n")
+    header = [f"a{i + 1}" for i in range(data.n_dims)] + ["g"]
+    write_csv(path, header, np.column_stack([data.inputs, data.targets]))
 
 
 def load_dataset_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_dataset_csv`."""
-    with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    if header[-1] != "g" or any(not h.startswith("a") for h in header[:-1]):
-        raise ValueError(f"{path}: unexpected header {lines[0]!r}")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{path}:{i}: expected {len(header)} fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
-    arr = np.asarray(rows)
-    return Dataset(inputs=arr[:, :-1], targets=arr[:, -1])
+    rows = read_csv(path, r"(a[^,]*,)*g")
+    return Dataset(inputs=rows[:, :-1], targets=rows[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +155,8 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: KernelHyper) -> np.ndarr
 
 
 def _factorize(data: Dataset, hyper: KernelHyper):
-    """Cholesky factor of (K + (noise+jitter) I) and the weight vector."""
-    k = _kernel_matrix(data.inputs, data.inputs, hyper)
-    k[np.diag_indices_from(k)] += hyper.noise_variance + JITTER
-    try:
-        chol = cholesky(k, lower=True)
-    except np.linalg.LinAlgError:
-        raise IllConditionedKernelError(
-            "kernel matrix not positive definite for "
-            f"signal_variance={hyper.signal_variance:g}, "
-            f"length_scales={np.array2string(hyper.length_scales, precision=3)}, "
-            f"noise_variance={hyper.noise_variance:g}"
-        ) from None
-    alpha = cho_solve((chol, True), data.targets)
-    return chol, alpha
-
-
-def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
-    """Log marginal likelihood and its gradient over log-hyperparameters.
-
-    Returns ``(value, grad)`` where ``grad`` is ordered as
-    [log signal_variance, log length_scales..., log noise_variance].
-    """
-    n = data.n
+    """Kernel matrix K, Cholesky factor of (K + (noise+jitter) I) and the
+    weight vector."""
     k = _kernel_matrix(data.inputs, data.inputs, hyper)
     c = k.copy()
     c[np.diag_indices_from(c)] += hyper.noise_variance + JITTER
@@ -208,6 +170,17 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
             f"noise_variance={hyper.noise_variance:g}"
         ) from None
     alpha = cho_solve((chol, True), data.targets)
+    return k, chol, alpha
+
+
+def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
+    """Log marginal likelihood and its gradient over log-hyperparameters.
+
+    Returns ``(value, grad)`` where ``grad`` is ordered as
+    [log signal_variance, log length_scales..., log noise_variance].
+    """
+    n = data.n
+    k, chol, alpha = _factorize(data, hyper)
     value = (
         -0.5 * float(data.targets @ alpha)
         - float(np.sum(np.log(np.diag(chol))))
@@ -244,19 +217,9 @@ class GpModel:
             raise ValueError(
                 f"dataset has {data.n_dims} input dims but hyper has {hyper.n_dims}"
             )
-        chol, alpha = _factorize(data, hyper)
+        _, chol, alpha = _factorize(data, hyper)
         return cls(dataset=data, hyper=hyper, chol_factor=chol, alpha=alpha,
                    warning=warning)
-
-    def predict(self, x):
-        """Posterior (mean, variance) at a single query point."""
-        kx = _kernel_matrix(
-            np.asarray(x, dtype=float).reshape(1, -1), self.dataset.inputs, self.hyper
-        )[0]
-        mean = float(kx @ self.alpha)
-        v = solve_triangular(self.chol_factor, kx, lower=True)
-        var = self.hyper.signal_variance - float(v @ v)
-        return mean, max(var, 0.0)
 
     def predict_batch(self, xs):
         """Posterior means and variances at query rows ``xs`` (m, d)."""
@@ -268,27 +231,12 @@ class GpModel:
         return means, np.maximum(variances, 0.0)
 
 
-def predict_exact(model: GpModel, x):
-    """Posterior (mean, variance) of an exact GP at a query point."""
-    return model.predict(x)
-
-
-@dataclass(frozen=True)
-class TrainOpts:
-    """Settings for log-marginal-likelihood ascent over log-hyperparameters."""
-
-    max_iter: int = 500
-    grad_tol: float = 1e-6
-    noise_floor: float = 1e-10
-
-
-def train_exact(data: Dataset, init: KernelHyper, opts: TrainOpts | None = None) -> GpModel:
+def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
     """Maximize the log marginal likelihood starting from ``init``.
 
     Never returns a model worse than the initial hyperparameters; optimizer
     failure falls back to the best evaluated iterate with ``warning`` set.
     """
-    opts = opts or TrainOpts()
     if data.n_dims != init.n_dims:
         raise ValueError("init length_scales dimension does not match data")
 
@@ -308,14 +256,14 @@ def train_exact(data: Dataset, init: KernelHyper, opts: TrainOpts | None = None)
     nll0, _ = objective(theta0)
     lo = np.full(theta0.size, -30.0)
     hi = np.full(theta0.size, 30.0)
-    lo[-1] = math.log(opts.noise_floor)
+    lo[-1] = math.log(NOISE_FLOOR)
     res = minimize(
         objective,
         theta0,
         jac=True,
         method="L-BFGS-B",
         bounds=list(zip(lo, hi)),
-        options={"maxiter": opts.max_iter, "gtol": opts.grad_tol, "ftol": 1e-12},
+        options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-12},
     )
     warning = not res.success
     theta = best["theta"] if best["nll"] <= nll0 else theta0
@@ -387,21 +335,6 @@ class SparseGpModel:
         return cls(inducing=inducing, hyper=hyper, chol_inducing=chol_zz,
                    chol_cap=chol_cap, mean_weights=mean_weights)
 
-    @property
-    def n_inducing(self) -> int:
-        return self.inducing.shape[0]
-
-    def predict(self, x):
-        """Posterior (mean, variance) at a single query point."""
-        kz = _kernel_matrix(
-            self.inducing, np.asarray(x, dtype=float).reshape(1, -1), self.hyper
-        )[:, 0]
-        u = solve_triangular(self.chol_inducing, kz, lower=True)
-        mean = float(u @ self.mean_weights)
-        t = solve_triangular(self.chol_cap, u, lower=True)
-        var = self.hyper.signal_variance - float(u @ u) + float(t @ t)
-        return mean, max(var, 0.0)
-
     def predict_batch(self, xs):
         """Posterior means and variances at query rows ``xs`` (m, d)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -411,11 +344,6 @@ class SparseGpModel:
         t = solve_triangular(self.chol_cap, u, lower=True)
         variances = self.hyper.signal_variance - np.sum(u * u, axis=0) + np.sum(t * t, axis=0)
         return means, np.maximum(variances, 0.0)
-
-
-def predict_sparse(model: SparseGpModel, x):
-    """Posterior (mean, variance) of a sparse GP at a query point."""
-    return model.predict(x)
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarray:
@@ -452,66 +380,36 @@ def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarra
     return centers
 
 
-@dataclass(frozen=True)
-class SparseOpts:
-    """Settings for inducing-input initialization and refinement."""
-
-    optimize: bool = True
-    max_iter: int = 50
-    seed: int = 0
-    init: object = "kmeans"  # "kmeans", "subset", or an explicit (m, d) array
-
-
-def build_sparse(model: GpModel, m: int = 20, opts: SparseOpts | None = None) -> SparseGpModel:
+def build_sparse(model: GpModel, m: int = 20, seed: int = 0) -> SparseGpModel:
     """Build a FIC sparse model from a trained exact GP.
 
-    Inducing inputs start from centroids (or a subset) of the training inputs
-    and are refined by ascent on the FIC marginal likelihood; kernel
-    hyperparameters are inherited unchanged from the exact model.
+    Inducing inputs start from k-means centroids of the training inputs
+    (seeded by ``seed``) and are refined by ascent on the FIC marginal
+    likelihood; kernel hyperparameters are inherited unchanged from the
+    exact model. A model with given inducing inputs is
+    :meth:`SparseGpModel.from_inducing`.
     """
-    opts = opts or SparseOpts()
     data = model.dataset
     if not 1 <= m <= data.n:
         raise ValueError(f"inducing count m={m} must satisfy 1 <= m <= n={data.n}")
 
-    if isinstance(opts.init, np.ndarray):
-        z0 = np.atleast_2d(np.asarray(opts.init, dtype=float)).copy()
-        if z0.shape != (m, data.n_dims):
-            raise ValueError(f"explicit inducing inputs must have shape ({m}, {data.n_dims})")
-    elif opts.init == "subset":
-        rng = np.random.default_rng(opts.seed)
-        z0 = data.inputs[rng.choice(data.n, size=m, replace=False)].copy()
-    elif opts.init == "kmeans":
-        z0 = _kmeans(data.inputs, m, seed=opts.seed)
-    else:
-        raise ValueError(f"unknown inducing initialization {opts.init!r}")
+    z0 = _kmeans(data.inputs, m, seed=seed)
+    shape = z0.shape
+    best = {"nll": np.inf, "z": z0.ravel().copy()}
 
-    z = z0
-    if opts.optimize:
-        shape = z0.shape
-        best = {"nll": np.inf, "z": z0.ravel().copy()}
+    def objective(zflat):
+        try:
+            value = fic_log_marginal_likelihood(data, model.hyper, zflat.reshape(shape))
+        except IllConditionedKernelError:
+            return 1e12
+        if -value < best["nll"]:
+            best["nll"] = -value
+            best["z"] = zflat.copy()
+        return -value
 
-        def objective(zflat):
-            try:
-                value = fic_log_marginal_likelihood(
-                    data, model.hyper, zflat.reshape(shape)
-                )
-            except IllConditionedKernelError:
-                return 1e12
-            if -value < best["nll"]:
-                best["nll"] = -value
-                best["z"] = zflat.copy()
-            return -value
-
-        minimize(
-            objective,
-            z0.ravel(),
-            method="L-BFGS-B",
-            options={"maxiter": opts.max_iter, "ftol": 1e-12},
-        )
-        z = best["z"].reshape(shape)
-
-    return SparseGpModel.from_inducing(data, model.hyper, z)
+    minimize(objective, z0.ravel(), method="L-BFGS-B",
+             options={"maxiter": 50, "ftol": 1e-12})
+    return SparseGpModel.from_inducing(data, model.hyper, best["z"].reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -555,12 +453,56 @@ def normal_quantile(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat key-value model serialization
+# numeric CSV files and flat key-value model serialization
 # ---------------------------------------------------------------------------
 
 
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and numeric rows at 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt17(v) for v in row) + "\n")
+
+
+def read_csv(path, header: str):
+    """Read a numeric CSV file into a (rows, fields) array.
+
+    Blank lines and lines starting with ``#`` are skipped. The first other
+    line is the header, which must match the regular expression ``header``
+    once spaces around fields are dropped. Every later line must hold one
+    finite number per header field. Errors name ``path:line`` with the
+    line's number in the file.
+    """
+    n_fields, rows = None, []
+    with open(path, "r") as fh:
+        for i, ln in enumerate(fh, start=1):
+            ln = ln.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            parts = [p.strip() for p in ln.split(",")]
+            if n_fields is None:
+                if not re.fullmatch(header, ",".join(parts)):
+                    raise ValueError(f"{path}:{i}: expected header {header!r}, got {ln!r}")
+                n_fields = len(parts)
+                continue
+            if len(parts) != n_fields:
+                raise ValueError(f"{path}:{i}: expected {n_fields} fields, "
+                                 f"got {len(parts)}")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                raise ValueError(f"{path}:{i}: malformed number in {ln!r}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{i}: non-finite number in {ln!r}")
+            rows.append(row)
+    if n_fields is None:
+        raise ValueError(f"{path}: no header line")
+    return np.array(rows, dtype=float).reshape(len(rows), n_fields)
 
 
 def _write_kv(fh, key: str, value) -> None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import Dataset, GpModel, SparseGpModel, KernelHyper, SparseOpts, TrainOpts, \
-    build_sparse, train_exact
+from .gp import Dataset, GpModel, SparseGpModel, KernelHyper, build_sparse, read_csv, \
+    train_exact, write_csv
 
 # Identified coefficients of the driver-following difference equation.
 ARX_C_DEFAULT = (-3.0227, 3.3543, -1.6329, 0.3014)
@@ -83,11 +83,6 @@ class VelocityHistory:
         return cls(hv=np.full(N_LAGS, float(v_hv)), av=np.full(N_LAGS, float(v_av)))
 
 
-def arx_predict(params: ArxParams, history: VelocityHistory) -> float:
-    """One-step ARX velocity prediction from lagged velocities."""
-    return float(-params.c @ history.hv + params.b @ history.av)
-
-
 @dataclass(frozen=True)
 class DriverTrace:
     """Recorded (or synthesized) velocities of a trailing AV and the HV."""
@@ -121,28 +116,13 @@ class DriverTrace:
 
 
 def save_trace_csv(trace: DriverTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,v_av,v_hv\n")
-        for t, va, vh in zip(trace.time, trace.v_av, trace.v_hv):
-            fh.write(f"{format(t, '.17g')},{format(va, '.17g')},{format(vh, '.17g')}\n")
+    write_csv(path, ["t", "v_av", "v_hv"],
+              np.column_stack([trace.time, trace.v_av, trace.v_hv]))
 
 
 def load_trace_csv(path) -> DriverTrace:
-    with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "t,v_av,v_hv":
-        raise ValueError(f"{path}: expected header 't,v_av,v_hv'")
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{i}: expected 3 fields, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{i}: {exc}") from None
-    arr = np.asarray(rows)
-    return DriverTrace(time=arr[:, 0], v_av=arr[:, 1], v_hv=arr[:, 2])
+    rows = read_csv(path, "t,v_av,v_hv")
+    return DriverTrace(time=rows[:, 0], v_av=rows[:, 1], v_hv=rows[:, 2])
 
 
 def build_discrepancy_dataset(trace: DriverTrace, params: ArxParams) -> Dataset:
@@ -151,16 +131,14 @@ def build_discrepancy_dataset(trace: DriverTrace, params: ArxParams) -> Dataset:
     The first four samples are consumed as initial lags, so a trace of n
     samples yields n - 4 rows.
     """
-    n = trace.n
-    inputs = np.empty((n - N_LAGS, 2))
-    targets = np.empty(n - N_LAGS)
-    for j in range(N_LAGS, n):
-        hv_lags = trace.v_hv[j - N_LAGS: j][::-1]
-        av_lags = trace.v_av[j - N_LAGS: j][::-1]
-        pred = float(-params.c @ hv_lags + params.b @ av_lags)
-        inputs[j - N_LAGS] = (trace.v_hv[j - 1], trace.v_av[j - 1])
-        targets[j - N_LAGS] = trace.v_hv[j] - pred
-    return Dataset(inputs=inputs, targets=targets)
+    targets = trace.v_hv[N_LAGS:] - arx_prediction_series(trace, params)[N_LAGS:]
+    return Dataset(inputs=_lag1_pairs(trace), targets=targets)
+
+
+def _lag1_pairs(trace: DriverTrace) -> np.ndarray:
+    """(v_hv, v_av) at k-1 for every predicted sample k >= N_LAGS."""
+    return np.column_stack([trace.v_hv[N_LAGS - 1: trace.n - 1],
+                            trace.v_av[N_LAGS - 1: trace.n - 1]])
 
 
 def predict_corrected(params: ArxParams, gp, history: VelocityHistory):
@@ -169,8 +147,8 @@ def predict_corrected(params: ArxParams, gp, history: VelocityHistory):
     The GP is evaluated at the one-step-lagged pair, i.e. the newest entries
     of the history.
     """
-    mean_corr, var = gp.predict(np.array([history.hv[0], history.av[0]]))
-    return arx_predict(params, history) + mean_corr, var
+    means, variances = gp.predict_batch(np.array([[history.hv[0], history.av[0]]]))
+    return arx_step(params, history.hv, history.av) + float(means[0]), float(variances[0])
 
 
 def rmse(pred, actual) -> float:
@@ -258,9 +236,7 @@ def arx_prediction_series(trace: DriverTrace, params: ArxParams) -> np.ndarray:
 def corrected_prediction_series(trace: DriverTrace, params: ArxParams, gp):
     """One-step-ahead GP-corrected predictions; returns (pred, variance)."""
     pred = arx_prediction_series(trace, params)
-    pairs = np.column_stack([trace.v_hv[N_LAGS - 1: trace.n - 1],
-                             trace.v_av[N_LAGS - 1: trace.n - 1]])
-    corr, var = gp.predict_batch(pairs)
+    corr, var = gp.predict_batch(_lag1_pairs(trace))
     pred[N_LAGS:] += corr
     return pred, np.concatenate([np.zeros(N_LAGS), var])
 
@@ -309,10 +285,7 @@ def _init_hyper(data: Dataset) -> KernelHyper:
 
 
 def fit_hv_correction(traces, params: ArxParams | None = None, fraction: float = 0.2,
-                      seed: int = 0, m: int = 20,
-                      init: KernelHyper | None = None,
-                      train_opts: TrainOpts | None = None,
-                      sparse_opts: SparseOpts | None = None) -> HvCorrectionFit:
+                      seed: int = 0, m: int = 20) -> HvCorrectionFit:
     """Train the discrepancy GP on a random fraction of the pooled trace data.
 
     Mirrors the intended workflow: pool discrepancy points from all traces,
@@ -330,6 +303,6 @@ def fit_hv_correction(traces, params: ArxParams | None = None, fraction: float =
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n_total, size=min(n_keep, n_total), replace=False))
     data = Dataset(inputs=inputs[idx], targets=targets[idx])
-    exact = train_exact(data, init or _init_hyper(data), train_opts)
-    sparse = build_sparse(exact, m=m, opts=sparse_opts or SparseOpts(seed=seed))
+    exact = train_exact(data, _init_hyper(data))
+    sparse = build_sparse(exact, m=m, seed=seed)
     return HvCorrectionFit(exact=exact, sparse=sparse, dataset=data)

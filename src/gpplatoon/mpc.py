@@ -121,18 +121,17 @@ class MpcSolution:
     fallback: bool = False
 
 
-def evaluate_gp_along_trajectory(gp, prev, horizon: int,
-                                 include_noise: bool = True) -> FrozenGpTrajectory:
+def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
     """Freeze GP terms along the previous solution (one batch prediction).
 
     ``prev`` is the previous :class:`MpcSolution`; at the first control step
     a :class:`PlatoonState` is accepted and its measured current pair is
     replicated across the horizon. Stage i is evaluated at the previous
     solution's stage i+1 pair (receding-horizon shift) with the last pair
-    repeated. With ``include_noise`` the frozen variances carry the model's
-    learned noise variance on top of the latent GP variance, so the
-    propagated position uncertainty covers realized one-step velocity
-    scatter, not just correction-function uncertainty.
+    repeated. The frozen variances carry the model's learned noise variance
+    on top of the latent GP variance, so the propagated position uncertainty
+    covers realized one-step velocity scatter, not just correction-function
+    uncertainty.
     """
     if isinstance(prev, MpcSolution):
         pairs = np.vstack([prev.stage_pairs[1:], prev.stage_pairs[-1:]])
@@ -144,9 +143,7 @@ def evaluate_gp_along_trajectory(gp, prev, horizon: int,
     else:
         raise TypeError("prev must be an MpcSolution or a PlatoonState")
     mean, var = gp.predict_batch(pairs)
-    if include_noise:
-        var = var + gp.hyper.noise_variance
-    return FrozenGpTrajectory(mean=mean, var=var)
+    return FrozenGpTrajectory(mean=mean, var=var + gp.hyper.noise_variance)
 
 
 @dataclass(frozen=True)
@@ -338,17 +335,6 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
                        sigma=sigma, gap_bounds=bounds, cost_const=c0)
 
 
-def build_nominal_qp(state: PlatoonState, cfg: MpcConfig, v_ref) -> QuadraticProgram:
-    """Fixed-gap program using the ARX chain without GP terms."""
-    return condense(state, cfg, v_ref, frozen=None).qp
-
-
-def build_gp_qp(state: PlatoonState, frozen: FrozenGpTrajectory, cfg: MpcConfig,
-                v_ref) -> QuadraticProgram:
-    """Uncertainty-aware program with frozen GP means and tightened gaps."""
-    return condense(state, cfg, v_ref, frozen=frozen).qp
-
-
 class PlatoonController:
     """Stateful receding-horizon controller (nominal or GP mode).
 
@@ -358,43 +344,26 @@ class PlatoonController:
     """
 
     def __init__(self, cfg: MpcConfig, mode: str = "nominal", gp_model=None,
-                 arx: ArxParams | None = None, solver_tol: float = 1e-6,
-                 include_noise_variance: bool = True, frozen_override=None):
+                 arx: ArxParams | None = None, solver_tol: float = 1e-6):
         if mode not in ("nominal", "gp"):
             raise ValueError(f"unknown controller mode {mode!r}")
-        if mode == "gp" and gp_model is None and frozen_override is None:
+        if mode == "gp" and gp_model is None:
             raise ValueError("gp mode requires a trained sparse GP model")
         self.cfg = cfg
         self.mode = mode
         self.gp_model = gp_model
         self.arx = arx or ArxParams.default()
         self.solver_tol = solver_tol
-        self.include_noise_variance = include_noise_variance
-        self.frozen_override = frozen_override
         self.prev_solution: MpcSolution | None = None
         self.gp_batch_evals = 0
         self.fallback_count = 0
 
-    def reset(self):
-        self.prev_solution = None
-
-    def shifted_warm_start(self) -> np.ndarray | None:
-        """Previous acceleration plan shifted one stage, last stage held."""
-        if self.prev_solution is None:
-            return None
-        acc = self.prev_solution.acc
-        shifted = np.hstack([acc[:, 1:], acc[:, -1:]])
-        return shifted.ravel()
-
     def _frozen(self, state: PlatoonState) -> FrozenGpTrajectory | None:
         if self.mode == "nominal":
             return None
-        if self.frozen_override is not None:
-            return self.frozen_override
         prev = self.prev_solution if self.prev_solution is not None else state
         self.gp_batch_evals += 1
-        return evaluate_gp_along_trajectory(self.gp_model, prev, self.cfg.horizon,
-                                            include_noise=self.include_noise_variance)
+        return evaluate_gp_along_trajectory(self.gp_model, prev, self.cfg.horizon)
 
     def _fallback(self, state: PlatoonState, cd: CondensedQp, res) -> MpcSolution:
         self.fallback_count += 1

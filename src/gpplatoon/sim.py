@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gp import read_csv
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step, default_disturbance
 from .mpc import MpcConfig, PlatoonController, PlatoonState
 
@@ -75,30 +76,14 @@ def named_profile(name: str):
 def load_velocity_profile(path, step: float, v_max: float = 37.0) -> np.ndarray:
     """Load a ``t,v_ref`` CSV and resample it to ``step`` by interpolation.
 
-    Values are clamped to [0, v_max] with a warning; malformed rows raise
-    with their line number and non-monotone time grids are rejected.
+    The ``t,v_ref`` header is required. Values are clamped to [0, v_max]
+    with a warning; malformed or non-finite rows raise with their line
+    number and non-monotone time grids are rejected.
     """
-    with open(path, "r") as fh:
-        lines = [ln.strip() for ln in fh]
-    rows = []
-    header_seen = False
-    for i, ln in enumerate(lines, start=1):
-        if not ln or ln.startswith("#"):
-            continue
-        if not header_seen and ln.replace(" ", "") == "t,v_ref":
-            header_seen = True
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{i}: expected 't,v_ref' row, got {ln!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{i}: malformed number in {ln!r}") from None
+    rows = read_csv(path, "t,v_ref")
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two samples")
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    t, v = rows[:, 0], rows[:, 1]
     if np.any(np.diff(t) <= 0):
         raise ValueError(f"{path}: time grid must be strictly increasing")
     if np.any(v < 0) or np.any(v > v_max):
@@ -197,7 +182,7 @@ class HvPlant:
                  v0: float = 0.0, v_cap: float | None = None):
         if mode not in ("truth", "paper"):
             raise ValueError(f"unknown plant mode {mode!r}")
-        if mode == "paper" and not hasattr(correction, "predict"):
+        if mode == "paper" and not hasattr(correction, "predict_batch"):
             raise ValueError("paper mode needs a trained GP model as correction")
         self.mode = mode
         self.arx = arx
@@ -233,9 +218,9 @@ class HvPlant:
             nxt += float(self.correction(pair[0], pair[1]))
             eps = self.noise_std * self.rng.standard_normal() if self.noise else 0.0
         else:
-            mean, var = self.correction.predict(pair)
-            nxt += mean
-            eps = math.sqrt(max(var, 0.0)) * self.rng.standard_normal() \
+            means, variances = self.correction.predict_batch(pair[None, :])
+            nxt += float(means[0])
+            eps = math.sqrt(max(float(variances[0]), 0.0)) * self.rng.standard_normal() \
                 if self.noise else 0.0
         self.clean = np.concatenate([[nxt], self.clean[: N_LAGS - 1]])
         realized = nxt + eps
@@ -246,11 +231,6 @@ class HvPlant:
         self.v_hat = np.concatenate([[clamped], self.v_hat[: N_LAGS - 1]])
         self.va = av_lags
         return clamped, pos_increment
-
-
-def hv_plant_step(plant: HvPlant, v_av: float):
-    """Advance the HV plant one sample; returns (v_hv, position increment)."""
-    return plant.advance(v_av)
 
 
 @dataclass

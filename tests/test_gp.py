@@ -10,7 +10,6 @@ from gpplatoon.gp import (
     IllConditionedKernelError,
     KernelHyper,
     SparseGpModel,
-    SparseOpts,
     build_sparse,
     fic_log_marginal_likelihood,
     kernel_eval,
@@ -200,7 +199,7 @@ def test_predict_interpolates_training_point():
     h = KernelHyper(signal_variance=1.0, length_scales=np.array([1.0, 1.0]),
                     noise_variance=1e-10)
     model = GpModel.from_data(Dataset(inputs=x, targets=y), h)
-    mean, var = model.predict(x[3])
+    (mean,), (var,) = model.predict_batch(x[3])
     assert mean == pytest.approx(y[3], abs=1e-5)
     assert 0.0 <= var <= 1e-6
 
@@ -211,7 +210,7 @@ def test_predict_prior_reversion_far_from_data():
     y = rng.normal(size=12)
     h = _hyper(sv=1.8, ls=(1.0, 2.0), nv=0.05)
     model = GpModel.from_data(Dataset(inputs=x, targets=y), h)
-    mean, var = model.predict([80.0, -90.0])
+    (mean,), (var,) = model.predict_batch([80.0, -90.0])
     assert mean == pytest.approx(0.0, abs=1e-6)
     assert var == pytest.approx(1.8, abs=1e-6)
 
@@ -229,7 +228,7 @@ def test_predict_matches_explicit_two_point_inverse():
     kq = _kernel_matrix(xq.reshape(1, -1), x, h)[0]
     mean_o = kq @ kinv @ y
     var_o = h.signal_variance - kq @ kinv @ kq
-    mean, var = model.predict(xq)
+    (mean,), (var,) = model.predict_batch(xq)
     assert mean == pytest.approx(mean_o, abs=1e-10)
     assert var == pytest.approx(var_o, abs=1e-10)
 
@@ -288,8 +287,8 @@ def test_sparse_full_inducing_matches_exact():
     rng = np.random.default_rng(21)
     for trial in range(2):
         model = _random_model(rng)
-        sparse = build_sparse(model, m=model.dataset.n,
-                              opts=SparseOpts(optimize=False, init=model.dataset.inputs))
+        sparse = SparseGpModel.from_inducing(model.dataset, model.hyper,
+                                             model.dataset.inputs)
         grid = rng.uniform(-3, 3, size=(100, 2))
         m_e, v_e = model.predict_batch(grid)
         m_s, v_s = sparse.predict_batch(grid)
@@ -300,8 +299,8 @@ def test_sparse_full_inducing_matches_exact():
 def test_sparse_prior_reversion_far_from_inducing():
     rng = np.random.default_rng(23)
     model = _random_model(rng)
-    sparse = build_sparse(model, m=8, opts=SparseOpts(seed=1))
-    mean, var = sparse.predict([500.0, -400.0])
+    sparse = build_sparse(model, m=8, seed=1)
+    (mean,), (var,) = sparse.predict_batch([500.0, -400.0])
     assert mean == pytest.approx(0.0, abs=1e-6)
     assert var == pytest.approx(model.hyper.signal_variance, abs=1e-6)
 
@@ -322,7 +321,7 @@ def test_sparse_single_inducing_converges_to_centroid():
     h = KernelHyper(signal_variance=0.5, length_scales=np.array([1.0]),
                     noise_variance=0.05)
     model = GpModel.from_data(Dataset(inputs=x, targets=y), h)
-    sparse = build_sparse(model, m=1, opts=SparseOpts(seed=0, max_iter=200))
+    sparse = build_sparse(model, m=1, seed=0)
     grid = np.linspace(-2.5, 2.5, 501)
     vals = [fic_log_marginal_likelihood(model.dataset, h, np.array([[z]])) for z in grid]
     z_best = grid[int(np.argmax(vals))]
@@ -393,7 +392,7 @@ def test_model_roundtrip_exact(tmp_path):
 def test_model_roundtrip_sparse(tmp_path):
     rng = np.random.default_rng(33)
     model = _random_model(rng, n=30)
-    sparse = build_sparse(model, m=6, opts=SparseOpts(seed=2))
+    sparse = build_sparse(model, m=6, seed=2)
     path = tmp_path / "sparse.txt"
     save_model(sparse, path)
     loaded = load_model(path)

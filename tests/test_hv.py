@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gpplatoon.gp import Dataset, GpModel, KernelHyper
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import (
     ArxParams,
     DriverTrace,
     VelocityHistory,
-    arx_predict,
+    arx_step,
     build_discrepancy_dataset,
     default_disturbance,
     generate_synthetic_trace,
@@ -25,21 +25,21 @@ def test_default_dc_gain_is_unity():
 
 def test_arx_zero_history():
     h = VelocityHistory.constant(0.0, 0.0)
-    assert arx_predict(ArxParams.default(), h) == 0.0
+    assert arx_step(ArxParams.default(), h.hv, h.av) == 0.0
 
 
 def test_arx_constant_history_tracks():
     p = ArxParams.default()
     for c in (0.0, 5.0, 20.0, 35.0):
         h = VelocityHistory.constant(c, c)
-        assert arx_predict(p, h) == pytest.approx(c, abs=1e-3)
+        assert arx_step(p, h.hv, h.av) == pytest.approx(c, abs=1e-3)
 
 
 def test_arx_hand_value():
     p = ArxParams.default()
     h = VelocityHistory(hv=np.array([10.0, 10.0, 10.0, 10.0]),
                         av=np.array([12.0, 10.0, 10.0, 10.0]))
-    assert arx_predict(p, h) == pytest.approx(10.0126, abs=1e-10)
+    assert arx_step(p, h.hv, h.av) == pytest.approx(10.0126, abs=1e-10)
 
 
 def test_arx_linearity():
@@ -50,8 +50,8 @@ def test_arx_linearity():
         h2 = VelocityHistory(hv=rng.uniform(0, 30, 4), av=rng.uniform(0, 30, 4))
         a, b = rng.uniform(0, 2, 2)
         combo = VelocityHistory(hv=a * h1.hv + b * h2.hv, av=a * h1.av + b * h2.av)
-        assert arx_predict(p, combo) == pytest.approx(
-            a * arx_predict(p, h1) + b * arx_predict(p, h2), abs=1e-10
+        assert arx_step(p, combo.hv, combo.av) == pytest.approx(
+            a * arx_step(p, h1.hv, h1.av) + b * arx_step(p, h2.hv, h2.av), abs=1e-10
         )
 
 
@@ -126,10 +126,7 @@ def _zero_gp(nv=1e-6):
                    targets=np.zeros(3))
     h = KernelHyper(signal_variance=0.04, length_scales=np.array([25.0, 25.0]),
                     noise_variance=nv)
-    from gpplatoon.gp import SparseOpts, build_sparse
-
-    return build_sparse(GpModel.from_data(data, h), m=3,
-                        opts=SparseOpts(optimize=False, init=data.inputs))
+    return SparseGpModel.from_inducing(data, h, data.inputs)
 
 
 def test_corrected_equals_arx_for_zero_trained_gp():
@@ -137,7 +134,7 @@ def test_corrected_equals_arx_for_zero_trained_gp():
     p = ArxParams.default()
     h = VelocityHistory.constant(10.0, 10.0)
     mean, var = predict_corrected(p, gp, h)
-    assert mean == pytest.approx(arx_predict(p, h), abs=1e-9)
+    assert mean == pytest.approx(arx_step(p, h.hv, h.av), abs=1e-9)
     assert var <= 1e-6 + 1e-6
 
 
@@ -146,7 +143,7 @@ def test_corrected_reverts_to_prior_far_from_data():
     p = ArxParams.default()
     h = VelocityHistory.constant(3000.0, 3000.0)
     mean, var = predict_corrected(p, gp, h)
-    assert mean == pytest.approx(arx_predict(p, h), abs=1e-6)
+    assert mean == pytest.approx(arx_step(p, h.hv, h.av), abs=1e-6)
     assert var == pytest.approx(0.04, abs=1e-6)
 
 

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from gpplatoon.dynamics import GapConstraintParams
-from gpplatoon.gp import Dataset, GpModel, KernelHyper, SparseOpts, build_sparse
+from gpplatoon.dynamics import AvState, av_step, propagate_hv_mean, propagate_hv_variance
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import ArxParams, VelocityHistory, arx_step
 from gpplatoon.mpc import (
     FrozenGpTrajectory,
     MpcConfig,
     PlatoonController,
     PlatoonState,
-    build_gp_qp,
-    build_nominal_qp,
     condense,
     evaluate_gp_along_trajectory,
 )
@@ -32,8 +30,7 @@ def _tiny_sparse_gp(targets=None, nv=1e-6):
     targets = np.zeros(4) if targets is None else np.asarray(targets, dtype=float)
     h = KernelHyper(signal_variance=0.05, length_scales=np.array([30.0, 30.0]),
                     noise_variance=nv)
-    model = GpModel.from_data(Dataset(inputs=inputs, targets=targets), h)
-    return build_sparse(model, m=4, opts=SparseOpts(optimize=False, init=inputs))
+    return SparseGpModel.from_inducing(Dataset(inputs=inputs, targets=targets), h, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +41,16 @@ def _tiny_sparse_gp(targets=None, nv=1e-6):
 def test_frozen_from_state_replicates_measured_pair():
     gp = _tiny_sparse_gp()
     state = _state(v=10.0)
-    fz = evaluate_gp_along_trajectory(gp, state, horizon=6, include_noise=False)
-    mean, var = gp.predict(np.array([10.0, 10.0]))
+    fz = evaluate_gp_along_trajectory(gp, state, horizon=6)
+    (mean,), (var,) = gp.predict_batch(np.array([10.0, 10.0]))
     np.testing.assert_allclose(fz.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(fz.var, var, atol=1e-12)
+    np.testing.assert_allclose(fz.var, var + gp.hyper.noise_variance, atol=1e-12)
 
 
 def test_frozen_zero_posterior_gp():
     gp = _tiny_sparse_gp(targets=np.zeros(4))
     state = _state(v=10.0)
-    fz = evaluate_gp_along_trajectory(gp, state, horizon=5, include_noise=False)
+    fz = evaluate_gp_along_trajectory(gp, state, horizon=5)
     np.testing.assert_allclose(fz.mean, 0.0, atol=1e-9)
     assert np.all(fz.var >= 0.0)
 
@@ -63,23 +60,21 @@ def test_frozen_shift_property():
     n = 5
     cfg = MpcConfig(horizon=n)
     state = _state(v=8.0)
-    ctrl = PlatoonController(cfg, mode="gp", gp_model=gp,
-                            include_noise_variance=False)
+    ctrl = PlatoonController(cfg, mode="gp", gp_model=gp)
     _, sol = ctrl.step(state, np.full(n, 8.0))
-    fz = evaluate_gp_along_trajectory(gp, sol, horizon=n, include_noise=False)
+    fz = evaluate_gp_along_trajectory(gp, sol, horizon=n)
     shifted = np.vstack([sol.stage_pairs[1:], sol.stage_pairs[-1:]])
     mean, var = gp.predict_batch(shifted)
     np.testing.assert_allclose(fz.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(fz.var, var, atol=1e-12)
+    np.testing.assert_allclose(fz.var, var + gp.hyper.noise_variance, atol=1e-12)
 
 
 def test_frozen_includes_noise_variance_by_default():
     gp = _tiny_sparse_gp(nv=0.04)
     state = _state(v=10.0)
     with_noise = evaluate_gp_along_trajectory(gp, state, horizon=4)
-    without = evaluate_gp_along_trajectory(gp, state, horizon=4,
-                                           include_noise=False)
-    np.testing.assert_allclose(with_noise.var, without.var + 0.04, atol=1e-12)
+    _, latent = gp.predict_batch(np.tile([10.0, 10.0], (4, 1)))
+    np.testing.assert_allclose(with_noise.var, latent + 0.04, atol=1e-12)
 
 
 def test_frozen_validation():
@@ -95,7 +90,7 @@ def test_frozen_validation():
 def test_nominal_row_count():
     for n_av in (1, 2, 3):
         cfg = MpcConfig(horizon=7, n_av=n_av)
-        qp = build_nominal_qp(_state(n_av=n_av), cfg, np.zeros(7))
+        qp = condense(_state(n_av=n_av), cfg, np.zeros(7)).qp
         n = cfg.horizon
         assert qp.ineq_vector.size == n * (n_av - 1) + n + 4 * n * n_av
         assert qp.eq_vector.size == 0
@@ -105,7 +100,7 @@ def test_nominal_row_count():
 def test_stationary_platoon_zero_acceleration():
     cfg = MpcConfig(horizon=2, n_av=1)
     state = _state(n_av=1, v=0.0)
-    qp = build_nominal_qp(state, cfg, np.zeros(2))
+    qp = condense(state, cfg, np.zeros(2)).qp
     sol = solve_qp(qp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, 0.0, atol=1e-9)
@@ -127,8 +122,8 @@ def test_gp_qp_with_zero_frozen_equals_nominal():
     cfg = MpcConfig(horizon=10)
     state = _state(v=5.0)
     ref = np.linspace(5.0, 8.0, 10)
-    nominal = build_nominal_qp(state, cfg, ref)
-    gp_qp = build_gp_qp(state, FrozenGpTrajectory.zeros(10), cfg, ref)
+    nominal = condense(state, cfg, ref).qp
+    gp_qp = condense(state, cfg, ref, frozen=FrozenGpTrajectory.zeros(10)).qp
     assert np.max(np.abs(nominal.cost_matrix - gp_qp.cost_matrix)) <= 1e-12
     assert np.max(np.abs(nominal.cost_vector - gp_qp.cost_vector)) <= 1e-12
     assert np.max(np.abs(nominal.ineq_matrix - gp_qp.ineq_matrix)) <= 1e-12
@@ -190,6 +185,29 @@ def test_hv_chain_matches_standalone_arx_replay():
         [[0.0], np.cumsum(hv_vel[:-1])]))
     np.testing.assert_allclose(mu, expected_mu, atol=1e-10)
 
+    # with frozen GP terms, decode follows dynamics.py's scalar laws
+    state = PlatoonState(av_pos=state.av_pos, av_vel=state.av_vel,
+                         hv_pos=state.hv_pos, history=hist, hv_pos_var=0.3)
+    fz = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, 12), var=rng.uniform(0.0, 0.05, 12))
+    cd = condense(state, cfg, np.full(12, 10.0), frozen=fz, arx=params)
+    acc, av_vel, av_pos, hv_vel_fz, mu = cd.decode(x)
+    np.testing.assert_allclose(hv_vel_fz, replay, atol=1e-10)
+    for j in range(cfg.n_av):
+        av = AvState(p=float(state.av_pos[j]), v=float(state.av_vel[j]))
+        for k in range(12):
+            av = av_step(av, acc[j, k], cfg.step)
+            assert av.v == pytest.approx(av_vel[j, k], abs=1e-10)
+            assert av.p == pytest.approx(av_pos[j, k], abs=1e-10)
+    # mean stage k+1 from the measured velocity, then the chain; the
+    # variance of the constrained stages k+2..k+N+1 repeats the last term
+    mu_ref = propagate_hv_mean(state.hv_pos, hist.hv[0], fz.mean[0], cfg.step)
+    sigma_ref = propagate_hv_variance(state.hv_pos_var, fz.var[0], cfg.step)
+    for k in range(12):
+        assert mu_ref == pytest.approx(mu[k], abs=1e-10)
+        sigma_ref = propagate_hv_variance(sigma_ref, fz.var[min(k + 1, 11)], cfg.step)
+        assert sigma_ref == pytest.approx(cd.sigma[k], abs=1e-10)
+        mu_ref = propagate_hv_mean(mu_ref, hv_vel_fz[k], fz.mean[min(k + 1, 11)], cfg.step)
+
 
 def test_solution_satisfies_stage_constraints():
     cfg = MpcConfig(horizon=10)
@@ -232,9 +250,6 @@ def test_one_gp_batch_eval_per_step():
         def predict_batch(self, xs):
             self.batch_calls += 1
             return self.inner.predict_batch(xs)
-
-        def predict(self, x):
-            return self.inner.predict(x)
 
     gp = CountingGp(_tiny_sparse_gp(targets=np.array([0.05, 0.0, -0.05, 0.1]),
                                     nv=0.01))
@@ -283,7 +298,10 @@ def test_warm_start_descent_property():
     prev_sol = None
     for k in range(5):
         ref = np.full(10, 5.0 + 0.1 * k)
-        warm = ctrl.shifted_warm_start()
+        # previous plan shifted one stage, last stage held
+        prev = ctrl.prev_solution
+        warm = None if prev is None else np.hstack([prev.acc[:, 1:],
+                                                    prev.acc[:, -1:]]).ravel()
         cd = condense(state, cfg, ref)
         _, sol = ctrl.step(state, ref)
         if warm is not None and cd.qp.max_violation(warm) <= 1e-9:

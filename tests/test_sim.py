@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gpplatoon.hv import ArxParams, N_LAGS
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel, load_dataset_csv
+from gpplatoon.hv import ArxParams, N_LAGS, arx_step, load_trace_csv
 from gpplatoon.mpc import MpcConfig
 from gpplatoon.sim import (
     HvPlant,
@@ -9,7 +10,6 @@ from gpplatoon.sim import (
     compute_metrics,
     diagnostics_to_csv,
     emergency_brake_profile,
-    hv_plant_step,
     load_velocity_profile,
     make_scenario,
     metrics_to_text,
@@ -63,6 +63,15 @@ def test_load_profile_clamps_with_warning(tmp_path):
     assert series[0] == 0.0
 
 
+# every CSV loader: its header and a valid row of k
+CSV_LOADERS = (
+    (lambda path: load_velocity_profile(path, step=0.5), "t,v_ref",
+     lambda k: f"{k},{k}"),
+    (load_trace_csv, "t,v_av,v_hv", lambda k: f"{0.1 * k},5,5"),
+    (load_dataset_csv, "a1,a2,g", lambda k: f"{k},{k},0.5"),
+)
+
+
 def test_load_profile_errors(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,v_ref\n0,0\nnope\n")
@@ -72,6 +81,37 @@ def test_load_profile_errors(tmp_path):
     nonmono.write_text("t,v_ref\n0,0\n2,1\n1,2\n")
     with pytest.raises(ValueError, match="increasing"):
         load_velocity_profile(nonmono, step=0.5)
+    nan_time = tmp_path / "nan_t.csv"
+    nan_time.write_text("t,v_ref\n0,0\nnan,1\n2,2\n")
+    with pytest.raises(ValueError, match="nan_t.csv:3: non-finite"):
+        load_velocity_profile(nan_time, step=0.5)
+    headless = tmp_path / "headless.csv"
+    headless.write_text("0,0\n1,1\n2,2\n")
+    with pytest.raises(ValueError, match="headless.csv:1: expected header"):
+        load_velocity_profile(headless, step=0.5)
+
+    # every loader names the raw line number, counting blank and comment lines
+    for load, header, row in CSV_LOADERS:
+        good = [row(k) for k in range(6)]
+        ok = tmp_path / "ok.csv"
+        ok.write_text("# written by hand\n\n" + header + "\n# six rows\n"
+                      + "\n\n".join(good) + "\n")
+        load(ok)
+        n_fields = header.count(",") + 1
+        cases = {
+            "header": ("# c\n\n" + "x" + header + "\n" + "\n".join(good), 3),
+            "fields": (header + "\n\n" + good[0] + "\n\n" + good[1] + ",1", 5),
+            "number": (header + "\n" + good[0] + "\n\n# c\n" + "1," * (n_fields - 1)
+                       + "x1", 5),
+        }
+        for bad_value in ("nan", "inf", "-inf"):
+            cases[bad_value] = (header + "\n\n" + good[0] + "\n\n"
+                                + ",".join([bad_value] + ["1"] * (n_fields - 1)), 5)
+        for what, (text, line) in cases.items():
+            path = tmp_path / f"{what}.csv"
+            path.write_text(text + "\n" + "\n".join(good[2:]) + "\n")
+            with pytest.raises(ValueError, match=rf"{what}\.csv:{line}: "):
+                load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +123,7 @@ def test_plant_reduces_to_arx_without_correction():
     arx = ArxParams.default()
     plant = HvPlant(mode="truth", arx=arx, correction=lambda vh, va: 0.0,
                     step=0.1, noise=False, v0=10.0)
-    v, incr = hv_plant_step(plant, 10.0)
+    v, incr = plant.advance(10.0)
     assert incr == pytest.approx(1.0, abs=1e-12)
     assert v == pytest.approx(10.0, abs=1e-3)  # constant platooning
 
@@ -97,6 +137,40 @@ def test_plant_deterministic_with_seed():
         vals = [plant.advance(5.0)[0] for _ in range(50)]
         runs.append(vals)
     np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def _paper_gp():
+    inputs = np.array([[4.0, 5.0], [8.0, 8.5], [12.0, 11.0]])
+    h = KernelHyper(signal_variance=1e-6, length_scales=np.array([20.0, 20.0]),
+                    noise_variance=1e-8)
+    return SparseGpModel.from_inducing(
+        Dataset(inputs=inputs, targets=np.array([2e-4, -3e-4, 5e-4])), h, inputs)
+
+
+def test_paper_plant_adds_gp_mean_at_lag1_pair():
+    arx, gp = ArxParams.default(), _paper_gp()
+    plant = HvPlant(mode="paper", arx=arx, correction=gp, step=0.1, noise=False, v0=8.0)
+    for va in (8.0, 8.5, 9.0, 9.2, 9.0, 8.7):
+        clean = plant.clean.copy()
+        av_lags = np.concatenate([[va], plant.va[: N_LAGS - 1]])
+        means, _ = gp.predict_batch(np.array([[plant.velocity, va]]))
+        assert abs(means[0]) > 1e-5
+        v, _ = plant.advance(va)
+        assert v == pytest.approx(arx_step(arx, clean, av_lags) + means[0], abs=1e-12)
+
+    runs = []
+    for seed in (9, 9, 10):
+        plant = HvPlant(mode="paper", arx=arx, correction=gp, step=0.1, noise=True,
+                        seed=seed, v0=8.0)
+        runs.append([plant.advance(8.0 + 0.1 * k)[0] for k in range(30)])
+    np.testing.assert_array_equal(runs[0], runs[1])
+    assert min(runs[0]) > 0.0 and not np.array_equal(runs[0], runs[2])
+
+
+def test_paper_plant_requires_gp_model():
+    with pytest.raises(ValueError):
+        HvPlant(mode="paper", arx=ArxParams.default(),
+                correction=lambda vh, va: 0.0, step=0.1)
 
 
 def test_plant_velocity_clamped_at_zero():
