@@ -56,12 +56,15 @@ class GapConstraintParams:
             raise ValueError("p_def must lie in (0, 1)")
 
 
-def tightened_min_gap(params: GapConstraintParams, sigma: float) -> float:
+def tightened_min_gap(params: GapConstraintParams, sigma):
     """Deterministic gap bound absorbing the HV position uncertainty.
 
     The AV-HV feasibility test is: trailing AV position minus HV position
-    mean must be at least this value.
+    mean must be at least this value. ``sigma`` is one variance (the bound
+    is a float) or an array of them (one bound per entry).
     """
-    if sigma < 0:
+    s = np.asarray(sigma, dtype=float)
+    if np.any(s < 0):
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    return params.delta + params.delta_ext + normal_quantile(params.p_def) * math.sqrt(sigma)
+    bound = params.delta + params.delta_ext + normal_quantile(params.p_def) * np.sqrt(s)
+    return float(bound) if s.ndim == 0 else bound

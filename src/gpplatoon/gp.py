@@ -543,7 +543,12 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Load a model written by :func:`save_model`."""
+    """Load a model written by :func:`save_model`.
+
+    Raises ``ValueError`` naming ``path`` and the key when a key is missing,
+    an entry is not a finite number, a size is not a positive integer, or a
+    vector's length disagrees with ``n``, ``m`` or ``n_dims``.
+    """
     kv = {}
     with open(path, "r") as fh:
         for i, ln in enumerate(fh, start=1):
@@ -555,32 +560,48 @@ def load_model(path):
             key, _, val = ln.partition("=")
             kv[key.strip()] = val.strip()
 
-    def vec(key):
-        return np.array([float(v) for v in kv[key].split(",")])
+    def vec(key, size):
+        if key not in kv:
+            raise ValueError(f"{path}: missing key {key!r}")
+        try:
+            arr = np.array([float(v) for v in kv[key].split(",")])
+        except ValueError:
+            raise ValueError(f"{path}: {key}: malformed number in {kv[key]!r}") from None
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {key}: non-finite entry")
+        if arr.size != size:
+            raise ValueError(f"{path}: {key} has {arr.size} entries, expected {size}")
+        return arr
+
+    def size(key):
+        value = float(vec(key, 1)[0])
+        if value < 1 or value != int(value):
+            raise ValueError(f"{path}: {key} must be a positive integer, got {value:g}")
+        return int(value)
 
     kind = kv.get("kind")
-    d = int(float(kv["n_dims"]))
+    if kind not in ("sparse", "exact"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    d = size("n_dims")
     hyper = KernelHyper(
-        signal_variance=float(kv["signal_variance"]),
-        length_scales=vec("length_scales"),
-        noise_variance=float(kv["noise_variance"]),
+        signal_variance=float(vec("signal_variance", 1)[0]),
+        length_scales=vec("length_scales", d),
+        noise_variance=float(vec("noise_variance", 1)[0]),
     )
     if kind == "sparse":
-        m = int(float(kv["m"]))
+        m = size("m")
         return SparseGpModel(
-            inducing=vec("inducing").reshape(m, d),
+            inducing=vec("inducing", m * d).reshape(m, d),
             hyper=hyper,
-            chol_inducing=vec("chol_inducing").reshape(m, m),
-            chol_cap=vec("chol_cap").reshape(m, m),
-            mean_weights=vec("mean_weights"),
+            chol_inducing=vec("chol_inducing", m * m).reshape(m, m),
+            chol_cap=vec("chol_cap", m * m).reshape(m, m),
+            mean_weights=vec("mean_weights", m),
         )
-    if kind == "exact":
-        n = int(float(kv["n"]))
-        data = Dataset(inputs=vec("inputs").reshape(n, d), targets=vec("targets"))
-        return GpModel(
-            dataset=data,
-            hyper=hyper,
-            chol_factor=vec("chol_factor").reshape(n, n),
-            alpha=vec("alpha"),
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    n = size("n")
+    data = Dataset(inputs=vec("inputs", n * d).reshape(n, d), targets=vec("targets", n))
+    return GpModel(
+        dataset=data,
+        hyper=hyper,
+        chol_factor=vec("chol_factor", n * n).reshape(n, n),
+        alpha=vec("alpha", n),
+    )

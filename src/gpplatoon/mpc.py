@@ -4,10 +4,19 @@ The horizon couples AV kinematics, the linear ARX chain of the HV, and the
 HV position mean/variance propagation. GP terms are frozen along the
 previous solution's trajectory (one sparse batch prediction per control
 step), so every solve is a convex QP over the stacked AV accelerations.
+
+Everything that does not depend on the measured state is built once per
+``(cfg, arx)`` and cached: the cost matrix P, the constraint matrix G, the
+HV velocity and position maps, the maps from the state to the cost vector
+and to the HV chain's constant part, and the matrices that decode a plan.
+P and G are read-only and shared by every QP of that pair, so
+:func:`gpplatoon.qp.solve_qp` reuses its factor of P, and a control step
+only forms the vectors q, h and the gap bounds with matrix-vector products.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +128,7 @@ class MpcSolution:
     cost: float
     active: tuple = ()
     fallback: bool = False
+    violated: str = ""          # on a fallback, the row the braking plan violates most
 
 
 def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
@@ -147,6 +157,135 @@ def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
 
 
 @dataclass(frozen=True)
+class _QpStructure:
+    """The parts of a condensed horizon that depend only on ``(cfg, arx)``.
+
+    The decision vector stacks AV accelerations block by block (AV j holds
+    entries j*N..j*N+N-1). Every array is read-only and shared by all the
+    :class:`CondensedQp` built from the same ``(cfg, arx)``; a control step
+    only forms vectors from them.
+    """
+
+    cfg: MpcConfig
+    cost_matrix: np.ndarray     # P (nd, nd)
+    ineq_matrix: np.ndarray     # G (rows, nd)
+    hv_lin: np.ndarray          # (N, nd), HV velocity chain in x
+    mu_lin: np.ndarray          # (N+1, nd), t * cumsum(hv_lin)
+    hv_state: np.ndarray        # (N, 9), (history.hv, history.av, v0[last]) -> hv_const
+    lead_q: np.ndarray          # (nd, N+1), leader cost: q += lead_q @ e_lead
+    follow_q: np.ndarray        # (nd, nav-1), follower cost per velocity difference
+    h_acc: np.ndarray           # (2 nav N,), acceleration-box right-hand sides
+    s_mat: np.ndarray           # (N, N), velocities from accelerations
+    w_mat: np.ndarray           # (N, N), positions from accelerations
+    stages: np.ndarray          # 1..N
+    t_pos: np.ndarray           # t * (2..N+1), the constrained position stages
+
+    def row_label(self, row: int) -> str:
+        """Name of inequality row ``row``, e.g. ``av_gap[j,k]`` or ``hv_gap[k]``.
+
+        ``j`` is the AV (the follower for ``av_gap``) and ``k`` the row's
+        stage within its horizon block, counted from 0.
+        """
+        n, nav = self.cfg.horizon, self.cfg.n_av
+        i = row
+        for name, count, first in (("av_gap", nav - 1, 1), ("hv_gap", 1, None),
+                                   ("v_max", nav, 0), ("v_min", nav, 0),
+                                   ("acc_max", nav, 0), ("acc_min", nav, 0)):
+            if 0 <= i < count * n:
+                j, k = divmod(i, n)
+                return f"{name}[{k}]" if first is None else f"{name}[{j + first},{k}]"
+            i -= count * n
+        raise IndexError(f"row {row} outside the {self.ineq_matrix.shape[0]} rows")
+
+
+def _position_map(n: int) -> np.ndarray:
+    """W with W[s-1, m] = s-1-m for m <= s-2: positions from accelerations."""
+    w = np.zeros((n, n))
+    for s in range(2, n + 1):
+        w[s - 1, : s - 1] = np.arange(s - 1, 0, -1)
+    return w
+
+
+@functools.lru_cache(maxsize=16)
+def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
+    """Build the fixed part of the condensed QP; cached on its full key."""
+    c, b = np.frombuffer(arx_c), np.frombuffer(arx_b)
+    n, nav, t = cfg.horizon, cfg.n_av, cfg.step
+    nd = nav * n
+    last = (nav - 1) * n
+    s_mat = np.tril(np.ones((n, n)))
+    w_mat = _position_map(n)
+
+    # HV velocity chain: affine in the 9 measured values and in the trailing
+    # AV's accelerations; row s-1 holds stage k+s
+    hv_state = np.zeros((n, 2 * N_LAGS + 1))
+    hv_acc = np.zeros((n, n))
+    for s in range(1, n + 1):
+        for q in range(1, N_LAGS + 1):
+            i = s - q
+            if i >= 1:
+                hv_state[s - 1] -= c[q - 1] * hv_state[i - 1]
+                hv_acc[s - 1] -= c[q - 1] * hv_acc[i - 1]
+                hv_state[s - 1, 2 * N_LAGS] += b[q - 1]
+                hv_acc[s - 1] += b[q - 1] * t * s_mat[i - 1]
+            else:
+                hv_state[s - 1, -i] -= c[q - 1]
+                hv_state[s - 1, N_LAGS - i] += b[q - 1]
+    hv_lin = np.zeros((n, nd))
+    hv_lin[:, last:] = hv_acc
+    # HV position mean over stages k+1..k+N+1; stage k+1 is fixed by the state
+    mu_lin = np.zeros((n + 1, nd))
+    mu_lin[1:] = t * np.cumsum(hv_lin, axis=0)
+
+    # cost: acceleration effort, leader reference tracking, follower matching;
+    # velocity stages k+1..k+N plus the written (N+1)-th stage, which under a
+    # zero-held terminal input repeats the terminal velocity and reference
+    p_cost = np.zeros((nd, nd))
+    p_cost[np.diag_indices(nd)] += 2.0 * cfg.r
+    m_lead = np.zeros((n + 1, nd))
+    m_lead[:n, :n] = t * s_mat
+    m_lead[n] = m_lead[n - 1]
+    p_cost += 2.0 * cfg.q1 * m_lead.T @ m_lead
+    lead_q = 2.0 * cfg.q1 * m_lead.T
+    follow_q = np.zeros((nd, nav - 1))
+    for j in range(1, nav):
+        m_f = np.zeros((n + 1, nd))
+        m_f[:n, j * n:(j + 1) * n] = t * s_mat
+        m_f[:n, (j - 1) * n: j * n] = -t * s_mat
+        m_f[n] = m_f[n - 1]
+        p_cost += 2.0 * cfg.q2 * m_f.T @ m_f
+        follow_q[:, j - 1] = 2.0 * cfg.q2 * m_f.sum(axis=0)
+
+    # inequalities: AV-AV gaps, AV-HV gap (stages k+2..k+N+1), velocity and
+    # acceleration boxes (stages k+1..k+N)
+    w_ext = _position_map(n + 1)[1:, :n]
+    n_rows = n * (nav - 1) + n + 4 * n * nav
+    g_mat = np.zeros((n_rows, nd))
+    row = 0
+    for j in range(1, nav):
+        g_mat[row:row + n, (j - 1) * n: j * n] = -t * t * w_ext
+        g_mat[row:row + n, j * n:(j + 1) * n] = t * t * w_ext
+        row += n
+    g_mat[row:row + n, last:] = -t * t * w_ext
+    g_mat[row:row + n] += mu_lin[1:]
+    row += n
+    for sign, block in ((1.0, t * s_mat), (-1.0, t * s_mat), (1.0, np.eye(n)),
+                        (-1.0, np.eye(n))):
+        for j in range(nav):
+            g_mat[row:row + n, j * n:(j + 1) * n] = sign * block
+            row += n
+    h_acc = np.concatenate([np.full(nd, cfg.acc_max), np.full(nd, -cfg.acc_min)])
+
+    arrays = dict(cost_matrix=p_cost, ineq_matrix=g_mat, hv_lin=hv_lin, mu_lin=mu_lin,
+                  hv_state=hv_state, lead_q=lead_q, follow_q=follow_q, h_acc=h_acc,
+                  s_mat=s_mat, w_mat=w_mat, stages=np.arange(1, n + 1),
+                  t_pos=np.arange(2, n + 2) * t)
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    return _QpStructure(cfg=cfg, **arrays)
+
+
+@dataclass(frozen=True)
 class CondensedQp:
     """Dense QP plus the affine maps needed to decode a solution."""
 
@@ -161,29 +300,19 @@ class CondensedQp:
     sigma: np.ndarray
     gap_bounds: np.ndarray
     cost_const: float
+    structure: _QpStructure = field(repr=False)
 
     def decode(self, x: np.ndarray):
         """Stage trajectories implied by a stacked acceleration vector."""
-        cfg = self.cfg
-        n, nav, t = cfg.horizon, cfg.n_av, cfg.step
-        s_mat = np.tril(np.ones((n, n)))
-        w_mat = _position_map(n)
-        stages = np.arange(1, n + 1)
-        acc = x.reshape(nav, n)
-        av_vel = self.v0[:, None] + t * (s_mat @ acc.T).T
-        av_pos = (self.p0[:, None] + np.outer(self.v0, stages) * t
-                  + t * t * (w_mat @ acc.T).T)
+        st = self.structure
+        t = self.cfg.step
+        acc = x.reshape(self.cfg.n_av, self.cfg.horizon)
+        av_vel = self.v0[:, None] + t * (st.s_mat @ acc.T).T
+        av_pos = (self.p0[:, None] + np.outer(self.v0, st.stages) * t
+                  + t * t * (st.w_mat @ acc.T).T)
         hv_vel = self.hv_const + self.hv_lin @ x
-        mu = self.mu_const[:n] + self.mu_lin[:n] @ x
+        mu = self.mu_const[:-1] + self.mu_lin[:-1] @ x
         return acc, av_vel, av_pos, hv_vel, mu
-
-
-def _position_map(n: int) -> np.ndarray:
-    """W with W[s-1, m] = s-1-m for m <= s-2: positions from accelerations."""
-    w = np.zeros((n, n))
-    for s in range(2, n + 1):
-        w[s - 1, : s - 1] = np.arange(s - 1, 0, -1)
-    return w
 
 
 def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
@@ -198,6 +327,9 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     one-step-ahead positions are fixed by the measured state, so
     constraining them adds no control authority and an unavoidable
     millimetre incursion there would falsely mark the program infeasible.
+
+    The cost and constraint matrices come from the structure cached per
+    ``(cfg, arx)``; this call forms only the vectors of the measured state.
     """
     arx = arx or ArxParams.default()
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
@@ -206,133 +338,49 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     ref = np.atleast_1d(np.asarray(v_ref, dtype=float))
     if ref.shape != (n,):
         raise ValueError(f"v_ref must supply {n} stages, got {ref.shape}")
-    nd = nav * n
-    v0, p0 = state.av_vel, state.av_pos
-    hist = state.history
-    s_mat = np.tril(np.ones((n, n)))
-    w_mat = _position_map(n)
-    last = (nav - 1) * n
-    stages = np.arange(1, n + 1)
-
-    # HV velocity chain: affine in the trailing AV's accelerations
-    hv_const = np.zeros(n)
-    hv_lin = np.zeros((n, nd))
-    for s in range(1, n + 1):
-        const = 0.0
-        lin = np.zeros(nd)
-        for q in range(1, N_LAGS + 1):
-            i = s - q
-            cq, bq = arx.c[q - 1], arx.b[q - 1]
-            if i >= 1:
-                const += -cq * hv_const[i - 1]
-                lin += -cq * hv_lin[i - 1]
-                const += bq * v0[nav - 1]
-                lin[last: last + n] += bq * t * s_mat[i - 1]
-            else:
-                const += -cq * hist.hv[-i]
-                const += bq * hist.av[-i]
-        hv_const[s - 1] = const
-        hv_lin[s - 1] = lin
-
     fz = frozen if frozen is not None else FrozenGpTrajectory.zeros(n)
     if fz.mean.size != n:
         raise ValueError(f"frozen trajectory must supply {n} stages")
+    st = _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
+    v0, p0 = state.av_vel, state.av_pos
+    hist = state.history
 
-    # HV position mean chain over stages k+1..k+N+1; the first increment uses
-    # the measured velocity and the final one repeats the last frozen term
-    mu_const = np.zeros(n + 1)
-    mu_lin = np.zeros((n + 1, nd))
-    run_c = state.hv_pos + t * hist.hv[0] + t * fz.mean[0]
-    run_l = np.zeros(nd)
-    mu_const[0] = run_c
-    for s in range(2, n + 2):
-        run_c = run_c + t * hv_const[s - 2] + t * fz.mean[min(s - 1, n - 1)]
-        run_l = run_l + t * hv_lin[s - 2]
-        mu_const[s - 1] = run_c
-        mu_lin[s - 1] = run_l.copy()
+    hv_const = st.hv_state @ np.concatenate([hist.hv, hist.av, v0[-1:]])
+    # the first mean increment uses the measured velocity and the final one
+    # repeats the last frozen term
+    incr = np.empty(n + 1)
+    incr[0] = state.hv_pos + t * hist.hv[0] + t * fz.mean[0]
+    incr[1:] = t * hv_const + t * np.append(fz.mean[1:], fz.mean[-1])
+    mu_const = np.cumsum(incr)
 
-    var_ext = np.concatenate([fz.var, fz.var[-1:]])
+    var_ext = np.append(fz.var, fz.var[-1])
     sigma_all = state.hv_pos_var + t * t * np.cumsum(var_ext)
     # positions one step ahead are fixed by the measured state, so gap
     # constraints cover the controllable stages k+2..k+N+1
     sigma = sigma_all[1:]
     if frozen is not None:
-        bounds = np.array([tightened_min_gap(cfg.gap, sig) for sig in sigma])
+        bounds = tightened_min_gap(cfg.gap, sigma)
     else:
         bounds = np.full(n, cfg.gap.delta)
 
-    # cost: acceleration effort, leader reference tracking, follower matching
-    p_cost = np.zeros((nd, nd))
-    q_cost = np.zeros(nd)
-    c0 = 0.0
-    p_cost[np.diag_indices(nd)] += 2.0 * cfg.r
+    e_lead = np.append(v0[0] - ref, v0[0] - ref[-1])
+    dv = v0[1:] - v0[:-1]
+    q_cost = st.lead_q @ e_lead + st.follow_q @ dv
+    c0 = cfg.q1 * float(e_lead @ e_lead) + cfg.q2 * (n + 1) * float(dv @ dv)
 
-    def add_quadratic(rows, consts, weight):
-        nonlocal c0
-        p_cost[...] += 2.0 * weight * rows.T @ rows
-        q_cost[...] += 2.0 * weight * rows.T @ consts
-        c0 += weight * float(consts @ consts)
+    h_vec = np.concatenate([
+        ((p0[:-1] - p0[1:])[:, None] + st.t_pos * (-dv)[:, None] - cfg.av_gap).ravel(),
+        p0[-1] + st.t_pos * v0[-1] - mu_const[1:] - bounds,
+        np.repeat(cfg.v_max - v0, n),
+        np.repeat(v0 - cfg.v_min, n),
+        st.h_acc,
+    ])
 
-    # velocity stages k+1..k+N plus the written (N+1)-th stage, which under
-    # a zero-held terminal input repeats the terminal velocity and reference
-    m_lead = np.zeros((n + 1, nd))
-    m_lead[:n, :n] = t * s_mat
-    m_lead[n] = m_lead[n - 1]
-    e_lead = np.concatenate([v0[0] - ref, [v0[0] - ref[-1]]])
-    add_quadratic(m_lead, e_lead, cfg.q1)
-    for j in range(1, nav):
-        m_f = np.zeros((n + 1, nd))
-        m_f[:n, j * n:(j + 1) * n] = t * s_mat
-        m_f[:n, (j - 1) * n: j * n] = -t * s_mat
-        m_f[n] = m_f[n - 1]
-        e_f = np.full(n + 1, v0[j] - v0[j - 1])
-        add_quadratic(m_f, e_f, cfg.q2)
-
-    # inequalities: AV-AV gaps, AV-HV gap (stages k+2..k+N+1), velocity and
-    # acceleration boxes (stages k+1..k+N)
-    w_ext = _position_map(n + 1)[1:, :n]
-    s_pos = np.arange(2, n + 2)
-    n_rows = n * (nav - 1) + n + 4 * n * nav
-    g_mat = np.zeros((n_rows, nd))
-    h_vec = np.zeros(n_rows)
-    row = 0
-    for j in range(1, nav):
-        blk = slice(row, row + n)
-        g_mat[blk, (j - 1) * n: j * n] = -t * t * w_ext
-        g_mat[blk, j * n:(j + 1) * n] = t * t * w_ext
-        h_vec[blk] = (p0[j - 1] - p0[j]) + s_pos * t * (v0[j - 1] - v0[j]) - cfg.av_gap
-        row += n
-    blk = slice(row, row + n)
-    g_mat[blk, last: last + n] = -t * t * w_ext
-    g_mat[blk] += mu_lin[1:]
-    h_vec[blk] = p0[nav - 1] + s_pos * t * v0[nav - 1] - mu_const[1:] - bounds
-    row += n
-    for j in range(nav):
-        blk = slice(row, row + n)
-        g_mat[blk, j * n:(j + 1) * n] = t * s_mat
-        h_vec[blk] = cfg.v_max - v0[j]
-        row += n
-    for j in range(nav):
-        blk = slice(row, row + n)
-        g_mat[blk, j * n:(j + 1) * n] = -t * s_mat
-        h_vec[blk] = v0[j] - cfg.v_min
-        row += n
-    for j in range(nav):
-        blk = slice(row, row + n)
-        g_mat[blk, j * n:(j + 1) * n] = np.eye(n)
-        h_vec[blk] = cfg.acc_max
-        row += n
-    for j in range(nav):
-        blk = slice(row, row + n)
-        g_mat[blk, j * n:(j + 1) * n] = -np.eye(n)
-        h_vec[blk] = -cfg.acc_min
-        row += n
-
-    qp = QuadraticProgram(cost_matrix=p_cost, cost_vector=q_cost,
-                          ineq_matrix=g_mat, ineq_vector=h_vec)
+    qp = QuadraticProgram(cost_matrix=st.cost_matrix, cost_vector=q_cost,
+                          ineq_matrix=st.ineq_matrix, ineq_vector=h_vec)
     return CondensedQp(qp=qp, cfg=cfg, v0=v0, p0=p0, hv_const=hv_const,
-                       hv_lin=hv_lin, mu_const=mu_const, mu_lin=mu_lin,
-                       sigma=sigma, gap_bounds=bounds, cost_const=c0)
+                       hv_lin=st.hv_lin, mu_const=mu_const, mu_lin=st.mu_lin,
+                       sigma=sigma, gap_bounds=bounds, cost_const=c0, structure=st)
 
 
 class PlatoonController:
@@ -372,12 +420,18 @@ class PlatoonController:
         acc = np.full((nav, n), self.cfg.acc_min)
         _, av_vel, av_pos, hv_vel, mu = cd.decode(acc.ravel())
         pairs = _stage_pairs(state, hv_vel, av_vel[nav - 1], n)
+        # the solver names the row it could not add (often an acceleration
+        # bound); the braking plan names the constraint given up
+        excess = cd.qp.ineq_matrix @ acc.ravel() - cd.qp.ineq_vector
+        worst = int(np.argmax(excess))
         return MpcSolution(acc=acc, av_vel=av_vel, av_pos=av_pos, hv_vel=hv_vel,
                            hv_pos_mean=mu, hv_pos_var=cd.sigma,
                            gap_bounds=cd.gap_bounds, stage_pairs=pairs,
                            status=res.status, iterations=res.iterations,
                            solve_time=res.solve_time, cost=np.nan,
-                           active=(), fallback=True)
+                           active=(), fallback=True,
+                           violated=cd.structure.row_label(worst) if excess[worst] > 0
+                           else "")
 
     def step(self, state: PlatoonState, v_ref):
         """One control step: returns (first-stage accelerations, solution)."""

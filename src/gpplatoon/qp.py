@@ -8,6 +8,13 @@ multipliers hit zero. The method needs no feasible starting point,
 terminates with near machine-precision KKT residuals on well-scaled
 problems, certifies infeasibility via an unbounded dual step, and is
 fully deterministic.
+
+As in Goldfarb and Idnani's method, the iteration works in the fixed basis
+J = L^-T of the cost factor P = L L^T: with the active rows mapped to
+y = A J, each step solves a system of the active-set size rather than the
+bordered KKT system. J is kept for the last read-only P, so a sequence of
+programs sharing one read-only cost matrix (the MPC's, built once per
+configuration) factors it once; a writable P is factored on every call.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import solve_triangular
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,9 @@ class QuadraticProgram:
         n = q.size
         if p.shape != (n, n):
             raise ValueError(f"cost matrix shape {p.shape} does not match vector size {n}")
-        if not np.allclose(p, p.T, rtol=0, atol=1e-10):
+        # in place: a second n x n temporary costs more than the check itself
+        asym = p - p.T
+        if p.size and not np.abs(asym, out=asym).max() <= 1e-10:
             raise ValueError("cost matrix must be symmetric")
         a = np.zeros((0, n)) if self.eq_matrix is None else np.atleast_2d(
             np.asarray(self.eq_matrix, dtype=float))
@@ -104,6 +113,27 @@ def _chol_or_jitter(p: np.ndarray) -> np.ndarray:
             raise ValueError("cost matrix is not positive semidefinite") from None
 
 
+# (P, J) of the last read-only cost matrix factored, read and replaced whole
+_last_factor: tuple = (None, None)
+
+
+def _inverse_factor(p: np.ndarray) -> np.ndarray:
+    """J = L^-T with P = L L^T, so P^-1 = J J^T.
+
+    The factor of a read-only ``p`` is kept and reused while the next call
+    passes the same array object; a writable ``p`` is factored every call.
+    """
+    global _last_factor
+    cached_p, cached_j = _last_factor
+    if cached_p is p and not p.flags.writeable:
+        return cached_j
+    chol = _chol_or_jitter(p)
+    j = np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
+    if not p.flags.writeable:
+        _last_factor = (p, j)
+    return j
+
+
 def _reduce_equalities(a: np.ndarray, b: np.ndarray):
     """Drop linearly dependent equality rows; detect inconsistency.
 
@@ -144,26 +174,24 @@ def _kkt_residual(qp: QuadraticProgram, x, lam, mu) -> float:
     return worst
 
 
-def _try_active_hint(qp: QuadraticProgram, hint, tol: float):
-    """Single KKT solve on a hinted active set; None when the hint is stale."""
-    n = qp.n
+def _try_active_hint(qp: QuadraticProgram, hint, tol: float, j: np.ndarray):
+    """Single KKT solve on a hinted active set; None when the hint is stale.
+
+    With P^-1 = J J^T, w = -J^T q and the active rows' y = A J, the
+    multipliers solve (y y^T) m = y w - b and x = J (w - y^T m).
+    """
     g, h = qp.ineq_matrix, qp.ineq_vector
     a, b = qp.eq_matrix, qp.eq_vector
     idx = sorted({int(i) for i in hint if 0 <= int(i) < h.size})
-    rows = np.vstack([a, g[idx]])
-    rhs = np.concatenate([b, h[idx]])
-    na = rows.shape[0]
-    kkt = np.zeros((n + na, n + na))
-    kkt[:n, :n] = qp.cost_matrix
-    kkt[:n, n:] = rows.T
-    kkt[n:, :n] = rows
+    w = -(qp.cost_vector @ j)
+    y = np.vstack([a, g[idx]]) @ j
     try:
-        sol = np.linalg.solve(kkt, np.concatenate([-qp.cost_vector, rhs]))
+        mult = np.linalg.solve(y @ y.T, y @ w - np.concatenate([b, h[idx]]))
     except np.linalg.LinAlgError:
         return None
-    x = sol[:n]
-    lam = sol[n: n + b.size]
-    mu_act = sol[n + b.size:]
+    x = j @ (w - mult @ y)
+    lam = mult[: b.size]
+    mu_act = mult[b.size:]
     if mu_act.size and float(np.min(mu_act)) < -1e-9:
         return None
     scale = 1.0 + (float(np.max(np.abs(h))) if h.size else 0.0)
@@ -179,52 +207,55 @@ def _try_active_hint(qp: QuadraticProgram, hint, tol: float):
 
 
 class _DualActiveSet:
-    """Goldfarb-Idnani iteration state over the internal ">=" normal form."""
+    """Goldfarb-Idnani iteration state over the internal ">=" normal form.
 
-    def __init__(self, p, q, chol, n_eq):
-        self.p = p
-        self.chol = chol
+    Works in the fixed basis J = L^-T of the cost factor: it keeps the rows
+    ``normal @ J`` of the active constraints, so each step solves a system
+    of the active-set size instead of the bordered KKT system.
+    """
+
+    def __init__(self, p, q, j, n_eq):
+        self.j = j
         self.n = q.size
         self.n_eq = n_eq  # ids below this are equalities (never dropped)
-        self.x = cho_solve((chol, True), -q)
+        self.x = j @ -(q @ j)
         self.ids: list[int] = []
         self.u = np.zeros(0)
-        self.normals = np.zeros((0, self.n))
+        self.y = np.zeros((0, self.n))  # active normals times J
         self.signs: dict[int, float] = {}
         self.iterations = 0
         self.p_scale = max(float(np.trace(p)) / self.n, 1e-12)
 
-    def _saddle(self, npl):
-        na = len(self.ids)
-        if na == 0:
-            return cho_solve((self.chol, True), npl), np.zeros(0)
-        kkt = np.zeros((self.n + na, self.n + na))
-        kkt[: self.n, : self.n] = self.p
-        kkt[: self.n, self.n:] = self.normals.T
-        kkt[self.n:, : self.n] = self.normals
-        rhs = np.concatenate([npl, np.zeros(na)])
+    def _saddle(self, d):
+        """Primal step z and dual step r for a normal with J^T normal = d."""
+        if not self.ids:
+            return self.j @ d, np.zeros(0)
         try:
-            sol = np.linalg.solve(kkt, rhs)
-            return sol[: self.n], sol[self.n:]
+            r = np.linalg.solve(self.y @ self.y.T, self.y @ d)
         except np.linalg.LinAlgError:
-            r, *_ = np.linalg.lstsq(self.normals.T, npl, rcond=None)
+            r, *_ = np.linalg.lstsq(self.y.T, d, rcond=None)
             return np.zeros(self.n), r
+        return self.j @ (d - r @ self.y), r
+
+    def _push(self, cid, d, u, sign):
+        self.ids.append(cid)
+        self.u = np.append(self.u, u)
+        self.y = np.vstack([self.y, d])
+        self.signs[cid] = sign
 
     def register_tight(self, cid, npl, sign):
-        self.ids.append(cid)
-        self.u = np.append(self.u, 0.0)
-        self.normals = np.vstack([self.normals, npl])
-        self.signs[cid] = sign
+        self._push(cid, npl @ self.j, 0.0, sign)
 
     def enter(self, cid, npl, level, sign, max_iter):
         """Drive constraint npl'x >= level to tightness; returns a status."""
+        d = npl @ self.j
         slack = float(npl @ self.x) - level
         u_plus = 0.0
         while True:
             self.iterations += 1
             if self.iterations > max_iter:
                 return "max_iter"
-            z, r = self._saddle(npl)
+            z, r = self._saddle(d)
             ztn = float(z @ npl)
             z_zero = ztn <= 1e-12 * (1.0 + float(npl @ npl)) / self.p_scale
             t1 = np.inf
@@ -243,10 +274,7 @@ class _DualActiveSet:
             u_plus += t
             if not z_zero and t2 <= t1:
                 self.x = self.x + t * z
-                self.ids.append(cid)
-                self.u = np.append(self.u, u_plus)
-                self.normals = np.vstack([self.normals, npl])
-                self.signs[cid] = sign
+                self._push(cid, d, u_plus, sign)
                 return "ok"
             if block < 0:
                 return "infeasible"
@@ -255,7 +283,7 @@ class _DualActiveSet:
                 slack = float(npl @ self.x) - level
             del self.ids[block]
             self.u = np.delete(self.u, block)
-            self.normals = np.delete(self.normals, block, axis=0)
+            self.y = np.delete(self.y, block, axis=0)
 
 
 def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = None,
@@ -273,17 +301,17 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
     if max_iter is None:
         max_iter = max(200, 10 * (n + mi))
 
+    j = _inverse_factor(qp.cost_matrix)
     if active_hint is not None:
-        warm = _try_active_hint(qp, active_hint, tol)
+        warm = _try_active_hint(qp, active_hint, tol, j)
         if warm is not None:
             warm.solve_time = time.perf_counter() - t0
             return warm
 
-    chol = _chol_or_jitter(qp.cost_matrix)
     a_eq, b_eq, eq_keep, bad_eq = _reduce_equalities(qp.eq_matrix, qp.eq_vector)
     g, h = qp.ineq_matrix, qp.ineq_vector
     me = b_eq.size
-    state = _DualActiveSet(qp.cost_matrix, qp.cost_vector, chol, n_eq=me)
+    state = _DualActiveSet(qp.cost_matrix, qp.cost_vector, j, n_eq=me)
 
     def most_violated_at(x):
         if mi:

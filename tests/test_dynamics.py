@@ -104,6 +104,21 @@ def test_tightened_gap_monotone():
     assert np.all(np.diff(vals_p) >= 0)
 
 
+def test_tightened_gap_vectorized_matches_scalar():
+    g = GapConstraintParams(delta=10.0, delta_ext=0.5, p_def=0.9)
+    sigmas = np.linspace(0.0, 4.0, 13)
+    bounds = tightened_min_gap(g, sigmas)
+    assert isinstance(bounds, np.ndarray) and bounds.shape == sigmas.shape
+    np.testing.assert_array_equal(bounds, [tightened_min_gap(g, float(s)) for s in sigmas])
+    assert type(tightened_min_gap(g, 0.25)) is float
+    assert type(tightened_min_gap(g, np.float64(0.25))) is float
+    # every entry is checked, not only the first
+    with pytest.raises(ValueError):
+        tightened_min_gap(g, np.array([0.0, 0.1, -1e-9]))
+    with pytest.raises(ValueError):
+        tightened_min_gap(g, -0.5)
+
+
 def test_half_space_reduction_identity():
     # tightening a single half-space on [-1, 1] . [p_av, p_hv + delta] <= -delta_ext
     # with the block-diagonal position covariance reproduces the scalar bound

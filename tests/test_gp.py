@@ -402,6 +402,69 @@ def test_model_roundtrip_sparse(tmp_path):
     np.testing.assert_array_equal(sparse.predict_batch(q)[1], loaded.predict_batch(q)[1])
 
 
+def _edited_model_file(tmp_path, model, key, value):
+    """A save_model file with ``key``'s value replaced, or the key removed
+    when ``value`` is None."""
+    path = tmp_path / "model.txt"
+    save_model(model, path)
+    lines = []
+    for ln in path.read_text().splitlines():
+        if ln.split("=")[0].strip() == key:
+            if value is None:
+                continue
+            ln = f"{key} = {value}"
+        lines.append(ln)
+    edited = tmp_path / f"edited-{key}.txt"
+    edited.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+def test_load_model_rejects_bad_exact_file(tmp_path):
+    rng = np.random.default_rng(37)
+    model = _random_model(rng, n=2)
+    alpha = [repr(float(v)) for v in model.alpha]
+    cases = [
+        ("alpha", ",".join(["nan"] + alpha[1:]), "alpha: non-finite"),
+        ("alpha", ",".join(alpha + ["0.5"]), "alpha has 3 entries, expected 2"),
+        ("alpha", "0.1,x", "alpha: malformed"),
+        ("targets", "inf,1.0", "targets: non-finite"),
+        ("inputs", "1.0,2.0,3.0", "inputs has 3 entries, expected 4"),
+        ("chol_factor", "1.0,0.0,0.5", "chol_factor has 3 entries, expected 4"),
+        ("length_scales", "1.0", "length_scales has 1 entries, expected 2"),
+        ("n_dims", None, "missing key 'n_dims'"),
+        ("n", None, "missing key 'n'"),
+        ("alpha", None, "missing key 'alpha'"),
+        ("n", "2.5", "n must be a positive integer"),
+        ("n", "0", "n must be a positive integer"),
+        ("noise_variance", "nan", "noise_variance: non-finite"),
+    ]
+    for key, value, message in cases:
+        path = _edited_model_file(tmp_path, model, key, value)
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+
+def test_load_model_rejects_bad_sparse_file(tmp_path):
+    rng = np.random.default_rng(39)
+    sparse = build_sparse(_random_model(rng, n=12), m=3, seed=0)
+    cases = [
+        ("mean_weights", "0.1,0.2", "mean_weights has 2 entries, expected 3"),
+        ("mean_weights", "0.1,-inf,0.2", "mean_weights: non-finite"),
+        ("inducing", "0,0,0,0,0", "inducing has 5 entries, expected 6"),
+        ("chol_inducing", ",".join(["1"] * 8), "chol_inducing has 8 entries, expected 9"),
+        ("chol_cap", ",".join(["nan"] * 9), "chol_cap: non-finite"),
+        ("m", None, "missing key 'm'"),
+        ("n_dims", "3", "length_scales has 2 entries, expected 3"),
+        ("kind", "dense", "unknown model kind 'dense'"),
+    ]
+    for key, value, message in cases:
+        path = _edited_model_file(tmp_path, sparse, key, value)
+        with pytest.raises(ValueError, match=message) as err:
+            load_model(path)
+        assert str(path) in str(err.value)
+
+
 def test_dataset_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(35)
     data = Dataset(inputs=rng.normal(size=(7, 2)), targets=rng.normal(size=7))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gpplatoon.dynamics import AvState, av_step, propagate_hv_mean, propagate_hv_variance
+from gpplatoon import mpc
+from gpplatoon.dynamics import (
+    AvState,
+    av_step,
+    propagate_hv_mean,
+    propagate_hv_variance,
+    tightened_min_gap,
+)
 from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import ArxParams, VelocityHistory, arx_step
 from gpplatoon.mpc import (
@@ -224,6 +231,150 @@ def test_solution_satisfies_stage_constraints():
     assert np.all(av_vel <= cfg.v_max + 1e-6)
     assert np.all(acc >= cfg.acc_min - 1e-9)
     assert np.all(acc <= cfg.acc_max + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the per-(cfg, arx) structure
+# ---------------------------------------------------------------------------
+
+
+def _scalar_constraint_values(state, cfg, frozen, params, acc):
+    """G x - h rebuilt row by row from dynamics.py's scalar laws and an ARX
+    replay, in the row order av_gap, hv_gap, v_max, v_min, acc_max, acc_min."""
+    n, nav, t = cfg.horizon, cfg.n_av, cfg.step
+    fz = frozen if frozen is not None else FrozenGpTrajectory.zeros(n)
+    # column k holds stage k+1; the last column only needs a position
+    pos = np.empty((nav, n + 1))
+    vel = np.empty((nav, n + 1))
+    for j in range(nav):
+        av = AvState(p=float(state.av_pos[j]), v=float(state.av_vel[j]))
+        for k in range(n + 1):
+            av = av_step(av, acc[j, k] if k < n else 0.0, t)
+            pos[j, k], vel[j, k] = av.p, av.v
+    hist = state.history
+    hv_seq = list(hist.hv[::-1])
+    av_seq = list(hist.av[::-1]) + list(vel[-1, : n - 1])
+    hv_vel = []
+    for s in range(1, n + 1):
+        hv_lags = np.array(hv_seq[-4:])[::-1]
+        av_lags = np.array(av_seq[: 3 + s][-4:])[::-1]
+        hv_vel.append(arx_step(params, hv_lags, av_lags))
+        hv_seq.append(hv_vel[-1])
+    mu = [propagate_hv_mean(state.hv_pos, hist.hv[0], fz.mean[0], t)]
+    sig = [propagate_hv_variance(state.hv_pos_var, fz.var[0], t)]
+    for s in range(1, n + 1):
+        mu.append(propagate_hv_mean(mu[-1], hv_vel[s - 1], fz.mean[min(s, n - 1)], t))
+        sig.append(propagate_hv_variance(sig[-1], fz.var[min(s, n - 1)], t))
+    rows = []
+    for j in range(1, nav):
+        rows += [cfg.av_gap - (pos[j - 1, k + 1] - pos[j, k + 1]) for k in range(n)]
+    for k in range(n):
+        bound = (tightened_min_gap(cfg.gap, sig[k + 1]) if frozen is not None
+                 else cfg.gap.delta)
+        rows.append(bound - (pos[-1, k + 1] - mu[k + 1]))
+    rows += [vel[j, k] - cfg.v_max for j in range(nav) for k in range(n)]
+    rows += [cfg.v_min - vel[j, k] for j in range(nav) for k in range(n)]
+    rows += [acc[j, k] - cfg.acc_max for j in range(nav) for k in range(n)]
+    rows += [cfg.acc_min - acc[j, k] for j in range(nav) for k in range(n)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("gp_mode", [False, True])
+@pytest.mark.parametrize("horizon", [2, 7])
+@pytest.mark.parametrize("n_av", [1, 3])
+def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
+    rng = np.random.default_rng(100 * n_av + 10 * horizon + gp_mode)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    params = ArxParams(c=ArxParams.default().c + rng.uniform(-1e-3, 1e-3, 4),
+                       b=ArxParams.default().b)
+    hist = VelocityHistory(hv=rng.uniform(8.0, 10.0, 4), av=rng.uniform(8.0, 10.0, 4))
+    state = PlatoonState(av_pos=-12.0 * np.arange(n_av) + rng.uniform(-1.0, 1.0, n_av),
+                         av_vel=rng.uniform(8.0, 12.0, n_av), hv_pos=-12.0 * n_av - 3.0,
+                         history=hist, hv_pos_var=0.2 if gp_mode else 0.0)
+    frozen = None
+    if gp_mode:
+        frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
+                                    var=rng.uniform(0.0, 0.05, horizon))
+    ref = rng.uniform(8.0, 12.0, horizon)
+    miss = condense(state, cfg, ref, frozen=frozen, arx=params)
+    hit = condense(state, cfg, ref, frozen=frozen, arx=params)
+    assert hit.structure is miss.structure
+    for _ in range(3):
+        x = rng.uniform(-3.0, 3.0, hit.qp.n)
+        expected = _scalar_constraint_values(state, cfg, frozen, params,
+                                             x.reshape(n_av, horizon))
+        got = hit.qp.ineq_matrix @ x - hit.qp.ineq_vector
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+    labels = [hit.structure.row_label(i) for i in range(hit.qp.ineq_vector.size)]
+    assert len(set(labels)) == len(labels)
+    assert labels[(n_av - 1) * horizon] == "hv_gap[0]"
+    assert labels[-1] == f"acc_min[{n_av - 1},{horizon - 1}]"
+    with pytest.raises(IndexError):
+        hit.structure.row_label(len(labels))
+
+
+def test_structure_shared_per_config_and_arx():
+    cfg = MpcConfig(horizon=6)
+    state = _state(v=5.0)
+    ref = np.full(6, 6.0)
+    default = condense(state, cfg, ref)
+    # equal values in new objects hit the same entry
+    again = condense(state, MpcConfig(horizon=6), ref,
+                     arx=ArxParams(c=ArxParams.default().c.copy(),
+                                   b=ArxParams.default().b.copy()))
+    assert again.structure is default.structure
+    assert again.qp.cost_matrix is default.qp.cost_matrix
+    assert again.qp.ineq_matrix is default.qp.ineq_matrix
+    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, default.hv_lin,
+                default.mu_lin):
+        assert not arr.flags.writeable
+    other_arx = ArxParams(c=ArxParams.default().c, b=ArxParams.default().b * 1.01)
+    other = condense(state, cfg, ref, arx=other_arx)
+    assert other.structure is not default.structure
+    assert not np.array_equal(other.qp.ineq_matrix, default.qp.ineq_matrix)
+    assert not np.array_equal(other.hv_const, default.hv_const)
+    heavier = condense(state, MpcConfig(horizon=6, r=11.0), ref)
+    assert heavier.structure is not default.structure
+    assert not np.array_equal(heavier.qp.cost_matrix, default.qp.cost_matrix)
+
+
+def test_structure_cache_hit_bit_identical_to_miss():
+    gp = _tiny_sparse_gp(targets=np.array([0.05, 0.0, -0.05, 0.1]), nv=0.01)
+    cfg = MpcConfig(horizon=9, n_av=3)
+    state = _state(n_av=3, v=7.0)
+    ref = np.linspace(7.0, 9.0, 9)
+    frozen = evaluate_gp_along_trajectory(gp, state, cfg.horizon)
+
+    def snapshot():
+        cd = condense(state, cfg, ref, frozen=frozen)
+        sol = solve_qp(cd.qp)
+        decoded = cd.decode(sol.x)
+        arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix,
+                  cd.qp.ineq_vector, cd.hv_const, cd.hv_lin, cd.mu_const, cd.mu_lin,
+                  cd.sigma, cd.gap_bounds, np.array([cd.cost_const]), sol.x, *decoded]
+        return cd, [a.copy() for a in arrays]
+
+    mpc._structure.cache_clear()
+    cd_miss, miss = snapshot()
+    cd_hit, hit = snapshot()
+    assert cd_hit.structure is cd_miss.structure
+    mpc._structure.cache_clear()
+    cd_rebuilt, rebuilt = snapshot()
+    assert cd_rebuilt.structure is not cd_miss.structure
+    for a, b, c in zip(miss, hit, rebuilt):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
+
+
+def test_fallback_names_violated_row():
+    cfg = MpcConfig(horizon=10)
+    ctrl = PlatoonController(cfg, mode="nominal")
+    _, sol = ctrl.step(_state(v=10.0, hv_gap=12.0), np.full(10, 10.0))
+    assert sol.status == "optimal" and sol.violated == ""
+    # the HV already sits inside delta, so braking violates the AV-HV gap
+    _, sol = ctrl.step(_state(v=10.0, hv_gap=2.0), np.full(10, 10.0))
+    assert sol.fallback
+    assert sol.violated.startswith("hv_gap[")
 
 
 # ---------------------------------------------------------------------------

@@ -180,3 +180,53 @@ def test_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         QuadraticProgram(cost_matrix=np.array([[1.0, 5.0], [0.0, 1.0]]),
                          cost_vector=np.zeros(2))
+
+
+def test_symmetry_check_rejects_nan_and_asymmetry():
+    p = np.eye(3)
+    p[0, 1] = 2e-10
+    with pytest.raises(ValueError):
+        QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+    p[0, 1] = 0.5e-10
+    QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+    p[2, 2] = np.nan
+    with pytest.raises(ValueError):
+        QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+
+
+def test_read_only_cost_matrix_reuses_factor():
+    """Solves sharing one read-only P (cached factor) match the same QPs on
+    writable copies (factored every call), cold and hinted, also when two
+    read-only matrices take turns and a writable one changes in place."""
+    rng = np.random.default_rng(17)
+    n, m = 8, 10
+    fixed = []
+    for _ in range(2):
+        a = rng.normal(size=(n, n))
+        p = a.T @ a + n * np.eye(n)
+        p.flags.writeable = False
+        fixed.append(p)
+    g = rng.normal(size=(m, n))
+    prev = None
+    for k in range(12):
+        p = fixed[k % 3 == 2]
+        q = rng.normal(size=n) * 2.0
+        h = g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
+        shared = QuadraticProgram(cost_matrix=p, cost_vector=q, ineq_matrix=g,
+                                  ineq_vector=h)
+        assert shared.cost_matrix is p
+        own = QuadraticProgram(cost_matrix=p.copy(), cost_vector=q, ineq_matrix=g,
+                               ineq_vector=h)
+        hint = None if prev is None else prev.active
+        a_sol = solve_qp(shared, active_hint=hint)
+        b_sol = solve_qp(own, active_hint=hint)
+        assert a_sol.status == b_sol.status == "optimal"
+        assert a_sol.iterations == b_sol.iterations
+        np.testing.assert_allclose(a_sol.x, b_sol.x, rtol=0, atol=1e-12)
+        prev = a_sol
+    writable = fixed[0].copy()
+    qp = QuadraticProgram(cost_matrix=writable, cost_vector=np.ones(n))
+    first = solve_qp(qp)
+    writable *= 2.0
+    second = solve_qp(qp)
+    np.testing.assert_allclose(second.x, 0.5 * first.x, rtol=0, atol=1e-12)
