@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 
 # Added to kernel diagonals before factorization; below all test tolerances.
@@ -154,14 +155,14 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: KernelHyper) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _factorize(data: Dataset, hyper: KernelHyper):
-    """Kernel matrix K, Cholesky factor of (K + (noise+jitter) I) and the
-    weight vector."""
-    k = _kernel_matrix(data.inputs, data.inputs, hyper)
-    c = k.copy()
+def _factorize(k: np.ndarray, data: Dataset, hyper: KernelHyper):
+    """Cholesky factor of (K + (noise+jitter) I) for the training kernel
+    matrix ``k``, and the weight vector."""
+    # Fortran order lets LAPACK factor the copy in place
+    c = k.copy(order="F")
     c[np.diag_indices_from(c)] += hyper.noise_variance + JITTER
     try:
-        chol = cholesky(c, lower=True)
+        chol = cholesky(c, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
         raise IllConditionedKernelError(
             "kernel matrix not positive definite for "
@@ -170,7 +171,7 @@ def _factorize(data: Dataset, hyper: KernelHyper):
             f"noise_variance={hyper.noise_variance:g}"
         ) from None
     alpha = cho_solve((chol, True), data.targets)
-    return k, chol, alpha
+    return chol, alpha
 
 
 def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
@@ -178,26 +179,58 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
 
     Returns ``(value, grad)`` where ``grad`` is ordered as
     [log signal_variance, log length_scales..., log noise_variance].
+
+    With C = K + (noise+jitter) I, alpha = C^-1 y, M = alpha alpha' - C^-1
+    and D_d the squared input differences along dimension d, the gradient
+    is 0.5 tr(M dC/dtheta) (Rasmussen & Williams 2006, eq. 5.9):
+
+        d/d log signal_variance = 0.5  sum(M * K)
+        d/d log length_scale_d  = 0.25 sum(M * K * D_d) / length_scale_d
+        d/d log noise_variance  = 0.5  noise_variance tr(M)
+
+    Every sum pairs C^-1 with a symmetric matrix S (K, or K * D_d), so one
+    triangle of C^-1 suffices, taken from LAPACK dpotri on the Cholesky
+    factor: sum(C^-1 * S) = 2 sum(triangle) - sum(diagonal) of C^-1 * S.
+    D_d has a zero diagonal, and K has signal_variance on its diagonal, so
+    the diagonal terms are 0 and signal_variance tr(C^-1). With U the upper
+    triangle of C^-1 (zero below the diagonal) and
+    W = (0.5 alpha alpha' - U) * K,
+
+        0.5  sum(M * K)       = sum(W) + 0.5 signal_variance tr(C^-1)
+        0.25 sum(M * K * D_d) = 0.5 sum(W * D_d)
     """
     n = data.n
-    k, chol, alpha = _factorize(data, hyper)
+    # D_d for every dimension, shared by K and the length-scale terms
+    # (contiguous per dimension: broadcasting over the strided x.T is 4x slower)
+    xt = np.ascontiguousarray(data.inputs.T)
+    sqd = xt[:, :, None] - xt[:, None, :]
+    sqd *= sqd
+    k = np.tensordot(1.0 / hyper.length_scales, sqd, axes=1)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= hyper.signal_variance
+    chol, alpha = _factorize(k, data, hyper)
     value = (
         -0.5 * float(data.targets @ alpha)
         - float(np.sum(np.log(np.diag(chol))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
 
-    # dLML/dtheta = 0.5 tr((alpha alpha' - C^-1) dC/dtheta)
-    cinv = cho_solve((chol, True), np.eye(n))
-    m = np.outer(alpha, alpha) - cinv
+    # cannot fail: the factorization left a positive diagonal
+    cinv, _ = dpotri(chol, lower=True, overwrite_c=True)
+    trace_cinv = float(np.trace(cinv))
+    # C^-1 fills the lower triangle of a Fortran-ordered array, so its
+    # transpose is U in the C order of k
+    u = cinv.T
+    u *= k
+    w = k
+    w *= alpha[:, None]
+    w *= 0.5 * alpha
+    w -= u
     grad = np.empty(hyper.n_dims + 2)
-    grad[0] = 0.5 * float(np.sum(m * k))
-    x = data.inputs
-    for d in range(hyper.n_dims):
-        sqd = (x[:, d, None] - x[None, :, d]) ** 2
-        dk = k * (0.5 * sqd / hyper.length_scales[d])
-        grad[1 + d] = 0.5 * float(np.sum(m * dk))
-    grad[-1] = 0.5 * hyper.noise_variance * float(np.trace(m))
+    grad[0] = float(w.sum()) + 0.5 * hyper.signal_variance * trace_cinv
+    grad[1:-1] = 0.5 * (sqd.reshape(hyper.n_dims, -1) @ w.ravel()) / hyper.length_scales
+    grad[-1] = 0.5 * hyper.noise_variance * (float(alpha @ alpha) - trace_cinv)
     return value, grad
 
 
@@ -217,7 +250,7 @@ class GpModel:
             raise ValueError(
                 f"dataset has {data.n_dims} input dims but hyper has {hyper.n_dims}"
             )
-        _, chol, alpha = _factorize(data, hyper)
+        chol, alpha = _factorize(_kernel_matrix(data.inputs, data.inputs, hyper), data, hyper)
         return cls(dataset=data, hyper=hyper, chol_factor=chol, alpha=alpha,
                    warning=warning)
 
@@ -242,16 +275,24 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
 
     theta0 = init.to_log_vector()
     best = {"nll": np.inf, "theta": theta0}
+    # the last (theta, (nll, grad)), because L-BFGS-B starts at theta0,
+    # where nll0 below was already evaluated
+    last = [None, None]
 
     def objective(theta):
+        if last[0] is not None and np.array_equal(theta, last[0]):
+            return last[1]
         try:
             value, grad = log_marginal_likelihood(data, KernelHyper.from_log_vector(theta))
+            out = (-value, -grad)
         except IllConditionedKernelError:
-            return 1e12, np.zeros_like(theta)
-        if -value < best["nll"]:
-            best["nll"] = -value
-            best["theta"] = theta.copy()
-        return -value, -grad
+            out = (1e12, np.zeros_like(theta))
+        else:
+            if -value < best["nll"]:
+                best["nll"] = -value
+                best["theta"] = theta.copy()
+        last[:] = theta.copy(), out
+        return out
 
     nll0, _ = objective(theta0)
     lo = np.full(theta0.size, -30.0)

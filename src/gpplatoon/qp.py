@@ -26,6 +26,24 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 
+# the last read-only cost matrix found symmetric; it cannot have changed since
+_last_symmetric: np.ndarray | None = None
+
+
+def _check_symmetric(p: np.ndarray) -> None:
+    """Raise unless max|P - P'| <= 1e-10 (NaN fails); a read-only ``p`` that
+    passed on the previous check is not checked again."""
+    global _last_symmetric
+    if p is _last_symmetric and not p.flags.writeable:
+        return
+    # in place: a second n x n temporary costs more than the check itself
+    asym = p - p.T
+    if p.size and not np.abs(asym, out=asym).max() <= 1e-10:
+        raise ValueError("cost matrix must be symmetric")
+    if not p.flags.writeable:
+        _last_symmetric = p
+
+
 @dataclass(frozen=True)
 class QuadraticProgram:
     """Dense QP data: symmetric PSD cost, optional equalities/inequalities."""
@@ -43,10 +61,7 @@ class QuadraticProgram:
         n = q.size
         if p.shape != (n, n):
             raise ValueError(f"cost matrix shape {p.shape} does not match vector size {n}")
-        # in place: a second n x n temporary costs more than the check itself
-        asym = p - p.T
-        if p.size and not np.abs(asym, out=asym).max() <= 1e-10:
-            raise ValueError("cost matrix must be symmetric")
+        _check_symmetric(p)
         a = np.zeros((0, n)) if self.eq_matrix is None else np.atleast_2d(
             np.asarray(self.eq_matrix, dtype=float))
         b = np.zeros(0) if self.eq_vector is None else np.atleast_1d(
@@ -158,17 +173,18 @@ def _reduce_equalities(a: np.ndarray, b: np.ndarray):
     return a_red, b_red, keep, None
 
 
-def _kkt_residual(qp: QuadraticProgram, x, lam, mu) -> float:
+def _kkt_residual(qp: QuadraticProgram, x, lam, mu, gx, gt_mu) -> float:
+    """Largest KKT violation at (x, lam, mu), given ``gx`` = G x and
+    ``gt_mu`` = G^T mu."""
     r = qp.cost_matrix @ x + qp.cost_vector
     if qp.eq_vector.size:
         r = r + qp.eq_matrix.T @ lam
-    if qp.ineq_vector.size:
-        r = r + qp.ineq_matrix.T @ mu
+    r = r + gt_mu
     worst = float(np.max(np.abs(r))) if r.size else 0.0
     if qp.eq_vector.size:
         worst = max(worst, float(np.max(np.abs(qp.eq_matrix @ x - qp.eq_vector))))
     if qp.ineq_vector.size:
-        slack = qp.ineq_vector - qp.ineq_matrix @ x
+        slack = qp.ineq_vector - gx
         worst = max(worst, float(np.max(-slack)), float(np.max(-mu)))
         worst = max(worst, float(np.max(np.abs(mu * slack))))
     return worst
@@ -183,8 +199,9 @@ def _try_active_hint(qp: QuadraticProgram, hint, tol: float, j: np.ndarray):
     g, h = qp.ineq_matrix, qp.ineq_vector
     a, b = qp.eq_matrix, qp.eq_vector
     idx = sorted({int(i) for i in hint if 0 <= int(i) < h.size})
+    g_act = g[idx]
     w = -(qp.cost_vector @ j)
-    y = np.vstack([a, g[idx]]) @ j
+    y = np.vstack([a, g_act]) @ j
     try:
         mult = np.linalg.solve(y @ y.T, y @ w - np.concatenate([b, h[idx]]))
     except np.linalg.LinAlgError:
@@ -194,12 +211,16 @@ def _try_active_hint(qp: QuadraticProgram, hint, tol: float, j: np.ndarray):
     mu_act = mult[b.size:]
     if mu_act.size and float(np.min(mu_act)) < -1e-9:
         return None
+    # one product with G serves the violation check and the slack; mu is
+    # zero outside the hinted rows, so G^T mu needs only those rows
+    gx = g @ x
     scale = 1.0 + (float(np.max(np.abs(h))) if h.size else 0.0)
-    if h.size and float(np.max(g @ x - h)) > 1e-9 * scale:
+    if h.size and float(np.max(gx - h)) > 1e-9 * scale:
         return None
+    mu_act = np.maximum(mu_act, 0.0)
     mu = np.zeros(h.size)
-    mu[idx] = np.maximum(mu_act, 0.0)
-    res = _kkt_residual(qp, x, lam, mu)
+    mu[idx] = mu_act
+    res = _kkt_residual(qp, x, lam, mu, gx, g_act.T @ mu_act)
     if res > tol:
         return None
     return QpSolution(x=x, status="optimal", iterations=1, eq_multipliers=lam,
@@ -334,7 +355,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
                 lam[eq_keep[cid]] = -state.signs[cid] * state.u[pos]
             else:
                 mu[cid - me] = max(state.u[pos], 0.0)
-        res = _kkt_residual(qp, state.x, lam, mu)
+        res = _kkt_residual(qp, state.x, lam, mu, g @ state.x, g.T @ mu)
         if status == "optimal" and res > tol:
             status = "max_iter"
         if status != "optimal" and most is None:

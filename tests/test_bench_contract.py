@@ -1,9 +1,11 @@
 """What the closed-loop benchmark in ``bench/`` needs of the program.
 
 ``bench/tracer.py`` wraps program functions by module and attribute name,
-and the harness binds ``solve_qp`` arguments by name and reads the
-controller's default solver tolerance. These tests import the tracer
-without changing it, so removing or renaming any of those fails here.
+and the harness binds ``solve_qp`` arguments by name, reads the
+controller's default solver tolerance and takes the value of the first
+traced ``gp.log_marginal_likelihood`` call as the initial LML of the fit.
+These tests import the tracer without changing it, so removing or
+renaming any of those fails here.
 """
 
 import importlib.util
@@ -11,9 +13,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gpplatoon import mpc, qp, sim
+from gpplatoon import gp, mpc, qp, sim
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -63,3 +66,24 @@ def test_qp_keeps_equality_fields():
     sol = qp.solve_qp(prog, tol=1e-6)
     assert prog.eq_matrix.shape == (0, 1) and prog.eq_vector.shape == (0,)
     assert sol.eq_multipliers.shape == (0,)
+
+
+def test_train_exact_evaluates_through_module_once_per_point(monkeypatch):
+    rng = np.random.default_rng(4)
+    x = 20.0 + rng.normal(size=(40, 2))
+    data = gp.Dataset(inputs=x, targets=np.sin(x[:, 0]) + 0.1 * rng.normal(size=40))
+    init = gp.KernelHyper(signal_variance=0.5, length_scales=np.array([2.0, 3.0]),
+                          noise_variance=0.05)
+    lml = gp.log_marginal_likelihood
+    thetas = []
+
+    def counting(data_, hyper):
+        thetas.append(hyper.to_log_vector())
+        return lml(data_, hyper)
+
+    monkeypatch.setattr(gp, "log_marginal_likelihood", counting)
+    gp.train_exact(data, init)
+    theta0 = init.to_log_vector()
+    assert len(thetas) > 2
+    np.testing.assert_allclose(thetas[0], theta0, rtol=0, atol=1e-12)
+    assert sum(np.allclose(t, theta0, rtol=0, atol=1e-12) for t in thetas) == 1

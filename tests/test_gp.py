@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky
 from scipy.stats import norm
 
+from gpplatoon import gp as gp_module
 from gpplatoon.gp import (
     Dataset,
     GpModel,
@@ -117,6 +119,46 @@ def test_lml_gradient_matches_finite_differences():
         fd = _fd_gradient(data, hyper)
         denom = np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-3)])
         assert np.max(np.abs(grad - fd) / denom) <= 1e-4
+
+
+def _lml_reference(data, hyper):
+    """LML and gradient from the explicit inverse C^-1 and a loop over the
+    input dimensions, one n x n derivative matrix per dimension."""
+    n = data.n
+    x = data.inputs
+    k = gp_module._kernel_matrix(x, x, hyper)
+    chol = cholesky(k + (hyper.noise_variance + gp_module.JITTER) * np.eye(n), lower=True)
+    alpha = cho_solve((chol, True), data.targets)
+    value = (-0.5 * float(data.targets @ alpha) - float(np.sum(np.log(np.diag(chol))))
+             - 0.5 * n * math.log(2.0 * math.pi))
+    m = np.outer(alpha, alpha) - cho_solve((chol, True), np.eye(n))
+    grad = np.empty(hyper.n_dims + 2)
+    grad[0] = 0.5 * float(np.sum(m * k))
+    for d in range(hyper.n_dims):
+        sqd = (x[:, d, None] - x[None, :, d]) ** 2
+        dk = k * (0.5 * sqd / hyper.length_scales[d])
+        grad[1 + d] = 0.5 * float(np.sum(m * dk))
+    grad[-1] = 0.5 * hyper.noise_variance * float(np.trace(m))
+    return value, grad
+
+
+@pytest.mark.parametrize("n", [50, 300])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lml_matches_explicit_inverse_reference(n, d):
+    # inputs near 20 m/s like the velocity pairs of the HV model; checked at
+    # a random point and at the fitted optimum, where the gradient is 1e-8 to 1e-4
+    rng = np.random.default_rng(100 * n + d)
+    x = 20.0 + 1.5 * rng.normal(size=(n, d))
+    data = Dataset(inputs=x, targets=0.3 * np.sin(x[:, 0] - 20.0) + 0.05 * rng.normal(size=n))
+    random_point = KernelHyper(signal_variance=float(rng.uniform(0.1, 2.0)),
+                               length_scales=rng.uniform(0.5, 10.0, size=d),
+                               noise_variance=float(rng.uniform(1e-3, 0.1)))
+    fitted = train_exact(data, KernelHyper(0.5, np.full(d, 2.0), 0.01)).hyper
+    for hyper in (random_point, fitted):
+        value, grad = log_marginal_likelihood(data, hyper)
+        ref_value, ref_grad = _lml_reference(data, hyper)
+        assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
 
 
 def test_lml_ill_conditioned_error_names_hyper():

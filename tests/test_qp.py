@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gpplatoon import qp as qp_module
 from gpplatoon.qp import QuadraticProgram, solve_qp
 
 
@@ -192,6 +193,75 @@ def test_symmetry_check_rejects_nan_and_asymmetry():
     p[2, 2] = np.nan
     with pytest.raises(ValueError):
         QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+
+
+def test_symmetry_check_skips_only_the_last_read_only_matrix():
+    good = np.eye(3)
+    asym = np.eye(3)
+    asym[0, 1] = 1e-9
+    nan = np.eye(3)
+    nan[2, 2] = np.nan
+    for p in (good, asym, nan):
+        p.flags.writeable = False
+    for _ in range(2):
+        QuadraticProgram(cost_matrix=good, cost_vector=np.zeros(3))
+        assert qp_module._last_symmetric is good
+        # a read-only matrix raises on its first use and on every use after
+        for bad in (asym, nan):
+            with pytest.raises(ValueError):
+                QuadraticProgram(cost_matrix=bad, cost_vector=np.zeros(3))
+        assert qp_module._last_symmetric is good
+    # a writable matrix is checked on every use, also after it passed once
+    p = np.eye(3)
+    QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+    p[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
+    # so is the last checked read-only matrix once it is made writable again
+    good.flags.writeable = True
+    good[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        QuadraticProgram(cost_matrix=good, cost_vector=np.zeros(3))
+
+
+def _full_product_kkt_residual(qp, sol):
+    """KKT residual of a solution with every product by G taken in full."""
+    x, lam, mu = sol.x, sol.eq_multipliers, sol.ineq_multipliers
+    r = qp.cost_matrix @ x + qp.cost_vector + qp.eq_matrix.T @ lam + qp.ineq_matrix.T @ mu
+    slack = qp.ineq_vector - qp.ineq_matrix @ x
+    worst = max(np.max(np.abs(r)), np.max(-slack), np.max(-mu), np.max(np.abs(mu * slack)))
+    if qp.eq_vector.size:
+        worst = max(worst, np.max(np.abs(qp.eq_matrix @ x - qp.eq_vector)))
+    return float(worst)
+
+
+@pytest.mark.parametrize("n,m,me", [(8, 12, 0), (30, 90, 0), (12, 20, 3)])
+def test_hinted_residual_matches_full_products(n, m, me):
+    rng = np.random.default_rng(n + m + me)
+    hits = 0
+    for _ in range(10):
+        base = _random_feasible_qp(rng, n, m)
+        a = rng.normal(size=(me, n))
+        x_feas = solve_qp(base).x
+        qp = QuadraticProgram(cost_matrix=base.cost_matrix, cost_vector=base.cost_vector,
+                              eq_matrix=a, eq_vector=a @ x_feas,
+                              ineq_matrix=base.ineq_matrix, ineq_vector=base.ineq_vector)
+        cold = solve_qp(qp)
+        assert cold.status == "optimal"
+        # a neighbouring program shares the active set, as in a warm-started loop
+        near = QuadraticProgram(cost_matrix=qp.cost_matrix,
+                                cost_vector=qp.cost_vector + 1e-6 * rng.normal(size=n),
+                                eq_matrix=qp.eq_matrix, eq_vector=qp.eq_vector,
+                                ineq_matrix=qp.ineq_matrix, ineq_vector=qp.ineq_vector)
+        for prog in (qp, near):
+            warm = solve_qp(prog, active_hint=cold.active)
+            if warm.iterations != 1:
+                continue
+            hits += 1
+            assert warm.kkt_residual == pytest.approx(_full_product_kkt_residual(prog, warm),
+                                                      rel=0, abs=1e-12)
+            np.testing.assert_allclose(warm.x, solve_qp(prog).x, rtol=0, atol=1e-6)
+    assert hits >= 15
 
 
 def test_read_only_cost_matrix_reuses_factor():
