@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
+from scipy.special import ndtri
 
 # Added to kernel diagonals before factorization; below all test tolerances.
 JITTER = 1e-10
@@ -424,73 +425,26 @@ def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarra
 def build_sparse(model: GpModel, m: int = 20, seed: int = 0) -> SparseGpModel:
     """Build a FIC sparse model from a trained exact GP.
 
-    Inducing inputs start from k-means centroids of the training inputs
-    (seeded by ``seed``) and are refined by ascent on the FIC marginal
-    likelihood; kernel hyperparameters are inherited unchanged from the
-    exact model. A model with given inducing inputs is
+    The inducing inputs are the k-means centroids of the training inputs
+    (seeded by ``seed``); kernel hyperparameters are inherited unchanged
+    from the exact model. A model with given inducing inputs is
     :meth:`SparseGpModel.from_inducing`.
     """
     data = model.dataset
     if not 1 <= m <= data.n:
         raise ValueError(f"inducing count m={m} must satisfy 1 <= m <= n={data.n}")
-
-    z0 = _kmeans(data.inputs, m, seed=seed)
-    shape = z0.shape
-    best = {"nll": np.inf, "z": z0.ravel().copy()}
-
-    def objective(zflat):
-        try:
-            value = fic_log_marginal_likelihood(data, model.hyper, zflat.reshape(shape))
-        except IllConditionedKernelError:
-            return 1e12
-        if -value < best["nll"]:
-            best["nll"] = -value
-            best["z"] = zflat.copy()
-        return -value
-
-    minimize(objective, z0.ravel(), method="L-BFGS-B",
-             options={"maxiter": 50, "ftol": 1e-12})
-    return SparseGpModel.from_inducing(data, model.hyper, best["z"].reshape(shape))
+    return SparseGpModel.from_inducing(data, model.hyper, _kmeans(data.inputs, m, seed=seed))
 
 
 # ---------------------------------------------------------------------------
 # standard-normal quantile
 # ---------------------------------------------------------------------------
 
-# Acklam's rational approximation of the inverse normal CDF, followed by one
-# Halley refinement step through erfc.
-_QA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_QB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_QC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_Q_LOW = 0.02425
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF, absolute error below 1e-8."""
+    """Inverse standard-normal CDF (SciPy's ``ndtri``)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if p < _Q_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-             / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    elif p <= 1.0 - _Q_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]) * q
-             / (((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5])
-              / ((((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0))
-    # Halley refinement
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return float(ndtri(p))
 
 
 # ---------------------------------------------------------------------------

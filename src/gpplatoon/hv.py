@@ -290,7 +290,8 @@ def fit_hv_correction(traces, params: ArxParams | None = None, fraction: float =
 
     Mirrors the intended workflow: pool discrepancy points from all traces,
     subsample ``fraction`` of them with a fixed seed, maximize the marginal
-    likelihood, then condense into ``m`` inducing inputs.
+    likelihood, then condense onto ``m`` inducing inputs at the k-means
+    centroids of the subsample.
     """
     params = params or ArxParams.default()
     if not 0 < fraction <= 1:

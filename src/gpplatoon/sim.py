@@ -112,7 +112,6 @@ class ScenarioSpec:
     profile_name: str = "rest"
     profile_file: str | None = None
     duration: float = 20.0
-    step: float = 0.1
     spacing_factor: float = 1.2
     cfg: MpcConfig = field(default_factory=MpcConfig)
     plant_mode: str = "truth"  # "truth" | "paper"
@@ -128,8 +127,11 @@ class ScenarioSpec:
             raise ValueError("initial spacing must exceed the HV gap bound")
         if self.plant_mode not in ("truth", "paper"):
             raise ValueError(f"unknown plant mode {self.plant_mode!r}")
-        if self.step != self.cfg.step:
-            raise ValueError("scenario step must match the controller step")
+
+    @property
+    def step(self) -> float:
+        """Sample time, the controller's ``cfg.step``."""
+        return self.cfg.step
 
     @property
     def steps(self) -> int:
@@ -144,10 +146,10 @@ class ScenarioSpec:
 
 
 _SCENARIO_PRESETS = {
-    "rest": dict(profile_name="rest", duration=20.0, step=0.1),
-    "emergency": dict(profile_name="emergency", duration=130.0, step=0.1),
-    "wltp": dict(profile_name="wltp", duration=180.0, step=0.1),
-    "realtime": dict(profile_name="realtime", duration=60.0, step=0.25),
+    "rest": dict(profile_name="rest", duration=20.0, cfg=MpcConfig()),
+    "emergency": dict(profile_name="emergency", duration=130.0, cfg=MpcConfig()),
+    "wltp": dict(profile_name="wltp", duration=180.0, cfg=MpcConfig()),
+    "realtime": dict(profile_name="realtime", duration=60.0, cfg=MpcConfig(step=0.25, r=15.0)),
 }
 
 
@@ -156,17 +158,7 @@ def make_scenario(name: str, **overrides) -> ScenarioSpec:
     if name not in _SCENARIO_PRESETS:
         raise ValueError(f"unknown scenario {name!r}; expected one of "
                          f"{tuple(_SCENARIO_PRESETS)}")
-    params = dict(_SCENARIO_PRESETS[name])
-    cfg = overrides.pop("cfg", None)
-    if cfg is None:
-        step = overrides.get("step", params["step"])
-        if name == "realtime":
-            cfg = MpcConfig(step=step, r=15.0)
-        else:
-            cfg = MpcConfig(step=step)
-    params.update(overrides)
-    params.setdefault("cfg", cfg)
-    return ScenarioSpec(name=name, **params)
+    return ScenarioSpec(name=name, **{**_SCENARIO_PRESETS[name], **overrides})
 
 
 class HvPlant:

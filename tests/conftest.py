@@ -76,7 +76,14 @@ def driver_traces():
                                  noise_std=0.0, seed=200 + i)
         for i, p in enumerate(MODEL_HELDOUT)
     ]
-    return {"train": train, "heldout": heldout, "heldout_clean": heldout_clean}
+    # The same held-out drives at the control experiments' noise level.
+    heldout_control = [
+        generate_synthetic_trace(p, duration=120.0, step=0.1,
+                                 noise_std=CONTROL_NOISE_STD, seed=200 + i)
+        for i, p in enumerate(MODEL_HELDOUT)
+    ]
+    return {"train": train, "heldout": heldout, "heldout_clean": heldout_clean,
+            "heldout_control": heldout_control}
 
 
 @pytest.fixture(scope="session")

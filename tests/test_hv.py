@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel, normal_quantile
 from gpplatoon.hv import (
     ArxParams,
     DriverTrace,
     VelocityHistory,
+    _lag1_pairs,
     arx_step,
     build_discrepancy_dataset,
     default_disturbance,
@@ -16,6 +17,7 @@ from gpplatoon.hv import (
     save_trace_csv,
     arx_prediction_series,
 )
+from gpplatoon.mpc import MpcConfig
 
 
 def test_default_dc_gain_is_unity():
@@ -280,3 +282,31 @@ def test_corrected_beats_arx_on_heldout(driver_traces, hv_fit):
         oracle = evaluate_models(tr, params, _DisturbanceOracle())
         assert res["corrected_rmse"] < res["arx_rmse"]
         assert res["improvement"] >= 0.8 * oracle["improvement"]
+
+
+def test_sparse_matches_exact_on_heldout(driver_traces, hv_fit):
+    pairs = np.vstack([_lag1_pairs(tr) for tr in driver_traces["heldout"]])
+    exact_mean, exact_var = hv_fit.exact.predict_batch(pairs)
+    sparse_mean, sparse_var = hv_fit.sparse.predict_batch(pairs)
+    assert np.max(np.abs(sparse_mean - exact_mean)) <= 1e-3 * np.max(np.abs(exact_mean))
+    assert np.max(np.abs(sparse_var - exact_var)) <= 1e-5 * hv_fit.exact.hyper.signal_variance
+
+
+@pytest.mark.parametrize("fit_name, traces_name", [
+    ("hv_fit", "heldout"),
+    ("control_fit", "heldout_control"),
+])
+def test_one_step_sigma_covers_heldout_residuals(request, driver_traces, fit_name,
+                                                 traces_name):
+    # the controller tightens the HV gap by normal_quantile(p_def) times the
+    # one-step sigma it freezes: sqrt(latent variance + noise variance)
+    fit = request.getfixturevalue(fit_name)
+    data = [build_discrepancy_dataset(tr, ArxParams.default())
+            for tr in driver_traces[traces_name]]
+    targets = np.concatenate([d.targets for d in data])
+    means, variances = fit.sparse.predict_batch(np.vstack([d.inputs for d in data]))
+    sigma = np.sqrt(variances + fit.sparse.hyper.noise_variance)
+    p = MpcConfig().gap.p_def
+    n = targets.size
+    covered = np.mean(targets - means <= normal_quantile(p) * sigma)
+    assert covered >= p - 3.0 * np.sqrt(p * (1.0 - p) / n)

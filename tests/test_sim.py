@@ -266,11 +266,16 @@ def test_result_csv_layout(tmp_path):
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        ScenarioSpec(name="x", duration=1.05, step=0.1)
+        ScenarioSpec(name="x", duration=1.05)
     with pytest.raises(ValueError):
         make_scenario("nope")
     with pytest.raises(ValueError):
-        ScenarioSpec(name="x", duration=1.0, step=0.1, spacing_factor=0.9)
+        ScenarioSpec(name="x", duration=1.0, spacing_factor=0.9)
+
+
+def test_realtime_preset_uses_its_sample_time():
+    spec = make_scenario("realtime")
+    assert (spec.cfg.step, spec.cfg.r, spec.steps) == (0.25, 15.0, 240)
 
 
 def test_gp_controller_requires_model():
