@@ -20,8 +20,6 @@ from .gp import read_csv
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step, default_disturbance
 from .mpc import MpcConfig, PlatoonController, PlatoonState
 
-PROFILE_NAMES = ("rest", "emergency", "wltp", "realtime")
-
 
 def rest_profile(t: float) -> float:
     """All-zero reference: the platoon stays at rest."""
@@ -61,18 +59,6 @@ def multiphase_profile(t: float) -> float:
     return float(np.interp(t, _WLTP_KNOTS_T, _WLTP_KNOTS_V))
 
 
-def named_profile(name: str):
-    profiles = {
-        "rest": rest_profile,
-        "emergency": emergency_brake_profile,
-        "wltp": multiphase_profile,
-        "realtime": realtime_brake_profile,
-    }
-    if name not in profiles:
-        raise ValueError(f"unknown profile {name!r}; expected one of {PROFILE_NAMES}")
-    return profiles[name]
-
-
 def load_velocity_profile(path, step: float, v_max: float = 37.0) -> np.ndarray:
     """Load a ``t,v_ref`` CSV and resample it to ``step`` by interpolation.
 
@@ -93,15 +79,19 @@ def load_velocity_profile(path, step: float, v_max: float = 37.0) -> np.ndarray:
     return np.interp(grid, t, v)
 
 
-def profile_from_series(series, step: float):
-    """Callable profile interpolating a uniformly sampled series."""
-    series = np.asarray(series, dtype=float)
-    t = np.arange(series.size) * step
+# name: (reference profile, make_scenario defaults)
+_SCENARIOS = {
+    "rest": (rest_profile, dict(duration=20.0)),
+    "emergency": (emergency_brake_profile, dict(duration=130.0)),
+    "wltp": (multiphase_profile, dict(duration=180.0)),
+    "realtime": (realtime_brake_profile, dict(duration=60.0, cfg=MpcConfig(step=0.25, r=15.0))),
+}
 
-    def profile(tq):
-        return float(np.interp(tq, t, series))
 
-    return profile
+def _scenario(name: str):
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(_SCENARIOS)}")
+    return _SCENARIOS[name]
 
 
 @dataclass(frozen=True)
@@ -109,8 +99,6 @@ class ScenarioSpec:
     """Closed-loop scenario: reference, duration, plant mode and seeds."""
 
     name: str
-    profile_name: str = "rest"
-    profile_file: str | None = None
     duration: float = 20.0
     spacing_factor: float = 1.2
     cfg: MpcConfig = field(default_factory=MpcConfig)
@@ -138,27 +126,13 @@ class ScenarioSpec:
         return int(round(self.duration / self.step))
 
     def profile(self):
-        if self.profile_file is not None:
-            series = load_velocity_profile(self.profile_file, self.step,
-                                           self.cfg.v_max)
-            return profile_from_series(series, self.step)
-        return named_profile(self.profile_name)
-
-
-_SCENARIO_PRESETS = {
-    "rest": dict(profile_name="rest", duration=20.0, cfg=MpcConfig()),
-    "emergency": dict(profile_name="emergency", duration=130.0, cfg=MpcConfig()),
-    "wltp": dict(profile_name="wltp", duration=180.0, cfg=MpcConfig()),
-    "realtime": dict(profile_name="realtime", duration=60.0, cfg=MpcConfig(step=0.25, r=15.0)),
-}
+        """Reference velocity profile of the scenario called ``name``."""
+        return _scenario(self.name)[0]
 
 
 def make_scenario(name: str, **overrides) -> ScenarioSpec:
     """Preset scenarios mirroring the experimental protocol."""
-    if name not in _SCENARIO_PRESETS:
-        raise ValueError(f"unknown scenario {name!r}; expected one of "
-                         f"{tuple(_SCENARIO_PRESETS)}")
-    return ScenarioSpec(name=name, **{**_SCENARIO_PRESETS[name], **overrides})
+    return ScenarioSpec(name=name, **{**_scenario(name)[1], **overrides})
 
 
 class HvPlant:

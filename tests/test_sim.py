@@ -273,6 +273,13 @@ def test_scenario_validation():
         ScenarioSpec(name="x", duration=1.0, spacing_factor=0.9)
 
 
+def test_scenario_profile_follows_its_name():
+    assert make_scenario("emergency").profile() is emergency_brake_profile
+    assert make_scenario("realtime").profile() is realtime_brake_profile
+    with pytest.raises(ValueError, match="emergency"):
+        ScenarioSpec(name="x").profile()
+
+
 def test_realtime_preset_uses_its_sample_time():
     spec = make_scenario("realtime")
     assert (spec.cfg.step, spec.cfg.r, spec.steps) == (0.25, 15.0, 240)
