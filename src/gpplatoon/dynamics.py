@@ -48,10 +48,10 @@ class GapConstraintParams:
     p_def: float = 0.95
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.delta_ext < 0:
-            raise ValueError("delta_ext must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
+        if not (math.isfinite(self.delta_ext) and self.delta_ext >= 0):
+            raise ValueError("delta_ext must be non-negative and finite")
         if not 0.0 < self.p_def < 1.0:
             raise ValueError("p_def must lie in (0, 1)")
 

@@ -243,17 +243,15 @@ class GpModel:
     hyper: KernelHyper
     chol_factor: np.ndarray
     alpha: np.ndarray
-    warning: bool = False
 
     @classmethod
-    def from_data(cls, data: Dataset, hyper: KernelHyper, warning: bool = False):
+    def from_data(cls, data: Dataset, hyper: KernelHyper):
         if data.n_dims != hyper.n_dims:
             raise ValueError(
                 f"dataset has {data.n_dims} input dims but hyper has {hyper.n_dims}"
             )
         chol, alpha = _factorize(_kernel_matrix(data.inputs, data.inputs, hyper), data, hyper)
-        return cls(dataset=data, hyper=hyper, chol_factor=chol, alpha=alpha,
-                   warning=warning)
+        return cls(dataset=data, hyper=hyper, chol_factor=chol, alpha=alpha)
 
     def predict_batch(self, xs):
         """Posterior means and variances at query rows ``xs`` (m, d)."""
@@ -268,38 +266,30 @@ class GpModel:
 def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
     """Maximize the log marginal likelihood starting from ``init``.
 
-    Never returns a model worse than the initial hyperparameters; optimizer
-    failure falls back to the best evaluated iterate with ``warning`` set.
+    Returns the best evaluated hyperparameters. L-BFGS-B evaluates its
+    start (``init`` clipped to the search bounds) first, so the result is
+    never worse than the start, whether or not the optimizer converges.
     """
     if data.n_dims != init.n_dims:
         raise ValueError("init length_scales dimension does not match data")
 
     theta0 = init.to_log_vector()
     best = {"nll": np.inf, "theta": theta0}
-    # the last (theta, (nll, grad)), because L-BFGS-B starts at theta0,
-    # where nll0 below was already evaluated
-    last = [None, None]
 
     def objective(theta):
-        if last[0] is not None and np.array_equal(theta, last[0]):
-            return last[1]
         try:
             value, grad = log_marginal_likelihood(data, KernelHyper.from_log_vector(theta))
-            out = (-value, -grad)
         except IllConditionedKernelError:
-            out = (1e12, np.zeros_like(theta))
-        else:
-            if -value < best["nll"]:
-                best["nll"] = -value
-                best["theta"] = theta.copy()
-        last[:] = theta.copy(), out
-        return out
+            return 1e12, np.zeros_like(theta)
+        if -value < best["nll"]:
+            best["nll"] = -value
+            best["theta"] = theta.copy()
+        return -value, -grad
 
-    nll0, _ = objective(theta0)
     lo = np.full(theta0.size, -30.0)
     hi = np.full(theta0.size, 30.0)
     lo[-1] = math.log(NOISE_FLOOR)
-    res = minimize(
+    minimize(
         objective,
         theta0,
         jac=True,
@@ -307,11 +297,7 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
         bounds=list(zip(lo, hi)),
         options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-12},
     )
-    warning = not res.success
-    theta = best["theta"] if best["nll"] <= nll0 else theta0
-    if best["nll"] > nll0:
-        warning = True
-    return GpModel.from_data(data, KernelHyper.from_log_vector(theta), warning=warning)
+    return GpModel.from_data(data, KernelHyper.from_log_vector(best["theta"]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +374,9 @@ class SparseGpModel:
         return means, np.maximum(variances, 0.0)
 
 
-def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarray:
-    """Deterministic k-means++ centroids over input rows."""
+def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Deterministic k-means++ centroids over input rows (at most 50 Lloyd
+    iterations)."""
     rng = np.random.default_rng(seed)
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -402,7 +389,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int, iters: int = 50) -> np.ndarra
             break
         centers[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
-    for _ in range(iters):
+    for _ in range(50):
         d = (
             np.sum(points**2, axis=1)[:, None]
             - 2.0 * points @ centers.T

@@ -71,13 +71,6 @@ class VelocityHistory:
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} history entries must be finite and >= 0")
 
-    def shifted(self, new_hv: float, new_av: float) -> "VelocityHistory":
-        """History after one step, with the newest values pushed in front."""
-        return VelocityHistory(
-            hv=np.concatenate([[new_hv], self.hv[:-1]]),
-            av=np.concatenate([[new_av], self.av[:-1]]),
-        )
-
     @classmethod
     def constant(cls, v_hv: float, v_av: float) -> "VelocityHistory":
         return cls(hv=np.full(N_LAGS, float(v_hv)), av=np.full(N_LAGS, float(v_av)))
@@ -109,10 +102,6 @@ class DriverTrace:
     @property
     def n(self) -> int:
         return self.time.size
-
-    @property
-    def dt(self) -> float:
-        return float(self.time[1] - self.time[0])
 
 
 def save_trace_csv(trace: DriverTrace, path) -> None:
@@ -160,9 +149,14 @@ def rmse(pred, actual) -> float:
     return float(np.sqrt(np.mean((p - a) ** 2)))
 
 
-def arx_step(params: ArxParams, hv_lags, av_lags) -> float:
-    """ARX recursion step on raw lag arrays (newest first), no validation."""
-    return float(-params.c @ np.asarray(hv_lags) + params.b @ np.asarray(av_lags))
+def arx_step(params: ArxParams, hv_lags, av_lags):
+    """ARX recursion step on raw lag arrays (newest first), no validation.
+
+    Lags of shape ``(4,)`` give the next velocity. Lags of shape ``(4, m)``
+    whose rows are linear maps (row i maps some input vector to lag i) give
+    the map of the next velocity, which is how the MPC condenses the chain.
+    """
+    return -params.c @ np.asarray(hv_lags) + params.b @ np.asarray(av_lags)
 
 
 def default_disturbance(v_hv, v_av):

@@ -9,20 +9,25 @@ Everything that does not depend on the measured state is built once per
 ``(cfg, arx)`` and cached: the cost matrix P, the constraint matrix G, the
 HV velocity and position maps, the maps from the state to the cost vector
 and to the HV chain's constant part, and the matrices that decode a plan.
+The HV chain is :func:`gpplatoon.hv.arx_step` applied to linear maps, and P
+and G are Kronecker products of one AV's blocks with the platoon coupling.
 P and G are read-only and shared by every QP of that pair, so
 :func:`gpplatoon.qp.solve_qp` reuses its factor of P, and a control step
-only forms the vectors q, h and the gap bounds with matrix-vector products.
+only forms the vectors q, h and the gap bounds. Each step decodes one plan:
+the QP's solution, or maximum braking when the solve fails.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import GapConstraintParams, tightened_min_gap
-from .hv import ArxParams, N_LAGS, VelocityHistory
+from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
 from .qp import QuadraticProgram, solve_qp
 
 
@@ -46,18 +51,25 @@ class MpcConfig:
     n_av: int = 2
 
     def __post_init__(self):
-        if self.horizon < 2:
-            raise ValueError("horizon must be at least 2")
-        if not (self.v_min < self.v_max and self.acc_min < self.acc_max):
-            raise ValueError("bounds must be ordered")
-        if min(self.q1, self.q2, self.r) <= 0:
-            raise ValueError("cost weights must be positive")
-        if self.n_av < 1:
-            raise ValueError("platoon needs at least one AV")
-        if self.step <= 0 or self.step >= 1:
-            raise ValueError("sample time must lie in (0, 1)")
-        if self.av_gap <= 0:
-            raise ValueError("AV spacing bound must be positive")
+        for name, low in (("horizon", 2), ("n_av", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                    or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, "
+                                 f"got {value!r}")
+        for name in ("step", "q1", "q2", "r", "v_min", "v_max", "acc_min", "acc_max",
+                     "av_gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("q1", "q2", "r", "av_gap"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 < self.step < 1:
+            raise ValueError("step (the sample time) must lie in (0, 1)")
+        if not self.v_min < self.v_max:
+            raise ValueError("v_min must be below v_max")
+        if not self.acc_min < 0 < self.acc_max:
+            raise ValueError("acc_min must be negative and acc_max positive")
 
 
 @dataclass(frozen=True)
@@ -77,11 +89,11 @@ class PlatoonState:
         object.__setattr__(self, "av_vel", v)
         if p.shape != v.shape or p.ndim != 1:
             raise ValueError("av_pos and av_vel must be equal-length vectors")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(v))
-                and np.isfinite(self.hv_pos)):
-            raise ValueError("platoon state must be finite")
-        if self.hv_pos_var < 0:
-            raise ValueError("hv_pos_var must be non-negative")
+        for name, value in (("av_pos", p), ("av_vel", v), ("hv_pos", self.hv_pos)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+        if not (np.isfinite(self.hv_pos_var) and self.hv_pos_var >= 0):
+            raise ValueError("hv_pos_var must be finite and non-negative")
 
     @property
     def n_av(self) -> int:
@@ -102,8 +114,10 @@ class FrozenGpTrajectory:
         object.__setattr__(self, "var", v)
         if m.shape != v.shape or m.ndim != 1:
             raise ValueError("mean and var must be equal-length vectors")
-        if np.any(v < 0):
-            raise ValueError("frozen variances must be non-negative")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("frozen mean must be finite")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("frozen var must be finite and non-negative")
 
     @classmethod
     def zeros(cls, horizon: int) -> "FrozenGpTrajectory":
@@ -199,86 +213,77 @@ class _QpStructure:
 
 
 def _position_map(n: int) -> np.ndarray:
-    """W with W[s-1, m] = s-1-m for m <= s-2: positions from accelerations."""
-    w = np.zeros((n, n))
-    for s in range(2, n + 1):
-        w[s - 1, : s - 1] = np.arange(s - 1, 0, -1)
-    return w
+    """W with W[i, m] = max(i - m, 0): positions from accelerations."""
+    i = np.arange(n)
+    return np.maximum(i[:, None] - i, 0).astype(float)
 
 
 @functools.lru_cache(maxsize=16)
 def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
-    """Build the fixed part of the condensed QP; cached on its full key."""
-    c, b = np.frombuffer(arx_c), np.frombuffer(arx_b)
+    """Build the fixed part of the condensed QP; cached on its full key.
+
+    The HV chain is :func:`arx_step` applied to linear maps: every velocity
+    is a row over the inputs (history.hv, history.av, v0[last], trailing-AV
+    accelerations). The cost and constraint matrices are Kronecker products
+    of one AV's blocks with the platoon's coupling: S maps accelerations to
+    velocities, W to positions, and row j of D is e_{j+1} - e_j, the
+    difference between AV j+1 and the AV ahead of it.
+    """
+    arx = ArxParams(c=np.frombuffer(arx_c), b=np.frombuffer(arx_b))
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
-    nd = nav * n
+    nd, ns = nav * n, 2 * N_LAGS + 1
     last = (nav - 1) * n
     s_mat = np.tril(np.ones((n, n)))
     w_mat = _position_map(n)
-
-    # HV velocity chain: affine in the 9 measured values and in the trailing
-    # AV's accelerations; row s-1 holds stage k+s
-    hv_state = np.zeros((n, 2 * N_LAGS + 1))
-    hv_acc = np.zeros((n, n))
-    for s in range(1, n + 1):
-        for q in range(1, N_LAGS + 1):
-            i = s - q
-            if i >= 1:
-                hv_state[s - 1] -= c[q - 1] * hv_state[i - 1]
-                hv_acc[s - 1] -= c[q - 1] * hv_acc[i - 1]
-                hv_state[s - 1, 2 * N_LAGS] += b[q - 1]
-                hv_acc[s - 1] += b[q - 1] * t * s_mat[i - 1]
-            else:
-                hv_state[s - 1, -i] -= c[q - 1]
-                hv_state[s - 1, N_LAGS - i] += b[q - 1]
-    hv_lin = np.zeros((n, nd))
-    hv_lin[:, last:] = hv_acc
-    # HV position mean over stages k+1..k+N+1; stage k+1 is fixed by the state
-    mu_lin = np.zeros((n + 1, nd))
-    mu_lin[1:] = t * np.cumsum(hv_lin, axis=0)
-
-    # cost: acceleration effort, leader reference tracking, follower matching;
-    # velocity stages k+1..k+N plus the written (N+1)-th stage, which under a
-    # zero-held terminal input repeats the terminal velocity and reference
-    p_cost = np.zeros((nd, nd))
-    p_cost[np.diag_indices(nd)] += 2.0 * cfg.r
-    m_lead = np.zeros((n + 1, nd))
-    m_lead[:n, :n] = t * s_mat
-    m_lead[n] = m_lead[n - 1]
-    p_cost += 2.0 * cfg.q1 * m_lead.T @ m_lead
-    lead_q = 2.0 * cfg.q1 * m_lead.T
-    follow_q = np.zeros((nd, nav - 1))
-    for j in range(1, nav):
-        m_f = np.zeros((n + 1, nd))
-        m_f[:n, j * n:(j + 1) * n] = t * s_mat
-        m_f[:n, (j - 1) * n: j * n] = -t * s_mat
-        m_f[n] = m_f[n - 1]
-        p_cost += 2.0 * cfg.q2 * m_f.T @ m_f
-        follow_q[:, j - 1] = 2.0 * cfg.q2 * m_f.sum(axis=0)
-
-    # inequalities: AV-AV gaps, AV-HV gap (stages k+2..k+N+1), velocity and
-    # acceleration boxes (stages k+1..k+N)
+    # velocities k+1..k+N plus the (N+1)-th stage, which under a zero-held
+    # terminal input repeats the terminal velocity; positions k+2..k+N+1
+    s_ext = t * s_mat[np.r_[:n, n - 1]]
     w_ext = _position_map(n + 1)[1:, :n]
-    n_rows = n * (nav - 1) + n + 4 * n * nav
-    g_mat = np.zeros((n_rows, nd))
-    row = 0
-    for j in range(1, nav):
-        g_mat[row:row + n, (j - 1) * n: j * n] = -t * t * w_ext
-        g_mat[row:row + n, j * n:(j + 1) * n] = t * t * w_ext
-        row += n
-    g_mat[row:row + n, last:] = -t * t * w_ext
-    g_mat[row:row + n] += mu_lin[1:]
-    row += n
-    for sign, block in ((1.0, t * s_mat), (-1.0, t * s_mat), (1.0, np.eye(n)),
-                        (-1.0, np.eye(n))):
-        for j in range(nav):
-            g_mat[row:row + n, j * n:(j + 1) * n] = sign * block
-            row += n
+    d = np.eye(nav - 1, nav, 1) - np.eye(nav - 1, nav)
+
+    # HV and trailing-AV velocities as row maps over (history.hv, history.av,
+    # v0[last], x), oldest first: the history, then the chain (hv row
+    # N_LAGS-1+s is stage k+s) and the planned AV velocities k+1..k+N-1
+    hv = np.zeros((N_LAGS + n, ns + nd))
+    hv[:N_LAGS, :N_LAGS] = np.eye(N_LAGS)[::-1]
+    av = np.zeros((N_LAGS + n - 1, ns + nd))
+    av[:N_LAGS, N_LAGS:2 * N_LAGS] = np.eye(N_LAGS)[::-1]
+    av[N_LAGS:, 2 * N_LAGS] = 1.0
+    av[N_LAGS:, ns + last:] = t * s_mat[:n - 1]
+    for s in range(n):
+        hv[N_LAGS + s] = arx_step(arx, hv[s:s + N_LAGS][::-1], av[s:s + N_LAGS][::-1])
+    hv_lin = hv[N_LAGS:, ns:]
+    # HV position mean over stages k+1..k+N+1; stage k+1 is fixed by the state
+    mu_lin = np.vstack([np.zeros(nd), t * np.cumsum(hv_lin, axis=0)])
+
+    # cost: r |x|^2 + q1 |m_lead x + e_lead|^2 + q2 |m_follow x + dv (x) 1|^2
+    # with m_lead = kron(e_0', S_ext) and m_follow = kron(D, S_ext), whose
+    # Gram matrices follow from kron(A, B)' kron(A, B) = kron(A'A, B'B)
+    coupling = 2.0 * cfg.q2 * d.T @ d
+    coupling[0, 0] += 2.0 * cfg.q1
+    p_cost = 2.0 * cfg.r * np.eye(nd) + np.kron(coupling, s_ext.T @ s_ext)
+    lead_q = 2.0 * cfg.q1 * np.kron(np.eye(nav, 1), s_ext.T)
+    follow_q = 2.0 * cfg.q2 * np.kron(d.T, s_ext.sum(axis=0)[:, None])
+
+    # inequalities in row_label's order: AV-AV gaps, AV-HV gap, velocity
+    # and acceleration boxes
+    g_mat = np.zeros((last + n + 4 * nd, nd))
+    g_mat[:last] = np.kron(d, t * t * w_ext)
+    g_hv = g_mat[last:last + n]
+    g_hv[:] = mu_lin[1:]
+    g_hv[:, last:] -= t * t * w_ext
+    box = last + n
+    v_box = np.kron(np.eye(nav), t * s_mat)
+    g_mat[box:box + nd] = v_box
+    g_mat[box + nd:box + 2 * nd] = -v_box
+    diag = np.arange(nd)
+    g_mat[box + 2 * nd + diag, diag] = 1.0
+    g_mat[box + 3 * nd + diag, diag] = -1.0
     h_acc = np.concatenate([np.full(nd, cfg.acc_max), np.full(nd, -cfg.acc_min)])
 
     arrays = dict(cost_matrix=p_cost, ineq_matrix=g_mat, hv_lin=hv_lin, mu_lin=mu_lin,
-                  hv_state=hv_state, lead_q=lead_q, follow_q=follow_q, h_acc=h_acc,
-                  s_mat=s_mat, w_mat=w_mat, stages=np.arange(1, n + 1),
+                  hv_state=hv[N_LAGS:, :ns], lead_q=lead_q, follow_q=follow_q,
+                  h_acc=h_acc, s_mat=s_mat, w_mat=w_mat, stages=np.arange(1, n + 1),
                   t_pos=np.arange(2, n + 2) * t)
     for arr in arrays.values():
         arr.flags.writeable = False
@@ -287,16 +292,13 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
 
 @dataclass(frozen=True)
 class CondensedQp:
-    """Dense QP plus the affine maps needed to decode a solution."""
+    """Dense QP plus the state-dependent vectors needed to decode a plan."""
 
     qp: QuadraticProgram
-    cfg: MpcConfig
     v0: np.ndarray
     p0: np.ndarray
     hv_const: np.ndarray
-    hv_lin: np.ndarray
     mu_const: np.ndarray
-    mu_lin: np.ndarray
     sigma: np.ndarray
     gap_bounds: np.ndarray
     cost_const: float
@@ -305,13 +307,13 @@ class CondensedQp:
     def decode(self, x: np.ndarray):
         """Stage trajectories implied by a stacked acceleration vector."""
         st = self.structure
-        t = self.cfg.step
-        acc = x.reshape(self.cfg.n_av, self.cfg.horizon)
+        t = st.cfg.step
+        acc = x.reshape(st.cfg.n_av, st.cfg.horizon)
         av_vel = self.v0[:, None] + t * (st.s_mat @ acc.T).T
         av_pos = (self.p0[:, None] + np.outer(self.v0, st.stages) * t
                   + t * t * (st.w_mat @ acc.T).T)
-        hv_vel = self.hv_const + self.hv_lin @ x
-        mu = self.mu_const[:-1] + self.mu_lin[:-1] @ x
+        hv_vel = self.hv_const + st.hv_lin @ x
+        mu = self.mu_const[:-1] + st.mu_lin[:-1] @ x
         return acc, av_vel, av_pos, hv_vel, mu
 
 
@@ -353,15 +355,11 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     incr[1:] = t * hv_const + t * np.append(fz.mean[1:], fz.mean[-1])
     mu_const = np.cumsum(incr)
 
-    var_ext = np.append(fz.var, fz.var[-1])
-    sigma_all = state.hv_pos_var + t * t * np.cumsum(var_ext)
     # positions one step ahead are fixed by the measured state, so gap
     # constraints cover the controllable stages k+2..k+N+1
-    sigma = sigma_all[1:]
-    if frozen is not None:
-        bounds = tightened_min_gap(cfg.gap, sigma)
-    else:
-        bounds = np.full(n, cfg.gap.delta)
+    sigma = (state.hv_pos_var + t * t * np.cumsum(np.append(fz.var, fz.var[-1])))[1:]
+    bounds = (tightened_min_gap(cfg.gap, sigma) if frozen is not None
+              else np.full(n, cfg.gap.delta))
 
     e_lead = np.append(v0[0] - ref, v0[0] - ref[-1])
     dv = v0[1:] - v0[:-1]
@@ -378,8 +376,7 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
 
     qp = QuadraticProgram(cost_matrix=st.cost_matrix, cost_vector=q_cost,
                           ineq_matrix=st.ineq_matrix, ineq_vector=h_vec)
-    return CondensedQp(qp=qp, cfg=cfg, v0=v0, p0=p0, hv_const=hv_const,
-                       hv_lin=st.hv_lin, mu_const=mu_const, mu_lin=st.mu_lin,
+    return CondensedQp(qp=qp, v0=v0, p0=p0, hv_const=hv_const, mu_const=mu_const,
                        sigma=sigma, gap_bounds=bounds, cost_const=c0, structure=st)
 
 
@@ -406,53 +403,42 @@ class PlatoonController:
         self.gp_batch_evals = 0
         self.fallback_count = 0
 
-    def _frozen(self, state: PlatoonState) -> FrozenGpTrajectory | None:
-        if self.mode == "nominal":
-            return None
-        prev = self.prev_solution if self.prev_solution is not None else state
-        self.gp_batch_evals += 1
-        return evaluate_gp_along_trajectory(self.gp_model, prev, self.cfg.horizon)
-
-    def _fallback(self, state: PlatoonState, cd: CondensedQp, res) -> MpcSolution:
-        self.fallback_count += 1
-        self.prev_solution = None
-        n, nav = self.cfg.horizon, self.cfg.n_av
-        acc = np.full((nav, n), self.cfg.acc_min)
-        _, av_vel, av_pos, hv_vel, mu = cd.decode(acc.ravel())
-        pairs = _stage_pairs(state, hv_vel, av_vel[nav - 1], n)
-        # the solver names the row it could not add (often an acceleration
-        # bound); the braking plan names the constraint given up
-        excess = cd.qp.ineq_matrix @ acc.ravel() - cd.qp.ineq_vector
-        worst = int(np.argmax(excess))
-        return MpcSolution(acc=acc, av_vel=av_vel, av_pos=av_pos, hv_vel=hv_vel,
-                           hv_pos_mean=mu, hv_pos_var=cd.sigma,
-                           gap_bounds=cd.gap_bounds, stage_pairs=pairs,
-                           status=res.status, iterations=res.iterations,
-                           solve_time=res.solve_time, cost=np.nan,
-                           active=(), fallback=True,
-                           violated=cd.structure.row_label(worst) if excess[worst] > 0
-                           else "")
-
     def step(self, state: PlatoonState, v_ref):
-        """One control step: returns (first-stage accelerations, solution)."""
-        frozen = self._frozen(state)
-        cd = condense(state, self.cfg, v_ref, frozen=frozen, arx=self.arx)
+        """One control step: returns (first-stage accelerations, solution).
+
+        A failed solve is a fallback: the plan is maximum braking for every
+        AV, and the next step starts without a previous plan.
+        """
+        cfg = self.cfg
+        frozen = None
+        if self.mode == "gp":
+            prev = self.prev_solution if self.prev_solution is not None else state
+            self.gp_batch_evals += 1
+            frozen = evaluate_gp_along_trajectory(self.gp_model, prev, cfg.horizon)
+        cd = condense(state, cfg, v_ref, frozen=frozen, arx=self.arx)
         hint = self.prev_solution.active if self.prev_solution is not None else None
         res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=hint)
-        if res.status != "optimal":
-            sol = self._fallback(state, cd, res)
-            return sol.acc[:, 0].copy(), sol
-        acc, av_vel, av_pos, hv_vel, mu = cd.decode(res.x)
-        pairs = _stage_pairs(state, hv_vel, av_vel[self.cfg.n_av - 1],
-                             self.cfg.horizon)
+        fallback = res.status != "optimal"
+        x = np.full(cd.qp.n, cfg.acc_min) if fallback else res.x
+        violated = ""
+        if fallback:
+            self.fallback_count += 1
+            # the solver names the row it could not add (often an acceleration
+            # bound); the braking plan names the constraint given up
+            excess = cd.qp.ineq_matrix @ x - cd.qp.ineq_vector
+            worst = int(np.argmax(excess))
+            if excess[worst] > 0:
+                violated = cd.structure.row_label(worst)
+        acc, av_vel, av_pos, hv_vel, mu = cd.decode(x)
         sol = MpcSolution(acc=acc, av_vel=av_vel, av_pos=av_pos, hv_vel=hv_vel,
-                          hv_pos_mean=mu, hv_pos_var=cd.sigma,
-                          gap_bounds=cd.gap_bounds, stage_pairs=pairs,
+                          hv_pos_mean=mu, hv_pos_var=cd.sigma, gap_bounds=cd.gap_bounds,
+                          stage_pairs=_stage_pairs(state, hv_vel, av_vel[-1], cfg.horizon),
                           status=res.status, iterations=res.iterations,
                           solve_time=res.solve_time,
-                          cost=cd.qp.objective(res.x) + cd.cost_const,
-                          active=res.active, fallback=False)
-        self.prev_solution = sol
+                          cost=np.nan if fallback else cd.qp.objective(x) + cd.cost_const,
+                          active=() if fallback else res.active, fallback=fallback,
+                          violated=violated)
+        self.prev_solution = None if fallback else sol
         return acc[:, 0].copy(), sol
 
 

@@ -267,8 +267,7 @@ def diagnostics_to_csv(result: SimResult, path) -> None:
 
 
 def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
-                    gp_model=None, arx: ArxParams | None = None,
-                    g_true=default_disturbance) -> SimResult:
+                    gp_model=None, arx: ArxParams | None = None) -> SimResult:
     """Simulate one scenario under the chosen control policy.
 
     All vehicles start at rest; the leader sits at 0 with each follower and
@@ -287,7 +286,7 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
     ctrl = PlatoonController(cfg, mode=controller, gp_model=gp_model, arx=arx)
     plant = HvPlant(
         mode=spec.plant_mode, arx=arx,
-        correction=g_true if spec.plant_mode == "truth" else gp_model,
+        correction=default_disturbance if spec.plant_mode == "truth" else gp_model,
         step=spec.step, noise=spec.noise, noise_std=spec.plant_noise_std,
         seed=spec.seed, v0=0.0, v_cap=cfg.v_max,
     )

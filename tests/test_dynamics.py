@@ -145,3 +145,8 @@ def test_gap_params_validation():
         GapConstraintParams(delta=10.0, delta_ext=-1.0)
     with pytest.raises(ValueError):
         GapConstraintParams(delta=10.0, p_def=1.0)
+    for name, kwargs in (("delta", dict(delta=np.inf)),
+                         ("delta_ext", dict(delta=10.0, delta_ext=np.nan)),
+                         ("delta_ext", dict(delta=10.0, delta_ext=np.inf))):
+        with pytest.raises(ValueError, match=name):
+            GapConstraintParams(**kwargs)

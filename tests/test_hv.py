@@ -57,6 +57,20 @@ def test_arx_linearity():
         )
 
 
+def test_arx_step_maps_lag_maps_to_the_next_velocity_map():
+    # rows of (4, m) lags are linear maps; the result, evaluated at a point,
+    # is the step on the lag values at that point
+    rng = np.random.default_rng(1)
+    p = ArxParams.default()
+    hv_maps, av_maps = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+    point = rng.uniform(0.0, 30.0, 6)
+    row = arx_step(p, hv_maps, av_maps)
+    assert row.shape == (6,)
+    value = arx_step(p, hv_maps @ point, av_maps @ point)
+    assert type(value) is np.float64
+    assert row @ point == pytest.approx(value, rel=1e-12)
+
+
 def test_history_validation():
     with pytest.raises(ValueError):
         VelocityHistory(hv=np.ones(3), av=np.ones(4))

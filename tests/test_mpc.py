@@ -87,6 +87,11 @@ def test_frozen_includes_noise_variance_by_default():
 def test_frozen_validation():
     with pytest.raises(ValueError):
         FrozenGpTrajectory(mean=np.zeros(3), var=np.array([0.0, -1.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean"):
+            FrozenGpTrajectory(mean=np.array([0.0, bad, 0.0]), var=np.zeros(3))
+        with pytest.raises(ValueError, match="var"):
+            FrozenGpTrajectory(mean=np.zeros(3), var=np.array([0.0, bad, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +130,33 @@ def test_cost_at_zero_acceleration_matches_hand_expansion():
     assert cd.qp.objective(x0) + cd.cost_const == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("horizon", [2, 7])
+@pytest.mark.parametrize("n_av", [1, 3])
+def test_cost_matches_scalar_laws(n_av, horizon):
+    # objective plus constant equals the cost summed over av_step velocities:
+    # effort, leader tracking and follower matching, the written (N+1)-th
+    # stage repeating the terminal velocity under a zero-held input
+    rng = np.random.default_rng(10 * n_av + horizon)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av, q1=3.0, q2=7.0, r=11.0)
+    state = PlatoonState(av_pos=-12.0 * np.arange(n_av), av_vel=rng.uniform(5.0, 15.0, n_av),
+                         hv_pos=-12.0 * n_av, history=VelocityHistory.constant(9.0, 9.0))
+    ref = rng.uniform(5.0, 15.0, horizon)
+    ref_ext = np.append(ref, ref[-1])
+    cd = condense(state, cfg, ref)
+    for _ in range(3):
+        acc = rng.uniform(-4.0, 4.0, (n_av, horizon))
+        vel = np.empty((n_av, horizon + 1))
+        for j in range(n_av):
+            av = AvState(p=float(state.av_pos[j]), v=float(state.av_vel[j]))
+            for k in range(horizon + 1):
+                av = av_step(av, acc[j, k] if k < horizon else 0.0, cfg.step)
+                vel[j, k] = av.v
+        expected = (cfg.r * np.sum(acc ** 2) + cfg.q1 * np.sum((vel[0] - ref_ext) ** 2)
+                    + cfg.q2 * np.sum(np.diff(vel, axis=0) ** 2))
+        got = cd.qp.objective(acc.ravel()) + cd.cost_const
+        assert got == pytest.approx(expected, rel=1e-10)
+
+
 def test_gp_qp_with_zero_frozen_equals_nominal():
     cfg = MpcConfig(horizon=10)
     state = _state(v=5.0)
@@ -159,7 +191,7 @@ def test_gp_qp_constant_mean_shifts_hv_position():
     # frozen mean, so the shift keeps telescoping by T * 0.5 per stage
     shift = gp.mu_const - nom.mu_const
     np.testing.assert_allclose(shift, 0.1 * 0.5 * np.arange(1, 8), atol=1e-12)
-    np.testing.assert_allclose(gp.mu_lin, nom.mu_lin, atol=1e-15)
+    np.testing.assert_allclose(gp.structure.mu_lin, nom.structure.mu_lin, atol=1e-15)
 
 
 def test_hv_chain_matches_standalone_arx_replay():
@@ -325,8 +357,8 @@ def test_structure_shared_per_config_and_arx():
     assert again.structure is default.structure
     assert again.qp.cost_matrix is default.qp.cost_matrix
     assert again.qp.ineq_matrix is default.qp.ineq_matrix
-    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, default.hv_lin,
-                default.mu_lin):
+    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, default.structure.hv_lin,
+                default.structure.mu_lin):
         assert not arr.flags.writeable
     other_arx = ArxParams(c=ArxParams.default().c, b=ArxParams.default().b * 1.01)
     other = condense(state, cfg, ref, arx=other_arx)
@@ -350,8 +382,9 @@ def test_structure_cache_hit_bit_identical_to_miss():
         sol = solve_qp(cd.qp)
         decoded = cd.decode(sol.x)
         arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix,
-                  cd.qp.ineq_vector, cd.hv_const, cd.hv_lin, cd.mu_const, cd.mu_lin,
-                  cd.sigma, cd.gap_bounds, np.array([cd.cost_const]), sol.x, *decoded]
+                  cd.qp.ineq_vector, cd.hv_const, cd.structure.hv_lin, cd.mu_const,
+                  cd.structure.mu_lin, cd.sigma, cd.gap_bounds, np.array([cd.cost_const]),
+                  sol.x, *decoded]
         return cd, [a.copy() for a in arrays]
 
     mpc._structure.cache_clear()
@@ -462,7 +495,12 @@ def test_warm_start_descent_property():
 
 def test_infeasible_state_falls_back_to_max_braking():
     cfg = MpcConfig(horizon=10)
-    state = _state(v=10.0, hv_gap=2.0)  # HV far inside the required gap
+    # HV far inside the required gap; distinct speeds and lags, so the
+    # stage pairs show which AV and which lags they were taken from
+    state = PlatoonState(av_pos=np.array([0.0, -12.0]), av_vel=np.array([11.0, 10.0]),
+                         hv_pos=-14.0,
+                         history=VelocityHistory(hv=np.array([9.0, 8.5, 8.0, 7.5]),
+                                                 av=np.array([10.0, 9.5, 9.0, 8.5])))
     ctrl = PlatoonController(cfg, mode="nominal")
     acc0, sol = ctrl.step(state, np.full(10, 10.0))
     assert sol.fallback
@@ -470,6 +508,20 @@ def test_infeasible_state_falls_back_to_max_braking():
     np.testing.assert_allclose(acc0, cfg.acc_min, atol=0)
     assert ctrl.fallback_count == 1
     assert ctrl.prev_solution is None
+    # the fallback's trajectories are the braking plan's, decoded as a solution's
+    cd = condense(state, cfg, np.full(10, 10.0))
+    braking = cd.decode(np.full(cd.qp.n, cfg.acc_min))
+    for got, want in zip((sol.acc, sol.av_vel, sol.av_pos, sol.hv_vel, sol.hv_pos_mean),
+                         braking):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(sol.hv_pos_var, cd.sigma)
+    np.testing.assert_array_equal(sol.gap_bounds, cd.gap_bounds)
+    assert np.isnan(sol.cost) and sol.active == ()
+    hist = state.history
+    np.testing.assert_array_equal(sol.stage_pairs[:2], [[hist.hv[1], hist.av[1]],
+                                                        [hist.hv[0], hist.av[0]]])
+    np.testing.assert_array_equal(sol.stage_pairs[2:, 0], sol.hv_vel[:8])
+    np.testing.assert_array_equal(sol.stage_pairs[2:, 1], sol.av_vel[-1, :8])
 
 
 def test_stage_pairs_layout():
@@ -496,3 +548,14 @@ def test_config_validation():
         MpcConfig(q1=0.0)
     with pytest.raises(ValueError):
         PlatoonController(MpcConfig(), mode="gp")
+    # values the controller cannot use; each error names its field
+    for name, value in (("acc_min", 1.0), ("acc_max", -1.0), ("q1", np.nan),
+                        ("q2", np.nan), ("r", np.inf), ("horizon", 2.5), ("n_av", True),
+                        ("step", np.nan), ("v_max", np.inf), ("av_gap", np.inf)):
+        with pytest.raises(ValueError, match=name):
+            MpcConfig(**{name: value})
+    assert MpcConfig(horizon=np.int64(5), n_av=np.int64(3)).horizon == 5
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="hv_pos_var"):
+            PlatoonState(av_pos=[0.0], av_vel=[0.0], hv_pos=-12.0,
+                         history=VelocityHistory.constant(0.0, 0.0), hv_pos_var=bad)
