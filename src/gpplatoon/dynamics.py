@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class GapConstraintParams:
     delta: float
     delta_ext: float = 0.0
     p_def: float = 0.95
+    # standard-normal quantile of p_def, derived once per parameter set
+    quantile: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -54,6 +56,7 @@ class GapConstraintParams:
             raise ValueError("delta_ext must be non-negative and finite")
         if not 0.0 < self.p_def < 1.0:
             raise ValueError("p_def must lie in (0, 1)")
+        object.__setattr__(self, "quantile", normal_quantile(self.p_def))
 
 
 def tightened_min_gap(params: GapConstraintParams, sigma):
@@ -66,5 +69,5 @@ def tightened_min_gap(params: GapConstraintParams, sigma):
     s = np.asarray(sigma, dtype=float)
     if np.any(s < 0):
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    bound = params.delta + params.delta_ext + normal_quantile(params.p_def) * np.sqrt(s)
+    bound = params.delta + params.delta_ext + params.quantile * np.sqrt(s)
     return float(bound) if s.ndim == 0 else bound

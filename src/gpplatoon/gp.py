@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtrs
 from scipy.optimize import minimize
 from scipy.special import ndtri
 
@@ -137,18 +137,31 @@ def kernel_eval(x1, x2, hyper: KernelHyper) -> float:
     return float(hyper.signal_variance * math.exp(-0.5 * r2))
 
 
+def _scale(x: np.ndarray, inv_scale: np.ndarray):
+    """Rows of ``x`` times ``inv_scale`` (1/sqrt(length_scales)), and their
+    squared norms."""
+    s = x * inv_scale
+    return s, np.add.reduce(s * s, 1)
+
+
+def _cross_kernel(sa2, na_col, sb, nb, signal_variance: float) -> np.ndarray:
+    """Kernel between scaled row sets a (n,d) and b (m,d), from
+    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, given ``sa2`` = 2a, ``na_col`` = |a|^2
+    as an (n, 1) column, ``sb`` = b and ``nb`` = |b|^2."""
+    r2 = na_col + nb
+    r2 -= sa2 @ sb.T
+    np.maximum(r2, 0.0, out=r2)
+    r2 *= -0.5
+    np.exp(r2, out=r2)
+    r2 *= signal_variance
+    return r2
+
+
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: KernelHyper) -> np.ndarray:
     """Kernel cross-covariance between row sets ``a`` (n,d) and ``b`` (m,d)."""
     inv = 1.0 / np.sqrt(hyper.length_scales)
-    sa = a * inv
-    sb = b * inv
-    r2 = (
-        np.sum(sa**2, axis=1)[:, None]
-        + np.sum(sb**2, axis=1)[None, :]
-        - 2.0 * sa @ sb.T
-    )
-    np.maximum(r2, 0.0, out=r2)
-    return hyper.signal_variance * np.exp(-0.5 * r2)
+    sa, na = _scale(a, inv)
+    return _cross_kernel(2.0 * sa, na[:, None], *_scale(b, inv), hyper.signal_variance)
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +357,63 @@ def fic_log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
     return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * math.log(2.0 * math.pi)
 
 
+def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a finite, Fortran-ordered lower factor L, by LAPACK dtrtrs.
+
+    Skips the input validation of ``scipy.linalg.solve_triangular``, which
+    costs more than a 20 x 20 solve; callers check that ``b`` is finite.
+    """
+    x, info = dtrtrs(chol, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 @dataclass(frozen=True)
 class SparseGpModel:
-    """FIC sparse GP: prediction cost depends only on the inducing count."""
+    """FIC sparse GP: prediction cost depends only on the inducing count.
+
+    With u = L_zz^-1 k_z(x) for the inducing factor L_zz
+    (``chol_inducing``) and the FIC capacitance factor L_cap
+    (``chol_cap``), the prediction at x is
+
+        mean     = u' w                       (w = ``mean_weights``)
+        variance = s^2 - |u|^2 + |L_cap^-1 u|^2
+
+    The mean stays u' w although L_zz^-T w could be stored once: u is
+    solved anyway for the variance, so that saves no solve and would only
+    change the rounding. The variance keeps its two solves because folding
+    them into one m x m form loses accuracy.
+
+    On construction (by :meth:`from_inducing`, :func:`load_model` or
+    directly) the model checks that both factors are finite, stores them
+    Fortran-ordered so LAPACK solves with them without a copy, and caches
+    the length-scale-scaled inducing inputs and their squared norms, so a
+    prediction forms only the query-dependent part of the kernel. The
+    cached arrays are not part of the saved model.
+    """
 
     inducing: np.ndarray
     hyper: KernelHyper
     chol_inducing: np.ndarray
     chol_cap: np.ndarray
     mean_weights: np.ndarray
+    _inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _inducing_twice: np.ndarray = field(init=False, repr=False, compare=False)
+    _inducing_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("chol_inducing", "chol_cap"):
+            chol = np.asfortranarray(getattr(self, name), dtype=float)
+            if not np.isfinite(chol).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, chol)
+        inv = 1.0 / np.sqrt(self.hyper.length_scales)
+        scaled, sq_norms = _scale(self.inducing, inv)
+        object.__setattr__(self, "_inv_scale", inv)
+        object.__setattr__(self, "_inducing_twice", 2.0 * scaled)
+        object.__setattr__(self, "_inducing_sq_norms", sq_norms[:, None])
 
     @classmethod
     def from_inducing(cls, data: Dataset, hyper: KernelHyper, inducing: np.ndarray):
@@ -364,14 +425,22 @@ class SparseGpModel:
                    chol_cap=chol_cap, mean_weights=mean_weights)
 
     def predict_batch(self, xs):
-        """Posterior means and variances at query rows ``xs`` (m, d)."""
+        """Posterior means and variances at query rows ``xs`` (m, d).
+
+        Raises ``ValueError`` if a query is not finite and ``LinAlgError``
+        if a stored factor is singular.
+        """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        kz = _kernel_matrix(self.inducing, xs, self.hyper)
-        u = solve_triangular(self.chol_inducing, kz, lower=True)
+        if not np.isfinite(xs).all():
+            raise ValueError("query rows must be finite")
+        sv = self.hyper.signal_variance
+        kz = _cross_kernel(self._inducing_twice, self._inducing_sq_norms,
+                           *_scale(xs, self._inv_scale), sv)
+        u = _lower_solve(self.chol_inducing, kz)
         means = u.T @ self.mean_weights
-        t = solve_triangular(self.chol_cap, u, lower=True)
-        variances = self.hyper.signal_variance - np.sum(u * u, axis=0) + np.sum(t * t, axis=0)
-        return means, np.maximum(variances, 0.0)
+        t = _lower_solve(self.chol_cap, u)
+        variances = sv - np.add.reduce(u * u, 0) + np.add.reduce(t * t, 0)
+        return means, np.maximum(variances, 0.0, out=variances)
 
 
 def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:

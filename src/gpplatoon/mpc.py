@@ -114,9 +114,9 @@ class FrozenGpTrajectory:
         object.__setattr__(self, "var", v)
         if m.shape != v.shape or m.ndim != 1:
             raise ValueError("mean and var must be equal-length vectors")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ValueError("frozen mean must be finite")
-        if not np.all(np.isfinite(v) & (v >= 0)):
+        if not (np.isfinite(v).all() and (v >= 0).all()):
             raise ValueError("frozen var must be finite and non-negative")
 
     @classmethod
@@ -158,7 +158,7 @@ def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
     uncertainty.
     """
     if isinstance(prev, MpcSolution):
-        pairs = np.vstack([prev.stage_pairs[1:], prev.stage_pairs[-1:]])
+        pairs = np.concatenate((prev.stage_pairs[1:], prev.stage_pairs[-1:]))
         if pairs.shape[0] != horizon:
             raise ValueError("previous solution horizon does not match")
     elif isinstance(prev, PlatoonState):

@@ -272,7 +272,11 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
 
     All vehicles start at rest; the leader sits at 0 with each follower and
     the HV placed ``spacing_factor * av_gap`` behind its predecessor.
-    Controller fallbacks are recorded as events, never aborts.
+    Controller fallbacks are recorded as events, never aborts: a step's
+    event is ``fallback:<status>`` with ``:<row>`` appended when the braking
+    plan violates a row (``fallback:infeasible:hv_gap[9]``). Steps where
+    the plant clamps the HV's velocity record ``hv_velocity_clamped``, and
+    steps where the AVs' velocities are clamped ``av_velocity_clamped``.
     """
     if controller not in ("nominal", "gp"):
         raise ValueError(f"unknown controller {controller!r}")
@@ -316,7 +320,8 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
         v_ref = np.array([profile(t + dt) for dt in horizon_offsets])
         acc0, sol = ctrl.step(state, v_ref)
         if sol.fallback:
-            rec.events.append((k, f"fallback:{sol.status}"))
+            label = f"fallback:{sol.status}"
+            rec.events.append((k, f"{label}:{sol.violated}" if sol.violated else label))
 
         rec.av_pos[:, k] = av_pos
         rec.av_vel[:, k] = av_vel
@@ -329,7 +334,10 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
         rec.gap_bound[k] = float(np.max(sol.gap_bounds))
         rec.sigma_terminal[k] = float(sol.hv_pos_var[-1])
 
+        clamps = plant.clamp_events
         _, pos_increment = plant.advance(av_vel[-1])
+        if plant.clamp_events != clamps:
+            rec.events.append((k, "hv_velocity_clamped"))
         hv_pos += pos_increment
         av_pos = av_pos + spec.step * av_vel
         new_vel = av_vel + spec.step * acc0

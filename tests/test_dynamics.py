@@ -150,3 +150,14 @@ def test_gap_params_validation():
                          ("delta_ext", dict(delta=10.0, delta_ext=np.inf))):
         with pytest.raises(ValueError, match=name):
             GapConstraintParams(**kwargs)
+
+
+def test_tightened_gap_matches_scalar_formula():
+    sigmas = np.linspace(0.0, 9.0, 17)
+    for p_def in (0.5, 0.8, 0.95, 0.999):
+        g = GapConstraintParams(delta=10.0, delta_ext=0.7, p_def=p_def)
+        assert g.quantile == normal_quantile(p_def)
+        expected = g.delta + g.delta_ext + normal_quantile(p_def) * np.sqrt(sigmas)
+        np.testing.assert_array_equal(tightened_min_gap(g, sigmas), expected)
+        assert tightened_min_gap(g, 2.5) == float(
+            g.delta + g.delta_ext + normal_quantile(p_def) * np.sqrt(2.5))

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.stats import norm
 
 from gpplatoon import gp as gp_module
@@ -442,6 +443,78 @@ def test_model_roundtrip_sparse(tmp_path):
     q = rng.normal(size=(5, 2))
     np.testing.assert_array_equal(sparse.predict_batch(q)[0], loaded.predict_batch(q)[0])
     np.testing.assert_array_equal(sparse.predict_batch(q)[1], loaded.predict_batch(q)[1])
+
+
+def _two_solve_reference(model, xs):
+    """FIC prediction from the stored fields by two ``solve_triangular`` calls."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    kz = gp_module._kernel_matrix(model.inducing, xs, model.hyper)
+    u = solve_triangular(model.chol_inducing, kz, lower=True)
+    t = solve_triangular(model.chol_cap, u, lower=True)
+    variances = model.hyper.signal_variance - np.sum(u * u, axis=0) + np.sum(t * t, axis=0)
+    return u.T @ model.mean_weights, np.maximum(variances, 0.0)
+
+
+def test_sparse_predict_matches_two_solve_reference(tmp_path):
+    rng = np.random.default_rng(41)
+    sparse = build_sparse(_random_model(rng, n=40), m=12, seed=3)
+    path = tmp_path / "sparse.txt"
+    save_model(sparse, path)
+    loaded = load_model(path)
+    for _ in range(20):
+        q = rng.uniform(-4, 4, size=(rng.integers(1, 25), 2))
+        predictions = [model.predict_batch(q) for model in (sparse, loaded)]
+        for model, (mean, var) in zip((sparse, loaded), predictions):
+            ref_mean, ref_var = _two_solve_reference(model, q)
+            np.testing.assert_array_equal(mean, ref_mean)
+            np.testing.assert_array_equal(var, ref_var)
+        np.testing.assert_array_equal(predictions[0][0], predictions[1][0])
+        np.testing.assert_array_equal(predictions[0][1], predictions[1][1])
+
+
+def test_sparse_predict_single_row_and_vector_agree():
+    rng = np.random.default_rng(43)
+    sparse = build_sparse(_random_model(rng, n=30), m=8, seed=0)
+    q = rng.uniform(-4, 4, size=(6, 2))
+    batch_mean, batch_var = sparse.predict_batch(q)
+    for i, x in enumerate(q):
+        mean, var = sparse.predict_batch(x)
+        assert mean.shape == var.shape == (1,)
+        row_mean, row_var = sparse.predict_batch(x[None, :])
+        np.testing.assert_array_equal(mean, row_mean)
+        np.testing.assert_array_equal(var, row_var)
+        ref_mean, ref_var = _two_solve_reference(sparse, x)
+        np.testing.assert_array_equal(mean, ref_mean)
+        np.testing.assert_array_equal(var, ref_var)
+        assert mean[0] == pytest.approx(batch_mean[i], rel=1e-12, abs=1e-15)
+        assert var[0] == pytest.approx(batch_var[i], rel=1e-12, abs=1e-15)
+
+
+def test_sparse_predict_rejects_non_finite_queries():
+    rng = np.random.default_rng(47)
+    sparse = build_sparse(_random_model(rng, n=20), m=5, seed=0)
+    q = rng.uniform(-2, 2, size=(4, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        edited = q.copy()
+        edited[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sparse.predict_batch(edited)
+        with pytest.raises(ValueError, match="finite"):
+            sparse.predict_batch([0.5, bad])
+
+
+def test_sparse_model_rejects_bad_stored_factors():
+    rng = np.random.default_rng(53)
+    sparse = build_sparse(_random_model(rng, n=20), m=5, seed=0)
+    q = rng.uniform(-2, 2, size=(3, 2))
+    for name in ("chol_inducing", "chol_cap"):
+        singular = getattr(sparse, name).copy()
+        singular[2, 2] = 0.0
+        model = dataclasses.replace(sparse, **{name: singular})
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            model.predict_batch(q)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(sparse, **{name: np.full_like(singular, np.nan)})
 
 
 def _edited_model_file(tmp_path, model, key, value):

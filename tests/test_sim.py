@@ -1,7 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel, load_dataset_csv
+from gpplatoon.gp import (
+    Dataset,
+    KernelHyper,
+    SparseGpModel,
+    load_dataset_csv,
+    load_model,
+    save_model,
+)
 from gpplatoon.hv import ArxParams, N_LAGS, arx_step, load_trace_csv
 from gpplatoon.mpc import MpcConfig
 from gpplatoon.sim import (
@@ -289,3 +298,39 @@ def test_gp_controller_requires_model():
     spec = make_scenario("rest", duration=1.0)
     with pytest.raises(ValueError):
         run_closed_loop(spec, controller="gp")
+
+
+def test_events_name_violated_row_and_hv_clamps():
+    spec = make_scenario("emergency", duration=20.0, noise=True, seed=1,
+                         plant_noise_std=0.02)
+    result = run_closed_loop(spec, controller="nominal")
+    fallbacks = {k: e for k, e in result.events if e.startswith("fallback")}
+    assert set(fallbacks) == {k for k, s in enumerate(result.status) if s != "optimal"}
+    labelled = 0
+    for k, event in fallbacks.items():
+        _, status, *row = event.split(":")
+        assert status == result.status[k]
+        if row:
+            assert re.fullmatch(r"(av_gap|v_max|v_min|acc_max|acc_min)\[\d+,\d+\]"
+                                r"|hv_gap\[\d+\]", row[0])
+            labelled += 1
+    assert labelled > 0
+    # the HV clamps on exactly the steps after which its velocity sits at a bound
+    clamped = [k for k, e in result.events if e == "hv_velocity_clamped"]
+    assert clamped
+    assert len(set(clamped)) == len(clamped)
+    at_bound = (result.hv_vel[1:] == 0.0) | (result.hv_vel[1:] == spec.cfg.v_max)
+    assert set(clamped) - {result.time.size - 1} == set(np.flatnonzero(at_bound))
+
+
+def test_loaded_gp_model_runs_the_same_closed_loop(control_fit, tmp_path):
+    path = tmp_path / "sparse.txt"
+    save_model(control_fit.sparse, path)
+    loaded = load_model(path)
+    spec = make_scenario("emergency", duration=5.0, noise=True, seed=2)
+    a = run_closed_loop(spec, controller="gp", gp_model=control_fit.sparse)
+    b = run_closed_loop(spec, controller="gp", gp_model=loaded)
+    for name in ("av_pos", "av_vel", "av_acc", "hv_pos", "hv_vel", "gap_bound",
+                 "sigma_terminal"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.status == b.status and a.events == b.events
