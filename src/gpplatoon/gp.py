@@ -427,8 +427,10 @@ class SparseGpModel:
     def predict_batch(self, xs):
         """Posterior means and variances at query rows ``xs`` (m, d).
 
-        Raises ``ValueError`` if a query is not finite and ``LinAlgError``
-        if a stored factor is singular.
+        Raises ``ValueError`` if a query or the kernel at the queries is
+        not finite (a query so large that its squared distance overflows,
+        or non-finite inducing inputs), and ``LinAlgError`` if a stored
+        factor is singular.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if not np.isfinite(xs).all():
@@ -436,6 +438,8 @@ class SparseGpModel:
         sv = self.hyper.signal_variance
         kz = _cross_kernel(self._inducing_twice, self._inducing_sq_norms,
                            *_scale(xs, self._inv_scale), sv)
+        if not np.isfinite(kz).all():
+            raise ValueError("kernel at the query rows must be finite")
         u = _lower_solve(self.chol_inducing, kz)
         means = u.T @ self.mean_weights
         t = _lower_solve(self.chol_cap, u)

@@ -18,16 +18,14 @@ If the hint was the optimal active set, the solve is one linear system.
 As in Goldfarb and Idnani's method, the iteration works in the fixed basis
 J = L^-T of the cost factor P = L L^T: with the active rows mapped to
 y = G J, each step solves a system of the active-set size rather than the
-bordered KKT system. J is kept for the 16 read-only P used most recently,
-so programs sharing a read-only cost matrix (the MPC's, built once per
-configuration) factor it once, also when several configurations take
-turns; a writable P is factored on every call.
+bordered KKT system. J is kept for the last read-only P, so a sequence of
+programs sharing one read-only cost matrix (the MPC's, built once per
+configuration) factors it once; a writable P is factored on every call.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,28 +134,24 @@ def _chol_or_jitter(p: np.ndarray) -> np.ndarray:
             raise ValueError("cost matrix is not positive semidefinite") from None
 
 
-# (P, J) of the read-only cost matrices factored most recently, keyed by
-# id(P), oldest first; holding P keeps its id from being reused. As many
-# slots as the MPC's structure cache has configurations.
-_factors: OrderedDict[int, tuple] = OrderedDict()
-_FACTOR_SLOTS = 16
+# (P, J) of the last read-only cost matrix factored, read and replaced whole
+_last_factor: tuple = (None, None)
 
 
 def _inverse_factor(p: np.ndarray) -> np.ndarray:
     """J = L^-T with P = L L^T, so P^-1 = J J^T.
 
-    The factor of a read-only ``p`` is kept and reused while the same array
-    object comes back; a writable ``p`` is factored every call.
+    The factor of a read-only ``p`` is kept and reused while the next call
+    passes the same array object; a writable ``p`` is factored every call.
     """
-    if not p.flags.writeable and id(p) in _factors:
-        _factors.move_to_end(id(p))
-        return _factors[id(p)][1]
+    global _last_factor
+    cached_p, cached_j = _last_factor
+    if cached_p is p and not p.flags.writeable:
+        return cached_j
     chol = _chol_or_jitter(p)
     j = np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
     if not p.flags.writeable:
-        _factors[id(p)] = (p, j)
-        if len(_factors) > _FACTOR_SLOTS:
-            _factors.popitem(last=False)
+        _last_factor = (p, j)
     return j
 
 

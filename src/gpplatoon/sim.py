@@ -161,7 +161,7 @@ class HvPlant:
         self.clean = np.full(N_LAGS, float(v0))
         self.v_hat = np.full(N_LAGS, float(v0))
         self.va = np.full(N_LAGS, float(v0))
-        self.clamp_events = 0
+        self.clamped = False
 
     @property
     def velocity(self) -> float:
@@ -175,7 +175,11 @@ class HvPlant:
         )
 
     def advance(self, va_current: float):
-        """One plant step; returns (next realized velocity, position increment)."""
+        """One plant step; returns (next realized velocity, position increment).
+
+        ``clamped`` tells afterwards whether this step clamped the velocity
+        to [0, v_cap].
+        """
         pos_increment = self.step_size * self.v_hat[0]
         av_lags = np.concatenate([[va_current], self.va[: N_LAGS - 1]])
         nxt = arx_step(self.arx, self.clean, av_lags)
@@ -192,8 +196,7 @@ class HvPlant:
         realized = nxt + eps
         clamped = min(max(realized, 0.0), self.v_cap) if self.v_cap is not None \
             else max(realized, 0.0)
-        if clamped != realized:
-            self.clamp_events += 1
+        self.clamped = clamped != realized
         self.v_hat = np.concatenate([[clamped], self.v_hat[: N_LAGS - 1]])
         self.va = av_lags
         return clamped, pos_increment
@@ -334,9 +337,8 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
         rec.gap_bound[k] = float(np.max(sol.gap_bounds))
         rec.sigma_terminal[k] = float(sol.hv_pos_var[-1])
 
-        clamps = plant.clamp_events
         _, pos_increment = plant.advance(av_vel[-1])
-        if plant.clamp_events != clamps:
+        if plant.clamped:
             rec.events.append((k, "hv_velocity_clamped"))
         hv_pos += pos_increment
         av_pos = av_pos + spec.step * av_vel

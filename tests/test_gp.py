@@ -503,6 +503,24 @@ def test_sparse_predict_rejects_non_finite_queries():
             sparse.predict_batch([0.5, bad])
 
 
+def test_sparse_predict_rejects_non_finite_kernel():
+    """A finite query far from the data reverts to the prior, one whose
+    squared distance overflows raises, and so do non-finite inducing
+    inputs, which construction does not check."""
+    rng = np.random.default_rng(49)
+    sparse = build_sparse(_random_model(rng, n=20), m=5, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (mean,), (var,) = sparse.predict_batch([1e200, -1e200])
+        assert mean == 0.0
+        assert var == sparse.hyper.signal_variance
+        with pytest.raises(ValueError, match="kernel at the query rows must be finite"):
+            sparse.predict_batch([1e308, 1e308])
+        inducing = sparse.inducing.copy()
+        inducing[1, 0] = np.nan
+        with pytest.raises(ValueError, match="kernel at the query rows must be finite"):
+            dataclasses.replace(sparse, inducing=inducing).predict_batch([0.5, 0.5])
+
+
 def test_sparse_model_rejects_bad_stored_factors():
     rng = np.random.default_rng(53)
     sparse = build_sparse(_random_model(rng, n=20), m=5, seed=0)

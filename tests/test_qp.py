@@ -344,36 +344,3 @@ def test_read_only_cost_matrix_reuses_factor():
     writable *= 2.0
     second = solve_qp(qp)
     np.testing.assert_allclose(second.x, 0.5 * first.x, rtol=0, atol=1e-12)
-
-
-def test_alternating_read_only_cost_matrices_factor_once_each(monkeypatch):
-    """Two read-only P taking turns keep both factors; a writable P is
-    factored on every solve."""
-    calls = []
-    factor = qp_module._chol_or_jitter
-
-    def counting(p):
-        calls.append(p)
-        return factor(p)
-
-    monkeypatch.setattr(qp_module, "_chol_or_jitter", counting)
-    rng = np.random.default_rng(5)
-    n = 6
-    fixed = []
-    for _ in range(2):
-        a = rng.normal(size=(n, n))
-        p = a.T @ a + n * np.eye(n)
-        p.flags.writeable = False
-        fixed.append(p)
-    g = rng.normal(size=(4, n))
-    h = rng.uniform(0.5, 1.0, size=4)
-    for k in range(10):
-        qp = QuadraticProgram(cost_matrix=fixed[k % 2], cost_vector=rng.normal(size=n),
-                              ineq_matrix=g, ineq_vector=h)
-        assert solve_qp(qp).status == "optimal"
-    assert len(calls) == 2
-    assert calls[0] is fixed[0] and calls[1] is fixed[1]
-    writable = fixed[0].copy()
-    for _ in range(3):
-        solve_qp(QuadraticProgram(cost_matrix=writable, cost_vector=np.ones(n)))
-    assert len(calls) == 5

@@ -186,9 +186,11 @@ def test_plant_velocity_clamped_at_zero():
     arx = ArxParams.default()
     plant = HvPlant(mode="truth", arx=arx, correction=lambda vh, va: -5.0,
                     step=0.1, v0=0.2)
+    assert not plant.clamped
     for _ in range(20):
         v, _ = plant.advance(0.0)
         assert v >= 0.0
+        assert plant.clamped == (v == 0.0)
 
 
 # ---------------------------------------------------------------------------
