@@ -11,9 +11,9 @@ HV velocity and position maps, the maps from the state to the cost vector
 and to the HV chain's constant part, and the matrices that decode a plan.
 The HV chain is :func:`gpplatoon.hv.arx_step` applied to linear maps, and P
 and G are Kronecker products of one AV's blocks with the platoon coupling.
-P and G are read-only and shared by every QP of that pair, so
-:func:`gpplatoon.qp.solve_qp` reuses its factor of P, and a control step
-only forms the vectors q, h and the gap bounds. Each step decodes one plan:
+They sit in one template :class:`~gpplatoon.qp.QuadraticProgram`, which
+checks them and factors P once, and a control step only forms the vectors
+q, h and the gap bounds for it. Each step decodes one plan:
 the QP's solution, or maximum braking when the solve fails.
 """
 
@@ -177,12 +177,12 @@ class _QpStructure:
     The decision vector stacks AV accelerations block by block (AV j holds
     entries j*N..j*N+N-1). Every array is read-only and shared by all the
     :class:`CondensedQp` built from the same ``(cfg, arx)``; a control step
-    only forms vectors from them.
+    only forms vectors from them. ``qp`` is the template program: P, its
+    factor and G, with zero vectors.
     """
 
     cfg: MpcConfig
-    cost_matrix: np.ndarray     # P (nd, nd)
-    ineq_matrix: np.ndarray     # G (rows, nd)
+    qp: QuadraticProgram        # P (nd, nd) and G (rows, nd)
     hv_lin: np.ndarray          # (N, nd), HV velocity chain in x
     mu_lin: np.ndarray          # (N+1, nd), t * cumsum(hv_lin)
     hv_state: np.ndarray        # (N, 9), (history.hv, history.av, v0[last]) -> hv_const
@@ -209,7 +209,7 @@ class _QpStructure:
                 j, k = divmod(i, n)
                 return f"{name}[{k}]" if first is None else f"{name}[{j + first},{k}]"
             i -= count * n
-        raise IndexError(f"row {row} outside the {self.ineq_matrix.shape[0]} rows")
+        raise IndexError(f"row {row} outside the {self.qp.ineq_vector.size} rows")
 
 
 def _position_map(n: int) -> np.ndarray:
@@ -281,13 +281,13 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     g_mat[box + 3 * nd + diag, diag] = -1.0
     h_acc = np.concatenate([np.full(nd, cfg.acc_max), np.full(nd, -cfg.acc_min)])
 
-    arrays = dict(cost_matrix=p_cost, ineq_matrix=g_mat, hv_lin=hv_lin, mu_lin=mu_lin,
-                  hv_state=hv[N_LAGS:, :ns], lead_q=lead_q, follow_q=follow_q,
-                  h_acc=h_acc, s_mat=s_mat, w_mat=w_mat, stages=np.arange(1, n + 1),
-                  t_pos=np.arange(2, n + 2) * t)
-    for arr in arrays.values():
+    arrays = dict(hv_lin=hv_lin, mu_lin=mu_lin, hv_state=hv[N_LAGS:, :ns], lead_q=lead_q,
+                  follow_q=follow_q, h_acc=h_acc, s_mat=s_mat, w_mat=w_mat,
+                  stages=np.arange(1, n + 1), t_pos=np.arange(2, n + 2) * t)
+    for arr in (g_mat, *arrays.values()):
         arr.flags.writeable = False
-    return _QpStructure(cfg=cfg, **arrays)
+    qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]))
+    return _QpStructure(cfg=cfg, qp=qp, **arrays)
 
 
 @dataclass(frozen=True)
@@ -330,8 +330,8 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     constraining them adds no control authority and an unavoidable
     millimetre incursion there would falsely mark the program infeasible.
 
-    The cost and constraint matrices come from the structure cached per
-    ``(cfg, arx)``; this call forms only the vectors of the measured state.
+    The cost and constraint matrices come from the template program cached
+    per ``(cfg, arx)``; this call forms only the vectors of the measured state.
     """
     arx = arx or ArxParams.default()
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
@@ -374,10 +374,9 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
         st.h_acc,
     ])
 
-    qp = QuadraticProgram(cost_matrix=st.cost_matrix, cost_vector=q_cost,
-                          ineq_matrix=st.ineq_matrix, ineq_vector=h_vec)
-    return CondensedQp(qp=qp, v0=v0, p0=p0, hv_const=hv_const, mu_const=mu_const,
-                       sigma=sigma, gap_bounds=bounds, cost_const=c0, structure=st)
+    return CondensedQp(qp=st.qp.with_vectors(q_cost, h_vec), v0=v0, p0=p0,
+                       hv_const=hv_const, mu_const=mu_const, sigma=sigma, gap_bounds=bounds,
+                       cost_const=c0, structure=st)
 
 
 class PlatoonController:

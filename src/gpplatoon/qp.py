@@ -18,64 +18,73 @@ If the hint was the optimal active set, the solve is one linear system.
 As in Goldfarb and Idnani's method, the iteration works in the fixed basis
 J = L^-T of the cost factor P = L L^T: with the active rows mapped to
 y = G J, each step solves a system of the active-set size rather than the
-bordered KKT system. J is kept for the last read-only P, so a sequence of
-programs sharing one read-only cost matrix (the MPC's, built once per
-configuration) factors it once; a writable P is factored on every call.
+bordered KKT system. Each :class:`QuadraticProgram` owns a read-only copy
+of P and its J, checked and factored once when it is built;
+:meth:`QuadraticProgram.with_vectors` gives programs that share them (the
+MPC's, one template per configuration), so P is factored once per template.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 
-# the last read-only cost matrix found symmetric; it cannot have changed since
-_last_symmetric: np.ndarray | None = None
-
-
-def _check_symmetric(p: np.ndarray) -> None:
-    """Raise unless max|P - P'| <= 1e-10 (NaN fails); a read-only ``p`` that
-    passed on the previous check is not checked again."""
-    global _last_symmetric
-    if p is _last_symmetric and not p.flags.writeable:
-        return
-    # in place: a second n x n temporary costs more than the check itself
-    asym = p - p.T
-    if p.size and not np.abs(asym, out=asym).max() <= 1e-10:
-        raise ValueError("cost matrix must be symmetric")
-    if not p.flags.writeable:
-        _last_symmetric = p
-
-
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Dense QP data: symmetric PSD cost and optional inequalities."""
+    """Dense QP data: symmetric PSD cost and optional inequalities.
+
+    Construction checks every input and keeps a read-only copy of P with its
+    factor, so a bad P raises ``ValueError`` here and later edits of the
+    caller's array do not reach the program.
+    """
 
     cost_matrix: np.ndarray
     cost_vector: np.ndarray
     ineq_matrix: np.ndarray = None
     ineq_vector: np.ndarray = None
+    inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)  # J = L^-T
+    p_scale: float = field(init=False, repr=False, compare=False)  # mean diagonal of P
 
     def __post_init__(self):
-        p = np.atleast_2d(np.asarray(self.cost_matrix, dtype=float))
-        q = np.atleast_1d(np.asarray(self.cost_vector, dtype=float))
-        n = q.size
-        if p.shape != (n, n):
-            raise ValueError(f"cost matrix shape {p.shape} does not match vector size {n}")
-        _check_symmetric(p)
+        p = np.array(self.cost_matrix, dtype=float, ndmin=2)
+        p.flags.writeable = False
+        n = p.shape[0]
+        if not n or p.shape != (n, n):
+            raise ValueError(f"cost matrix shape {p.shape} is not square and non-empty")
+        # in place: a second n x n temporary costs more than the check itself
+        asym = p - p.T
+        if not np.abs(asym, out=asym).max() <= 1e-10:
+            raise ValueError("cost matrix must be finite and symmetric")
         g = np.zeros((0, n)) if self.ineq_matrix is None else np.atleast_2d(
             np.asarray(self.ineq_matrix, dtype=float))
-        h = np.zeros(0) if self.ineq_vector is None else np.atleast_1d(
-            np.asarray(self.ineq_vector, dtype=float))
-        if g.shape != (h.size, n):
-            raise ValueError(f"inequality block shapes inconsistent: {g.shape} vs {h.size}")
+        if g.shape[1:] != (n,) or not np.isfinite(g).all():
+            raise ValueError(f"ineq_matrix must be finite with {n} columns, got {g.shape}")
         object.__setattr__(self, "cost_matrix", p)
-        object.__setattr__(self, "cost_vector", q)
         object.__setattr__(self, "ineq_matrix", g)
-        object.__setattr__(self, "ineq_vector", h)
+        object.__setattr__(self, "inverse_factor", _inverse_factor(p))
+        object.__setattr__(self, "p_scale", max(float(np.trace(p)) / n, 1e-12))
+        self._set_vectors(self.cost_vector,
+                          np.zeros(0) if self.ineq_vector is None else self.ineq_vector)
+
+    def _set_vectors(self, q, h) -> None:
+        for name, a, size in (("cost_vector", q, self.n),
+                              ("ineq_vector", h, self.ineq_matrix.shape[0])):
+            a = np.atleast_1d(np.asarray(a, dtype=float))
+            if a.shape != (size,) or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite with shape ({size},), got {a.shape}")
+            object.__setattr__(self, name, a)
+
+    def with_vectors(self, cost_vector, ineq_vector) -> QuadraticProgram:
+        """This program with q and h replaced; P, its factor and G are shared
+        and only the two vectors are checked."""
+        qp = copy.copy(self)
+        qp._set_vectors(cost_vector, ineq_vector)
+        return qp
 
     # always empty; kept only because the benchmark's KKT check reads them
     @property
@@ -88,7 +97,7 @@ class QuadraticProgram:
 
     @property
     def n(self) -> int:
-        return self.cost_vector.size
+        return self.cost_matrix.shape[0]
 
     def objective(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -134,25 +143,10 @@ def _chol_or_jitter(p: np.ndarray) -> np.ndarray:
             raise ValueError("cost matrix is not positive semidefinite") from None
 
 
-# (P, J) of the last read-only cost matrix factored, read and replaced whole
-_last_factor: tuple = (None, None)
-
-
 def _inverse_factor(p: np.ndarray) -> np.ndarray:
-    """J = L^-T with P = L L^T, so P^-1 = J J^T.
-
-    The factor of a read-only ``p`` is kept and reused while the next call
-    passes the same array object; a writable ``p`` is factored every call.
-    """
-    global _last_factor
-    cached_p, cached_j = _last_factor
-    if cached_p is p and not p.flags.writeable:
-        return cached_j
+    """J = L^-T with P = L L^T, so P^-1 = J J^T."""
     chol = _chol_or_jitter(p)
-    j = np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
-    if not p.flags.writeable:
-        _last_factor = (p, j)
-    return j
+    return np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
 
 
 class _DualActiveSet:
@@ -163,16 +157,16 @@ class _DualActiveSet:
     of the active-set size instead of the bordered KKT system.
     """
 
-    def __init__(self, p, q, j):
-        self.j = j
-        self.n = q.size
-        self.w = -(q @ j)
+    def __init__(self, qp: QuadraticProgram):
+        self.j = j = qp.inverse_factor
+        self.n = qp.n
+        self.w = -(qp.cost_vector @ j)
         self.x = j @ self.w
         self.ids: list[int] = []
         self.u = np.zeros(0)
         self.y = np.zeros((0, self.n))  # active normals times J
         self.iterations = 0
-        self.p_scale = max(float(np.trace(p)) / self.n, 1e-12)
+        self.p_scale = qp.p_scale
 
     def hot_start(self, g, h, hint) -> None:
         """Make the hinted rows tight, dropping the row with the most negative
@@ -278,7 +272,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
     if max_iter is None:
         max_iter = max(200, 10 * (qp.n + mi))
 
-    state = _DualActiveSet(qp.cost_matrix, qp.cost_vector, _inverse_factor(qp.cost_matrix))
+    state = _DualActiveSet(qp)
     if active_hint is not None:
         state.hot_start(g, h, active_hint)
 

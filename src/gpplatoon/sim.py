@@ -108,6 +108,13 @@ class ScenarioSpec:
     plant_noise_std: float = 0.0005
 
     def __post_init__(self):
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
+        if not math.isfinite(self.spacing_factor):
+            raise ValueError(f"spacing_factor must be finite, got {self.spacing_factor!r}")
+        if not (math.isfinite(self.plant_noise_std) and self.plant_noise_std >= 0):
+            raise ValueError("plant_noise_std must be finite and non-negative, "
+                             f"got {self.plant_noise_std!r}")
         steps = self.duration / self.step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integral number of steps")

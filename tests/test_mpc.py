@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpplatoon import mpc
+from gpplatoon import qp as qp_module
 from gpplatoon.dynamics import (
     AvState,
     av_step,
@@ -397,6 +398,27 @@ def test_structure_cache_hit_bit_identical_to_miss():
     for a, b, c in zip(miss, hit, rebuilt):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+
+def test_alternating_configs_factor_each_cost_matrix_once(monkeypatch):
+    """Two controllers with different configs stepped in turn factor their
+    P once each, when their template programs are built."""
+    shapes = []
+    factor = qp_module._chol_or_jitter
+
+    def counting(p):
+        shapes.append(p.shape)
+        return factor(p)
+
+    monkeypatch.setattr(qp_module, "_chol_or_jitter", counting)
+    mpc._structure.cache_clear()
+    ctrls = [PlatoonController(MpcConfig(horizon=h), mode="nominal") for h in (8, 9)]
+    state = _state(v=5.0)
+    for k in range(10):
+        ctrl = ctrls[k % 2]
+        _, sol = ctrl.step(state, np.full(ctrl.cfg.horizon, 6.0))
+        assert sol.status == "optimal"
+    assert shapes == [(16, 16), (18, 18)]
 
 
 def test_fallback_names_violated_row():

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from gpplatoon import qp as qp_module
 from gpplatoon.qp import QuadraticProgram, solve_qp
 
 
@@ -247,7 +246,7 @@ def test_symmetry_check_rejects_nan_and_asymmetry():
         QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
 
 
-def test_symmetry_check_skips_only_the_last_read_only_matrix():
+def test_symmetry_checked_on_every_construction():
     good = np.eye(3)
     asym = np.eye(3)
     asym[0, 1] = 1e-9
@@ -257,23 +256,83 @@ def test_symmetry_check_skips_only_the_last_read_only_matrix():
         p.flags.writeable = False
     for _ in range(2):
         QuadraticProgram(cost_matrix=good, cost_vector=np.zeros(3))
-        assert qp_module._last_symmetric is good
         # a read-only matrix raises on its first use and on every use after
         for bad in (asym, nan):
             with pytest.raises(ValueError):
                 QuadraticProgram(cost_matrix=bad, cost_vector=np.zeros(3))
-        assert qp_module._last_symmetric is good
     # a writable matrix is checked on every use, also after it passed once
     p = np.eye(3)
     QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
     p[0, 1] = 1.0
     with pytest.raises(ValueError):
         QuadraticProgram(cost_matrix=p, cost_vector=np.zeros(3))
-    # so is the last checked read-only matrix once it is made writable again
-    good.flags.writeable = True
-    good[1, 0] = np.nan
-    with pytest.raises(ValueError):
-        QuadraticProgram(cost_matrix=good, cost_vector=np.zeros(3))
+    # so is a read-only view whose writable base is edited after it passed
+    base = np.eye(3)
+    view = base.view()
+    view.flags.writeable = False
+    QuadraticProgram(cost_matrix=view, cost_vector=np.zeros(3))
+    base[0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadraticProgram(cost_matrix=view, cost_vector=np.zeros(3))
+
+
+@pytest.mark.parametrize("alias", ["view_of_edited_base", "owner_made_writable"])
+def test_edited_read_only_cost_matrix_gets_the_new_solution(alias):
+    """P = 2I edited to 4I between two programs on the same read-only array:
+    the second program is factored afresh and solves to -q / 4."""
+    base = 2.0 * np.eye(2)
+    p = base.view() if alias == "view_of_edited_base" else base
+    p.flags.writeable = False
+    q = np.array([-2.0, -2.0])
+    first = solve_qp(QuadraticProgram(cost_matrix=p, cost_vector=q))
+    if alias == "owner_made_writable":
+        base.flags.writeable = True
+    base *= 2.0
+    p.flags.writeable = False
+    second = solve_qp(QuadraticProgram(cost_matrix=p, cost_vector=q))
+    assert first.status == second.status == "optimal"
+    np.testing.assert_allclose(first.x, [1.0, 1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(second.x, [0.5, 0.5], rtol=0, atol=1e-12)
+
+
+def test_program_keeps_its_own_cost_matrix():
+    p = 2.0 * np.eye(2)
+    qp = QuadraticProgram(cost_matrix=p, cost_vector=[-2.0, -2.0],
+                          ineq_matrix=[[1.0, 0.0]], ineq_vector=[3.0])
+    assert qp.cost_matrix is not p and not qp.cost_matrix.flags.writeable
+    p *= 2.0
+    p[0, 1] = 5.0
+    sol = solve_qp(qp)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.x, [1.0, 1.0], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(qp.cost_matrix, 2.0 * np.eye(2))
+
+
+def test_non_psd_cost_matrix_rejected_when_built():
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        QuadraticProgram(cost_matrix=np.diag([1.0, -1.0]), cost_vector=np.zeros(2))
+
+
+@pytest.mark.parametrize("field, via", [
+    ("cost_vector", "constructor"), ("ineq_matrix", "constructor"),
+    ("ineq_vector", "constructor"), ("cost_vector", "with_vectors"),
+    ("ineq_vector", "with_vectors")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_rejected_naming_the_field(field, via, bad):
+    data = dict(cost_matrix=2.0 * np.eye(2), cost_vector=np.array([-2.0, 1.0]),
+                ineq_matrix=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                ineq_vector=np.array([0.5, 1.0]))
+    data[field] = data[field].copy()
+    data[field].flat[0] = bad
+    with pytest.raises(ValueError, match=field):
+        if via == "constructor":
+            QuadraticProgram(**data)
+        else:
+            template = QuadraticProgram(cost_matrix=data["cost_matrix"],
+                                        cost_vector=np.zeros(2),
+                                        ineq_matrix=data["ineq_matrix"],
+                                        ineq_vector=np.zeros(2))
+            template.with_vectors(data["cost_vector"], data["ineq_vector"])
 
 
 def _full_product_kkt_residual(qp, sol):
@@ -308,39 +367,46 @@ def test_hinted_residual_matches_full_products(n, m, seed):
     assert hits >= 15
 
 
-def test_read_only_cost_matrix_reuses_factor():
-    """Solves sharing one read-only P (cached factor) match the same QPs on
-    writable copies (factored every call), cold and hinted, also when two
-    read-only matrices take turns and a writable one changes in place."""
+def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
+    """Programs from two templates taking turns share each template's P, J
+    and G, and their cold and hinted solves match programs built afresh on
+    copies of the same data, bit for bit."""
     rng = np.random.default_rng(17)
     n, m = 8, 10
-    fixed = []
+    g = rng.normal(size=(m, n))
+    templates = []
     for _ in range(2):
         a = rng.normal(size=(n, n))
-        p = a.T @ a + n * np.eye(n)
-        p.flags.writeable = False
-        fixed.append(p)
-    g = rng.normal(size=(m, n))
+        templates.append(QuadraticProgram(cost_matrix=a.T @ a + n * np.eye(n),
+                                          cost_vector=np.zeros(n), ineq_matrix=g,
+                                          ineq_vector=np.zeros(m)))
     prev = None
     for k in range(12):
-        p = fixed[k % 3 == 2]
+        template = templates[k % 3 == 2]
         q = rng.normal(size=n) * 2.0
         h = g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
-        shared = QuadraticProgram(cost_matrix=p, cost_vector=q, ineq_matrix=g,
-                                  ineq_vector=h)
-        assert shared.cost_matrix is p
-        own = QuadraticProgram(cost_matrix=p.copy(), cost_vector=q, ineq_matrix=g,
-                               ineq_vector=h)
+        shared = template.with_vectors(q, h)
+        for name in ("cost_matrix", "inverse_factor", "ineq_matrix", "p_scale"):
+            assert getattr(shared, name) is getattr(template, name)
+        fresh = QuadraticProgram(cost_matrix=template.cost_matrix.copy(), cost_vector=q,
+                                 ineq_matrix=g.copy(), ineq_vector=h)
+        for name in ("cost_matrix", "cost_vector", "ineq_matrix", "ineq_vector",
+                     "inverse_factor", "p_scale"):
+            np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
         hint = None if prev is None else prev.active
-        a_sol = solve_qp(shared, active_hint=hint)
-        b_sol = solve_qp(own, active_hint=hint)
-        assert a_sol.status == b_sol.status == "optimal"
-        assert a_sol.iterations == b_sol.iterations
-        np.testing.assert_allclose(a_sol.x, b_sol.x, rtol=0, atol=1e-12)
+        for kw in ({}, {"active_hint": hint}):
+            a_sol = solve_qp(shared, **kw)
+            b_sol = solve_qp(fresh, **kw)
+            assert a_sol.status == b_sol.status == "optimal"
+            assert a_sol.iterations == b_sol.iterations
+            assert a_sol.active == b_sol.active
+            np.testing.assert_array_equal(a_sol.x, b_sol.x)
+            np.testing.assert_array_equal(a_sol.ineq_multipliers, b_sol.ineq_multipliers)
         prev = a_sol
-    writable = fixed[0].copy()
-    qp = QuadraticProgram(cost_matrix=writable, cost_vector=np.ones(n))
-    first = solve_qp(qp)
-    writable *= 2.0
-    second = solve_qp(qp)
-    np.testing.assert_allclose(second.x, 0.5 * first.x, rtol=0, atol=1e-12)
+    # the template is left as it was
+    np.testing.assert_array_equal(templates[0].cost_vector, np.zeros(n))
+    np.testing.assert_array_equal(templates[0].ineq_vector, np.zeros(m))
+    for q, h in ((np.zeros(n - 1), np.zeros(m)), (np.zeros(n), np.zeros(m + 1)),
+                 (np.zeros((n, 1)), np.zeros(m)), (np.zeros(n), np.zeros((m, 2)))):
+        with pytest.raises(ValueError, match="shape"):
+            templates[0].with_vectors(q, h)

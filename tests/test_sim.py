@@ -284,6 +284,15 @@ def test_scenario_validation():
         ScenarioSpec(name="x", duration=1.0, spacing_factor=0.9)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("duration", -1.0), ("duration", 0.0), ("duration", np.nan), ("duration", np.inf),
+    ("spacing_factor", np.nan), ("spacing_factor", np.inf),
+    ("plant_noise_std", np.nan), ("plant_noise_std", np.inf), ("plant_noise_std", -0.1)])
+def test_scenario_rejects_bad_number(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_scenario("emergency", **{name: value})
+
+
 def test_scenario_profile_follows_its_name():
     assert make_scenario("emergency").profile() is emergency_brake_profile
     assert make_scenario("realtime").profile() is realtime_brake_profile
