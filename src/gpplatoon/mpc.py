@@ -424,7 +424,7 @@ class PlatoonController:
             self.fallback_count += 1
             # the solver names the row it could not add (often an acceleration
             # bound); the braking plan names the constraint given up
-            excess = cd.qp.ineq_matrix @ x - cd.qp.ineq_vector
+            excess = cd.qp.ineq_excess(x)
             worst = int(np.argmax(excess))
             if excess[worst] > 0:
                 violated = cd.structure.row_label(worst)
@@ -434,7 +434,7 @@ class PlatoonController:
                           stage_pairs=_stage_pairs(state, hv_vel, av_vel[-1], cfg.horizon),
                           status=res.status, iterations=res.iterations,
                           solve_time=res.solve_time,
-                          cost=np.nan if fallback else cd.qp.objective(x) + cd.cost_const,
+                          cost=np.nan if fallback else res.objective + cd.cost_const,
                           active=() if fallback else res.active, fallback=fallback,
                           violated=violated)
         self.prev_solution = None if fallback else sol

@@ -19,19 +19,43 @@ As in Goldfarb and Idnani's method, the iteration works in the fixed basis
 J = L^-T of the cost factor P = L L^T: with the active rows mapped to
 y = G J, each step solves a system of the active-set size rather than the
 bordered KKT system. Each :class:`QuadraticProgram` owns a read-only copy
-of P and its J, checked and factored once when it is built;
-:meth:`QuadraticProgram.with_vectors` gives programs that share them (the
-MPC's, one template per configuration), so P is factored once per template.
+of P and its J, checked and factored once when it is built, and a
+read-only CSR copy of G; :meth:`QuadraticProgram.with_vectors` gives
+programs that share them (the MPC's, one template per configuration), so P
+is factored once per template.
+
+Every product of G with x over all its rows, G x - h, goes through
+:meth:`QuadraticProgram.ineq_excess` and so through the CSR copy: the MPC's
+G is about 5% nonzeros, so the violation scan that starts each iteration
+costs a fraction of a dense product (about 28 against 200 us for the
+1600 x 320 G of ``n_av=8, N=40`` on one BLAS thread). The rows y of the
+active set, their Gram matrix y y^T and the multipliers live in buffers
+that grow by doubling; an entering row adds one Gram row, a dropped row
+shifts slices, and each solve with y y^T is one LAPACK ``dposv``. G J
+itself is not stored: at 1600 x 320 it would add 4 MB per template to save
+one n x n product per entering row and one k x n x n product per hint.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dposv
+
+# An entering row is dependent on the active rows when the part of it
+# outside their span, |d - y^T r|^2, is below this share of |d|^2.
+_RANK_TOL = 1e-12
+
+
+def _feasibility_tol(level) -> float:
+    """Violation up to which a row with right-hand side ``level`` holds."""
+    return 1e-10 * (1.0 + abs(level))
 
 
 @dataclass(frozen=True)
@@ -39,8 +63,8 @@ class QuadraticProgram:
     """Dense QP data: symmetric PSD cost and optional inequalities.
 
     Construction checks every input and keeps a read-only copy of P with its
-    factor, so a bad P raises ``ValueError`` here and later edits of the
-    caller's array do not reach the program.
+    factor and a read-only CSR copy of G, so a bad P raises ``ValueError``
+    here and later edits of the caller's arrays do not reach the program.
     """
 
     cost_matrix: np.ndarray
@@ -48,7 +72,7 @@ class QuadraticProgram:
     ineq_matrix: np.ndarray = None
     ineq_vector: np.ndarray = None
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)  # J = L^-T
-    p_scale: float = field(init=False, repr=False, compare=False)  # mean diagonal of P
+    ineq_sparse: sparse.csr_array = field(init=False, repr=False, compare=False)  # G as CSR
 
     def __post_init__(self):
         p = np.array(self.cost_matrix, dtype=float, ndmin=2)
@@ -66,8 +90,11 @@ class QuadraticProgram:
             raise ValueError(f"ineq_matrix must be finite with {n} columns, got {g.shape}")
         object.__setattr__(self, "cost_matrix", p)
         object.__setattr__(self, "ineq_matrix", g)
+        g_csr = sparse.csr_array(g)
+        for a in (g_csr.data, g_csr.indices, g_csr.indptr):
+            a.flags.writeable = False
+        object.__setattr__(self, "ineq_sparse", g_csr)
         object.__setattr__(self, "inverse_factor", _inverse_factor(p))
-        object.__setattr__(self, "p_scale", max(float(np.trace(p)) / n, 1e-12))
         self._set_vectors(self.cost_vector,
                           np.zeros(0) if self.ineq_vector is None else self.ineq_vector)
 
@@ -80,8 +107,8 @@ class QuadraticProgram:
             object.__setattr__(self, name, a)
 
     def with_vectors(self, cost_vector, ineq_vector) -> QuadraticProgram:
-        """This program with q and h replaced; P, its factor and G are shared
-        and only the two vectors are checked."""
+        """This program with q and h replaced; P, its factor and G (dense and
+        CSR) are shared and only the two vectors are checked."""
         qp = copy.copy(self)
         qp._set_vectors(cost_vector, ineq_vector)
         return qp
@@ -103,12 +130,13 @@ class QuadraticProgram:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.cost_matrix @ x + self.cost_vector @ x)
 
+    def ineq_excess(self, x) -> np.ndarray:
+        """G x - h through the CSR copy of G; positive entries are violated."""
+        return self.ineq_sparse @ np.asarray(x, dtype=float) - self.ineq_vector
+
     def max_violation(self, x) -> float:
         """Largest constraint violation at ``x`` (0 when feasible)."""
-        if not self.ineq_vector.size:
-            return 0.0
-        x = np.asarray(x, dtype=float)
-        return max(0.0, float(np.max(self.ineq_matrix @ x - self.ineq_vector)))
+        return max(0.0, float(np.max(self.ineq_excess(x), initial=0.0)))
 
 
 @dataclass
@@ -121,6 +149,7 @@ class QpSolution:
     ineq_multipliers: np.ndarray
     active: tuple
     kkt_residual: float
+    objective: float  # 0.5 x'Px + q'x at x
     most_violated: int | None = None  # inequality row index
     solve_time: float = 0.0
 
@@ -154,104 +183,173 @@ class _DualActiveSet:
 
     Works in the fixed basis J = L^-T of the cost factor: it keeps the rows
     ``-G[i] @ J`` of the active constraints, so each step solves a system
-    of the active-set size instead of the bordered KKT system.
+    of the active-set size instead of the bordered KKT system. Those rows
+    ``y``, their Gram matrix ``y y^T`` and the multipliers ``u`` sit in the
+    first ``k`` rows of buffers that start at 16 rows and double when full:
+    an entering row writes one Gram row and column (its products with the
+    active rows are the dual step's right-hand side anyway), a dropped row
+    shifts the slices after it, and each solve is one ``dposv``. A row is
+    admitted only if its part outside the active rows' span is not
+    negligible (``_RANK_TOL``), so the kept rows have full row rank and
+    ``y y^T`` stays positive definite.
     """
 
     def __init__(self, qp: QuadraticProgram):
+        self.g, self.h = qp.ineq_matrix, qp.ineq_vector
         self.j = j = qp.inverse_factor
         self.n = qp.n
         self.w = -(qp.cost_vector @ j)
         self.x = j @ self.w
         self.ids: list[int] = []
-        self.u = np.zeros(0)
-        self.y = np.zeros((0, self.n))  # active normals times J
+        self.k = 0
+        self.y = np.empty((16, self.n))  # active normals times J
+        self.gram = np.empty((16, 16))   # y y^T
+        self.u = np.empty(16)            # multipliers
         self.iterations = 0
-        self.p_scale = qp.p_scale
 
-    def hot_start(self, g, h, hint) -> None:
+    def _reserve(self, k: int) -> None:
+        """Room for ``k`` active rows, doubling the buffers as needed."""
+        cap = self.u.size
+        if k <= cap:
+            return
+        while cap < k:
+            cap *= 2
+        m = self.k
+        y, gram, u = np.empty((cap, self.n)), np.empty((cap, cap)), np.empty(cap)
+        y[:m], gram[:m, :m], u[:m] = self.y[:m], self.gram[:m, :m], self.u[:m]
+        self.y, self.gram, self.u = y, gram, u
+
+    def _push(self, cid: int, d, yd, u_new: float) -> None:
+        """Append row ``d`` (``yd`` its products with the active rows)."""
+        k = self.k
+        self._reserve(k + 1)
+        self.y[k] = d
+        self.gram[k, :k] = self.gram[:k, k] = yd
+        self.gram[k, k] = d @ d
+        self.u[k] = u_new
+        self.ids.append(cid)
+        self.k = k + 1
+
+    def _drop(self, pos: int) -> None:
+        """Remove the active row at position ``pos``."""
+        k = self.k
+        self.y[pos:k - 1] = self.y[pos + 1:k]
+        self.u[pos:k - 1] = self.u[pos + 1:k]
+        self.gram[pos:k - 1, :k] = self.gram[pos + 1:k, :k]
+        self.gram[:k - 1, pos:k - 1] = self.gram[:k - 1, pos + 1:k]
+        del self.ids[pos]
+        self.k = k - 1
+
+    def _retighten(self) -> None:
+        """Move x back onto its active rows along their span (the metric of
+        P), undoing the drift the primal steps leave in their tightness."""
+        k = self.k
+        if k:
+            ids = self.ids
+            _, c, info = dposv(self.gram[:k, :k], self.g[ids] @ self.x - self.h[ids])
+            if not info:
+                self.x = self.x + self.j @ (c @ self.y[:k])
+
+    def hot_start(self, hint) -> None:
         """Make the hinted rows tight, dropping the row with the most negative
-        multiplier until none is negative; keep the empty set if the kept
-        rows are dependent (not tight at the resulting x). Each active set
-        tried counts as an iteration, an empty one too.
+        multiplier until none is negative. A hinted row that depends on the
+        rows before it (its Cholesky pivot of y y^T is negligible) is dropped
+        first, so the kept rows have full rank and are tight at the new x.
+        Each active set tried counts as an iteration, an empty one too.
 
-        With P^-1 = J J^T and y = G_a J, the multipliers solve
-        (y y^T) mu = y w - h_a and x = J (w - y^T mu).
+        With P^-1 = J J^T and a = G_a J = -y, the multipliers solve
+        (a a^T) mu = a w - h_a and x = J (w - a^T mu); ``u`` holds the
+        right-hand side until then.
         """
+        g, h = self.g, self.h
         idx = sorted({int(i) for i in hint if 0 <= int(i) < h.size})
-        g_act, h_act = g[idx], h[idx]
-        y = g_act @ self.j
+        if idx:
+            k = len(idx)
+            self._reserve(k)
+            y = self.y[:k]
+            np.matmul(g[idx], self.j, out=y)
+            self.gram[:k, :k] = y @ y.T
+            np.subtract(y @ self.w, h[idx], out=self.u[:k])
+            np.negative(y, out=y)
+            self.ids, self.k = idx, k
         while True:
             self.iterations += 1
-            if not idx:
+            k = self.k
+            if not k:
                 return  # the empty set: x is already the unconstrained minimum
-            try:
-                mu = np.linalg.solve(y @ y.T, y @ self.w - h_act)
-            except np.linalg.LinAlgError:
-                return
-            drop = int(np.argmin(mu))
+            gram = self.gram[:k, :k]
+            chol, mu, info = dposv(gram, self.u[:k])
+            if not info:
+                low = chol.diagonal() ** 2 <= _RANK_TOL * gram.diagonal()
+                info = int(low.argmax()) + 1 if low.any() else 0
+            if info:  # row info - 1 depends on the rows before it
+                self._drop(info - 1)
+                continue
+            drop = int(mu.argmin())
             if mu[drop] >= -1e-9:
                 break
-            del idx[drop]
-            g_act, h_act, y = (np.delete(a, drop, axis=0) for a in (g_act, h_act, y))
-        x = self.j @ (self.w - mu @ y)
-        if float(np.max(np.abs(g_act @ x - h_act))) > 1e-9 * (1.0 + float(np.max(np.abs(h_act)))):
-            return
-        self.x = x
-        self.ids = idx
-        self.u = np.maximum(mu, 0.0)
-        self.y = -y
+            self._drop(drop)
+        self.x = self.j @ (self.w + mu @ self.y[:k])
+        self.u[:k] = np.maximum(mu, 0.0)
 
-    def _saddle(self, d):
-        """Primal step z and dual step r for a normal with J^T normal = d."""
-        if not self.ids:
-            return self.j @ d, np.zeros(0)
-        try:
-            r = np.linalg.solve(self.y @ self.y.T, self.y @ d)
-        except np.linalg.LinAlgError:
-            r, *_ = np.linalg.lstsq(self.y.T, d, rcond=None)
-            return np.zeros(self.n), r
-        return self.j @ (d - r @ self.y), r
+    def enter(self, cid: int, max_iter: int) -> str:
+        """Drive row ``cid`` (npl'x >= level with npl = -G[cid]) to
+        tightness; returns a status.
 
-    def enter(self, cid, npl, level, max_iter):
-        """Drive constraint npl'x >= level to tightness; returns a status."""
+        Primal step z = J (d - y^T r) with d = J^T npl and the dual step r
+        solving (y y^T) r = y d. If d is (numerically) in the span of the
+        active rows, z is zero: the step is dual only and ends by dropping
+        the blocking row. If none blocks, npl = r'(active normals) with
+        r <= 0, so every feasible x has npl'x <= r'(their levels): a level
+        above that certifies infeasibility (Farkas). Otherwise the row holds
+        wherever the active rows are tight, and its violation is drift in x
+        (an equality written as two opposite rows shows it), so x is moved
+        back onto the active rows.
+        """
+        npl, level = -self.g[cid], -self.h[cid]
         d = npl @ self.j
+        d_norm2 = d @ d
         slack = float(npl @ self.x) - level
         u_plus = 0.0
         while True:
             self.iterations += 1
             if self.iterations > max_iter:
                 return "max_iter"
-            z, r = self._saddle(d)
-            ztn = float(z @ npl)
-            z_zero = ztn <= 1e-12 * (1.0 + float(npl @ npl)) / self.p_scale
+            k = self.k
+            y, u = self.y[:k], self.u[:k]
+            yd = y @ d
             t1 = np.inf
-            block = -1
-            for pos in range(len(self.ids)):
-                if r[pos] > 1e-13:
-                    ratio = max(self.u[pos], 0.0) / r[pos]
-                    if ratio < t1 - 1e-15:
-                        t1, block = ratio, pos
-            t2 = np.inf if z_zero else -slack / ztn
+            if k:
+                _, r, info = dposv(self.gram[:k, :k], yd)
+                if info:
+                    return "max_iter"  # y y^T lost definiteness to rounding
+                v = d - r @ y
+                ratio = np.divide(np.maximum(u, 0.0), r, out=np.full(k, np.inf), where=r > 1e-13)
+                block = int(ratio.argmin())
+                t1 = ratio[block]
+            else:
+                r, v = yd, d
+            z = self.j @ v
+            z_zero = v @ v <= _RANK_TOL * d_norm2
+            t2 = np.inf if z_zero else -slack / float(z @ npl)
             t = min(t1, t2)
-            if not np.isfinite(t):
-                return "infeasible"
-            if len(self.ids):
-                self.u = self.u - t * r
-            u_plus += t
-            if not z_zero and t2 <= t1:
-                self.x = self.x + t * z
-                self.ids.append(cid)
-                self.u = np.append(self.u, u_plus)
-                self.y = np.vstack([self.y, d])
+            if not math.isfinite(t):
+                if level + r @ self.h[self.ids] > _feasibility_tol(level):
+                    return "infeasible"
+                self._retighten()
+                if float(npl @ self.x) - level < -_feasibility_tol(level):
+                    return "max_iter"  # drift that moving x back did not undo
                 return "ok"
-            if block < 0:
-                return "infeasible"
+            if k:
+                u -= t * r
+            u_plus += t
             if not z_zero:
                 self.x = self.x + t * z
+                if t2 <= t1:
+                    self._push(cid, d, yd, u_plus)
+                    return "ok"
                 slack = float(npl @ self.x) - level
-            del self.ids[block]
-            self.u = np.delete(self.u, block)
-            self.y = np.delete(self.y, block, axis=0)
+            self._drop(block)
 
 
 def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = None,
@@ -274,37 +372,39 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
 
     state = _DualActiveSet(qp)
     if active_hint is not None:
-        state.hot_start(g, h, active_hint)
+        state.hot_start(active_hint)
 
-    def finish(status, gx=None, most=None):
+    def finish(status, excess=None, most=None):
         x = state.x
-        if gx is None:
-            gx = g @ x
-        act = np.array(state.ids, dtype=int)
+        if excess is None:
+            excess = qp.ineq_excess(x)
+        act = state.ids
+        u = np.maximum(state.u[:state.k], 0.0)
         mu = np.zeros(mi)
-        mu[act] = np.maximum(state.u, 0.0)
+        mu[act] = u
         # mu is zero outside the active rows, so G^T mu needs only those
-        grad = qp.cost_matrix @ x + qp.cost_vector + mu[act] @ g[act]
-        slack = h - gx
-        res = float(max(np.max(np.abs(grad), initial=0.0), np.max(-slack, initial=0.0),
-                        np.max(np.abs(mu * slack), initial=0.0)))
+        px = qp.cost_matrix @ x
+        grad = px + qp.cost_vector + u @ g[act]
+        res = float(max(np.abs(grad).max(initial=0.0), excess.max(initial=0.0),
+                        np.abs(u * excess[act]).max(initial=0.0)))
         if status == "optimal" and res > tol:
             status = "max_iter"
         if status == "max_iter" and mi:
-            worst = int(np.argmin(slack))
-            most = worst if slack[worst] < 0 else None
+            worst = int(excess.argmax())
+            most = worst if excess[worst] > 0 else None
         return QpSolution(x=x, status=status, iterations=max(state.iterations, 1),
-                          ineq_multipliers=mu, active=tuple(sorted(state.ids)),
-                          kkt_residual=res, most_violated=most,
-                          solve_time=time.perf_counter() - t0)
+                          ineq_multipliers=mu, active=tuple(sorted(act)), kkt_residual=res,
+                          objective=float(0.5 * x @ px + qp.cost_vector @ x),
+                          most_violated=most, solve_time=time.perf_counter() - t0)
 
     while True:
         # one product with G serves the violation scan and the residual
-        gx = g @ state.x
-        viol = gx - h
-        worst = int(np.argmax(viol)) if mi else None
-        if worst is None or viol[worst] <= 1e-10 * (1.0 + abs(h[worst])):
-            return finish("optimal", gx)
-        outcome = state.enter(worst, -g[worst], -h[worst], max_iter)
+        x = state.x
+        viol = qp.ineq_excess(x)
+        worst = int(viol.argmax()) if mi else None
+        if worst is None or viol[worst] <= _feasibility_tol(h[worst]):
+            return finish("optimal", viol)
+        outcome = state.enter(worst, max_iter)
         if outcome != "ok":
-            return finish(outcome, most=worst)
+            # enter rebinds x whenever it moves it, so the scan may still hold
+            return finish(outcome, viol if state.x is x else None, most=worst)

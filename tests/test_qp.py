@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gpplatoon.qp import QuadraticProgram, solve_qp
 
@@ -369,8 +370,9 @@ def test_hinted_residual_matches_full_products(n, m, seed):
 
 def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
     """Programs from two templates taking turns share each template's P, J
-    and G, and their cold and hinted solves match programs built afresh on
-    copies of the same data, bit for bit."""
+    and G (dense and the read-only CSR copy), and their cold and hinted
+    solves match programs built afresh on copies of the same data, bit for
+    bit."""
     rng = np.random.default_rng(17)
     n, m = 8, 10
     g = rng.normal(size=(m, n))
@@ -386,12 +388,16 @@ def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
         q = rng.normal(size=n) * 2.0
         h = g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
         shared = template.with_vectors(q, h)
-        for name in ("cost_matrix", "inverse_factor", "ineq_matrix", "p_scale"):
+        for name in ("cost_matrix", "inverse_factor", "ineq_matrix", "ineq_sparse"):
             assert getattr(shared, name) is getattr(template, name)
+        g_csr = shared.ineq_sparse
+        for a in (g_csr.data, g_csr.indices, g_csr.indptr):
+            assert not a.flags.writeable
+        np.testing.assert_array_equal(g_csr.toarray(), g)
         fresh = QuadraticProgram(cost_matrix=template.cost_matrix.copy(), cost_vector=q,
                                  ineq_matrix=g.copy(), ineq_vector=h)
         for name in ("cost_matrix", "cost_vector", "ineq_matrix", "ineq_vector",
-                     "inverse_factor", "p_scale"):
+                     "inverse_factor"):
             np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
         hint = None if prev is None else prev.active
         for kw in ({}, {"active_hint": hint}):
@@ -410,3 +416,95 @@ def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
                  (np.zeros((n, 1)), np.zeros(m)), (np.zeros(n), np.zeros((m, 2)))):
         with pytest.raises(ValueError, match="shape"):
             templates[0].with_vectors(q, h)
+
+
+def _program_with_known_optimum(rng, n, m, n_active):
+    """A strictly convex program whose optimum x*, active rows and
+    multipliers are fixed by construction: rows ``act`` are tight at x*
+    with multipliers in [0.5, 2], the others hold with slack in [0.1, 1]."""
+    a = rng.normal(size=(n, n))
+    p = a.T @ a + n * np.eye(n)
+    g = rng.normal(size=(m, n))
+    x_opt = rng.normal(size=n)
+    act = np.sort(rng.choice(m, size=n_active, replace=False))
+    h = g @ x_opt + rng.uniform(0.1, 1.0, size=m)
+    h[act] = g[act] @ x_opt
+    mu = np.zeros(m)
+    mu[act] = rng.uniform(0.5, 2.0, size=n_active)
+    q = -p @ x_opt - g.T @ mu
+    return QuadraticProgram(p, q, g, h), x_opt, tuple(act), mu
+
+
+@pytest.mark.parametrize("n_active", [17, 24, 35])
+def test_active_sets_larger_than_the_initial_buffer(n_active):
+    """Cold solves that end with 17 to 35 active rows (the buffers start at
+    16 and double), and hints of that size, reach the constructed optimum
+    with its multipliers."""
+    rng = np.random.default_rng(n_active)
+    for _ in range(3):
+        qp, x_opt, act, mu = _program_with_known_optimum(rng, 40, 90, n_active)
+        extra = tuple(i for i in range(90) if i not in act)[:5]
+        for hint in (None, act, act + extra, act[::-1] + act):
+            sol = solve_qp(qp, tol=1e-8, active_hint=hint)
+            assert sol.status == "optimal"
+            assert sol.active == act
+            np.testing.assert_allclose(sol.x, x_opt, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sol.ineq_multipliers, mu, rtol=0, atol=1e-8)
+            assert _full_product_kkt_residual(qp, sol) <= 1e-8
+            assert sol.objective == pytest.approx(qp.objective(sol.x), rel=1e-12, abs=1e-12)
+        assert solve_qp(qp).iterations >= n_active
+        assert solve_qp(qp, active_hint=act).iterations == 1
+
+
+def _with_dependent_rows(rng, n, m):
+    """A random program plus rows that depend on its own: duplicates,
+    negations (two-sided bands, some empty) and sums of two rows whose
+    right-hand side is shifted either way. Half of the cost matrices have
+    eigenvalues spread over 1e-3..1e3, so J^T G's rows are far from G's
+    scale."""
+    base = _random_feasible_qp(rng, n, m)
+    g, h = base.ineq_matrix, base.ineq_vector
+    p = base.cost_matrix
+    if rng.random() < 0.5:
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        p = (basis * np.logspace(-3, 3, n)) @ basis.T
+        p = 0.5 * (p + p.T)
+    rows, rhs = [g], [h]
+    for _ in range(int(rng.integers(2, 6))):
+        i, j = (int(v) for v in rng.choice(m, size=2, replace=False))
+        kind = int(rng.integers(3))
+        shift = float(rng.choice([-0.5, 0.0, 0.5]))
+        if kind == 0:
+            rows.append(g[i]), rhs.append(h[i] + abs(shift))
+        elif kind == 1:
+            rows.append(-g[i]), rhs.append(-h[i] + shift)
+        else:
+            rows.append(2.0 * g[i] - g[j]), rhs.append(2.0 * h[i] - h[j] + shift)
+    return QuadraticProgram(p, base.cost_vector, np.vstack(rows),
+                            np.hstack([np.atleast_1d(r) for r in rhs]))
+
+
+def test_dependent_and_duplicate_rows_agree_with_linprog():
+    """With dependent rows the solver's verdict matches LP feasibility, and
+    the rows it keeps active are linearly independent, from cold and hinted
+    starts alike."""
+    rng = np.random.default_rng(23)
+    verdicts = set()
+    for _ in range(150):
+        n = int(rng.integers(2, 7))
+        qp = _with_dependent_rows(rng, n, int(rng.integers(2, 2 * n + 2)))
+        g, h = qp.ineq_matrix, qp.ineq_vector
+        lp = linprog(np.zeros(qp.n), A_ub=g, b_ub=h, bounds=[(None, None)] * qp.n,
+                     method="highs")
+        assert lp.status in (0, 2)
+        feasible = lp.status == 0
+        m = h.size
+        for hint in (None, tuple(range(m)), (m - 1, m - 2)):
+            sol = solve_qp(qp, active_hint=hint)
+            assert sol.status == ("optimal" if feasible else "infeasible"), hint
+            if sol.active:
+                assert np.linalg.matrix_rank(g[list(sol.active)]) == len(sol.active)
+            if feasible:
+                assert _full_product_kkt_residual(qp, sol) <= 1e-6
+        verdicts.add(feasible)
+    assert verdicts == {True, False}

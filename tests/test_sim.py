@@ -12,6 +12,8 @@ from gpplatoon.gp import (
     save_model,
 )
 from gpplatoon.hv import ArxParams, N_LAGS, arx_step, load_trace_csv
+from gpplatoon import mpc
+from gpplatoon import qp as qp_module
 from gpplatoon.mpc import MpcConfig
 from gpplatoon.sim import (
     HvPlant,
@@ -345,3 +347,33 @@ def test_loaded_gp_model_runs_the_same_closed_loop(control_fit, tmp_path):
                  "sigma_terminal"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.status == b.status and a.events == b.events
+
+
+def test_nominal_closed_loop_at_n_av_8_horizon_80(monkeypatch):
+    """A short nominal loop on 640 variables and 3200 rows, whose active
+    sets (57 rows at step 0, then 50 to 56 from hints) outgrow the solver's
+    16-row buffers twice: every step solves to optimality, with a KKT
+    residual that stays small when taken with full dense products."""
+    residuals, sizes = [], []
+
+    def recording(qp, **kwargs):
+        sol = qp_module.solve_qp(qp, **kwargs)
+        g, mu = qp.ineq_matrix, sol.ineq_multipliers
+        slack = qp.ineq_vector - g @ sol.x
+        grad = qp.cost_matrix @ sol.x + qp.cost_vector + g.T @ mu
+        residuals.append(float(max(np.max(np.abs(grad)), np.max(-slack), np.max(-mu),
+                                   np.max(np.abs(mu * slack)))))
+        sizes.append(len(sol.active))
+        return sol
+
+    monkeypatch.setattr(mpc, "solve_qp", recording)
+    cfg = MpcConfig(n_av=8, horizon=80)
+    try:
+        res = run_closed_loop(make_scenario("emergency", cfg=cfg, duration=1.0, seed=1),
+                              controller="nominal")
+    finally:
+        mpc._structure.cache_clear()  # its G alone is 16 MB
+    assert list(res.status) == ["optimal"] * 10
+    assert res.iterations[0] >= 50
+    assert len(residuals) == 10 and max(residuals) <= 1e-6
+    assert min(sizes) > 32
