@@ -67,7 +67,10 @@ def tightened_min_gap(params: GapConstraintParams, sigma):
     is a float) or an array of them (one bound per entry).
     """
     s = np.asarray(sigma, dtype=float)
-    if np.any(s < 0):
+    if (s < 0).any():
         raise ValueError(f"sigma must be non-negative, got {sigma}")
-    bound = params.delta + params.delta_ext + params.quantile * np.sqrt(s)
+    # in place, so each control step's call allocates one array, not three
+    bound = np.sqrt(s)
+    bound *= params.quantile
+    bound += params.delta + params.delta_ext
     return float(bound) if s.ndim == 0 else bound

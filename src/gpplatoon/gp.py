@@ -169,11 +169,16 @@ def _kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: KernelHyper) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _factorize(k: np.ndarray, data: Dataset, hyper: KernelHyper):
+def _factorize(k: np.ndarray, data: Dataset, hyper: KernelHyper, out=None):
     """Cholesky factor of (K + (noise+jitter) I) for the training kernel
-    matrix ``k``, and the weight vector."""
+    matrix ``k``, and the weight vector. The factor is formed in ``out``, a
+    Fortran-ordered n x n buffer, when one is given."""
     # Fortran order lets LAPACK factor the copy in place
-    c = k.copy(order="F")
+    if out is None:
+        c = k.copy(order="F")
+    else:
+        c = out
+        c[...] = k
     c[np.diag_indices_from(c)] += hyper.noise_variance + JITTER
     try:
         chol = cholesky(c, lower=True, overwrite_a=True)
@@ -188,7 +193,24 @@ def _factorize(k: np.ndarray, data: Dataset, hyper: KernelHyper):
     return chol, alpha
 
 
-def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
+class _LmlWorkspace:
+    """What the likelihood evaluations of one fit share: the stack of
+    squared input differences D_d, one (n, n) slice per dimension, and
+    reusable n x n buffers for K (C order) and C (Fortran order, so LAPACK
+    factors and inverts it in place)."""
+
+    def __init__(self, inputs: np.ndarray):
+        # contiguous per dimension: broadcasting over the strided x.T is 4x slower
+        xt = np.ascontiguousarray(inputs.T)
+        self.sqd = xt[:, :, None] - xt[:, None, :]
+        self.sqd *= self.sqd
+        n = inputs.shape[0]
+        self.k = np.empty((n, n))
+        self.c = np.empty((n, n), order="F")
+
+
+def log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
+                            workspace: _LmlWorkspace | None = None):
     """Log marginal likelihood and its gradient over log-hyperparameters.
 
     Returns ``(value, grad)`` where ``grad`` is ordered as
@@ -212,18 +234,21 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyper):
 
         0.5  sum(M * K)       = sum(W) + 0.5 signal_variance tr(C^-1)
         0.25 sum(M * K * D_d) = 0.5 sum(W * D_d)
+
+    ``workspace`` holds D_d and the n x n buffers; a fit passes one built
+    for ``data`` to all its evaluations, and without it they are built here.
     """
     n = data.n
-    # D_d for every dimension, shared by K and the length-scale terms
-    # (contiguous per dimension: broadcasting over the strided x.T is 4x slower)
-    xt = np.ascontiguousarray(data.inputs.T)
-    sqd = xt[:, :, None] - xt[:, None, :]
-    sqd *= sqd
-    k = np.tensordot(1.0 / hyper.length_scales, sqd, axes=1)
+    ws = workspace if workspace is not None else _LmlWorkspace(data.inputs)
+    # D_d for every dimension, shared by K and the length-scale terms; K is
+    # the product np.tensordot forms, written into the workspace
+    sqd, k = ws.sqd, ws.k
+    np.dot((1.0 / hyper.length_scales)[None, :], sqd.reshape(sqd.shape[0], -1),
+           out=k.reshape(1, -1))
     k *= -0.5
     np.exp(k, out=k)
     k *= hyper.signal_variance
-    chol, alpha = _factorize(k, data, hyper)
+    chol, alpha = _factorize(k, data, hyper, out=ws.c)
     value = (
         -0.5 * float(data.targets @ alpha)
         - float(np.sum(np.log(np.diag(chol))))
@@ -288,10 +313,13 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
 
     theta0 = init.to_log_vector()
     best = {"nll": np.inf, "theta": theta0}
+    # shared by this fit's evaluations only
+    workspace = _LmlWorkspace(data.inputs)
 
     def objective(theta):
         try:
-            value, grad = log_marginal_likelihood(data, KernelHyper.from_log_vector(theta))
+            value, grad = log_marginal_likelihood(data, KernelHyper.from_log_vector(theta),
+                                                  workspace=workspace)
         except IllConditionedKernelError:
             return 1e12, np.zeros_like(theta)
         if -value < best["nll"]:
@@ -310,6 +338,8 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
         bounds=list(zip(lo, hi)),
         options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-12},
     )
+    # free the buffers before the model's own n x n arrays are built
+    del workspace
     return GpModel.from_data(data, KernelHyper.from_log_vector(best["theta"]))
 
 

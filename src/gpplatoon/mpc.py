@@ -7,14 +7,18 @@ step), so every solve is a convex QP over the stacked AV accelerations.
 
 Everything that does not depend on the measured state is built once per
 ``(cfg, arx)`` and cached: the cost matrix P, the constraint matrix G, the
-HV velocity and position maps, the maps from the state to the cost vector
-and to the HV chain's constant part, and the matrices that decode a plan.
-The HV chain is :func:`gpplatoon.hv.arx_step` applied to linear maps, and P
-and G are Kronecker products of one AV's blocks with the platoon coupling.
-They sit in one template :class:`~gpplatoon.qp.QuadraticProgram`, which
-checks them and factors P once, and a control step only forms the vectors
-q, h and the gap bounds for it. Each step decodes one plan:
-the QP's solution, or maximum braking when the solve fails.
+matrices that decode a plan, and one sparse affine map from the step's
+input vector (the state, the frozen GP terms and the reference) to every
+vector the step needs: q, h without the gap bounds, the HV chain's constant
+part, the position variances and the decode offsets. This is the
+multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
+chain is :func:`gpplatoon.hv.arx_step` applied to linear maps, and P and G
+are Kronecker products of one AV's blocks with the platoon coupling. They
+sit in one template :class:`~gpplatoon.qp.QuadraticProgram`, which checks
+them and factors P once. A control step takes one product with the map,
+subtracts the gap bounds from h and computes the cost constant; it
+decodes one plan, the QP's solution or maximum braking when the solve
+fails, with two more products.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
@@ -119,10 +124,6 @@ class FrozenGpTrajectory:
         if not (np.isfinite(v).all() and (v >= 0).all()):
             raise ValueError("frozen var must be finite and non-negative")
 
-    @classmethod
-    def zeros(cls, horizon: int) -> "FrozenGpTrajectory":
-        return cls(mean=np.zeros(horizon), var=np.zeros(horizon))
-
 
 @dataclass(frozen=True)
 class MpcSolution:
@@ -175,24 +176,48 @@ class _QpStructure:
     """The parts of a condensed horizon that depend only on ``(cfg, arx)``.
 
     The decision vector stacks AV accelerations block by block (AV j holds
-    entries j*N..j*N+N-1). Every array is read-only and shared by all the
-    :class:`CondensedQp` built from the same ``(cfg, arx)``; a control step
-    only forms vectors from them. ``qp`` is the template program: P, its
-    factor and G, with zero vectors.
+    entries j*N..j*N+N-1). ``qp`` is the template program: P, its factor and
+    G, with zero vectors.
+
+    Every state-dependent vector of a step is affine in one input vector
+
+        z = [p0 (n_av), v0 (n_av), hv_pos, hv_pos_var, history.hv (4),
+             history.av (4), frozen mean (N), frozen var (N), v_ref (N), 1]
+
+    (75 entries at ``n_av=2, N=20``, 147 at ``n_av=8, N=40``; a nominal
+    step's frozen terms are ``zero_frozen``). ``terms`` is the sparse map
+    whose product with z stacks, in this order, the rows of
+
+    - ``q_rows``: the cost vector q;
+    - ``h_rows``: the right-hand sides h, before the AV-HV gap bounds are
+      subtracted from their ``gap_rows``;
+    - ``hv_rows``: ``hv_const`` (N), then ``mu_const`` (N+1);
+    - ``av_rows``: per AV, v0 at each stage, then p0 + t v0 k for
+      k = 1..N, the offsets of the decoded velocities and positions;
+    - ``sigma_rows``: the HV position variances of the constrained stages;
+    - ``cost_rows``: weighted residuals whose squared norm is the cost
+      constant.
+
+    Decoding adds ``acc @ av_decode`` and ``hv_decode @ x`` to the offsets.
+    Every array is read-only and shared by all the :class:`CondensedQp`
+    built from the same ``(cfg, arx)``.
     """
 
     cfg: MpcConfig
     qp: QuadraticProgram        # P (nd, nd) and G (rows, nd)
-    hv_lin: np.ndarray          # (N, nd), HV velocity chain in x
-    mu_lin: np.ndarray          # (N+1, nd), t * cumsum(hv_lin)
-    hv_state: np.ndarray        # (N, 9), (history.hv, history.av, v0[last]) -> hv_const
-    lead_q: np.ndarray          # (nd, N+1), leader cost: q += lead_q @ e_lead
-    follow_q: np.ndarray        # (nd, nav-1), follower cost per velocity difference
-    h_acc: np.ndarray           # (2 nav N,), acceleration-box right-hand sides
-    s_mat: np.ndarray           # (N, N), velocities from accelerations
-    w_mat: np.ndarray           # (N, N), positions from accelerations
-    stages: np.ndarray          # 1..N
-    t_pos: np.ndarray           # t * (2..N+1), the constrained position stages
+    terms: sparse.csr_array     # (rows, len(z)), the affine map of a step
+    zero_frozen: np.ndarray     # (N,) zeros, a nominal step's frozen mean and variance
+    q_rows: slice
+    h_rows: slice
+    gap_rows: slice             # the AV-HV gap rows of h, as rows of terms
+    hv_rows: slice
+    av_rows: slice              # (n_av, 2N) row-major
+    sigma_rows: slice
+    cost_rows: slice
+    av_decode: np.ndarray       # (N, 2N), [t S' | t^2 W']: acc -> (velocities, positions)
+    hv_decode: np.ndarray       # (2N+1, nd), [hv_lin; mu_lin]
+    hv_lin: np.ndarray          # (N, nd), HV velocity chain in x, a view of hv_decode
+    mu_lin: np.ndarray          # (N+1, nd), t * cumsum(hv_lin), a view of hv_decode
 
     def row_label(self, row: int) -> str:
         """Name of inequality row ``row``, e.g. ``av_gap[j,k]`` or ``hv_gap[k]``.
@@ -228,6 +253,10 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     of one AV's blocks with the platoon's coupling: S maps accelerations to
     velocities, W to positions, and row j of D is e_{j+1} - e_j, the
     difference between AV j+1 and the AV ahead of it.
+
+    The per-step vectors are written once, in ``step_terms``, as formulas
+    on the rows of a matrix whose rows stand for the entries of z; on the
+    identity they give the map ``terms`` (the same idiom as the HV chain).
     """
     arx = ArxParams(c=np.frombuffer(arx_c), b=np.frombuffer(arx_b))
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
@@ -252,9 +281,14 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     av[N_LAGS:, ns + last:] = t * s_mat[:n - 1]
     for s in range(n):
         hv[N_LAGS + s] = arx_step(arx, hv[s:s + N_LAGS][::-1], av[s:s + N_LAGS][::-1])
-    hv_lin = hv[N_LAGS:, ns:]
-    # HV position mean over stages k+1..k+N+1; stage k+1 is fixed by the state
-    mu_lin = np.vstack([np.zeros(nd), t * np.cumsum(hv_lin, axis=0)])
+    hv_state = hv[N_LAGS:, :ns]
+    # HV velocities k+1..k+N, then the position mean over stages k+1..k+N+1,
+    # whose stage k+1 is fixed by the state
+    hv_decode = np.zeros((2 * n + 1, nd))
+    hv_decode[:n] = hv[N_LAGS:, ns:]
+    np.cumsum(t * hv_decode[:n], axis=0, out=hv_decode[n + 1:])
+    hv_decode.flags.writeable = False
+    hv_lin, mu_lin = hv_decode[:n], hv_decode[n:]
 
     # cost: r |x|^2 + q1 |m_lead x + e_lead|^2 + q2 |m_follow x + dv (x) 1|^2
     # with m_lead = kron(e_0', S_ext) and m_follow = kron(D, S_ext), whose
@@ -279,20 +313,67 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     diag = np.arange(nd)
     g_mat[box + 2 * nd + diag, diag] = 1.0
     g_mat[box + 3 * nd + diag, diag] = -1.0
-    h_acc = np.concatenate([np.full(nd, cfg.acc_max), np.full(nd, -cfg.acc_min)])
 
-    arrays = dict(hv_lin=hv_lin, mu_lin=mu_lin, hv_state=hv[N_LAGS:, :ns], lead_q=lead_q,
-                  follow_q=follow_q, h_acc=h_acc, s_mat=s_mat, w_mat=w_mat,
-                  stages=np.arange(1, n + 1), t_pos=np.arange(2, n + 2) * t)
-    for arr in (g_mat, *arrays.values()):
+    t_pos = t * np.arange(2, n + 2)[:, None]    # the constrained position stages
+    stages = t * np.arange(1, n + 1)[:, None]
+    cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n])
+
+    def step_terms(z):
+        """The stacked per-step vectors, one column per column of ``z``."""
+        p0, v0, hv_pos, hv_var, hist_hv, hist_av, mean, var, ref, one = np.split(z, cuts)
+        m = z.shape[1]
+        hv_const = hv_state @ np.vstack([hist_hv, hist_av, v0[-1:]])
+        # the first mean increment uses the measured velocity and the final
+        # one repeats the last frozen term
+        incr = np.vstack([hv_pos + t * hist_hv[:1] + t * mean[:1],
+                          t * hv_const + t * np.vstack([mean[1:], mean[-1:]])])
+        mu_const = np.cumsum(incr, axis=0)
+        e_lead = np.vstack([v0[:1] - ref, v0[:1] - ref[-1:]])
+        dv = v0[1:] - v0[:-1]
+        q_cost = lead_q @ e_lead + follow_q @ dv
+        h_vec = np.vstack([
+            ((p0[:-1] - p0[1:])[:, None] - t_pos * dv[:, None]
+             - cfg.av_gap * one).reshape(last, m),
+            p0[-1:] + t_pos * v0[-1:] - mu_const[1:],
+            np.repeat(cfg.v_max * one - v0, n, axis=0),
+            np.repeat(v0 - cfg.v_min * one, n, axis=0),
+            np.repeat(cfg.acc_max * one, nd, axis=0),
+            np.repeat(-cfg.acc_min * one, nd, axis=0),
+        ])
+        av_offsets = np.hstack([np.repeat(v0[:, None], n, axis=1),
+                                p0[:, None] + stages * v0[:, None]]).reshape(2 * nd, m)
+        # position variances of the constrained stages k+2..k+N+1; the final
+        # update repeats the last frozen term
+        sigma = (hv_var + t * t * np.cumsum(np.vstack([var, var[-1:]]), axis=0))[1:]
+        # squared norm: the cost constant q1 |e_lead|^2 + q2 (N+1) |dv|^2
+        cost = np.vstack([math.sqrt(cfg.q1) * e_lead, math.sqrt(cfg.q2 * (n + 1)) * dv])
+        return np.vstack([q_cost, h_vec, hv_const, mu_const, av_offsets, sigma, cost])
+
+    terms = sparse.csr_array(step_terms(np.eye(cuts[-1] + 1)))
+    for a in (terms.data, terms.indices, terms.indptr):
+        a.flags.writeable = False
+    rows = np.cumsum([0, nd, g_mat.shape[0], 2 * n + 1, 2 * nd, n, n + nav])
+    q_rows, h_rows, hv_rows, av_rows, sigma_rows, cost_rows = map(slice, rows[:-1], rows[1:])
+    av_decode = np.hstack([t * s_mat.T, t * t * w_mat.T])
+    zero_frozen = np.zeros(n)
+    for arr in (g_mat, av_decode, zero_frozen):
         arr.flags.writeable = False
     qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]))
-    return _QpStructure(cfg=cfg, qp=qp, **arrays)
+    return _QpStructure(cfg=cfg, qp=qp, terms=terms, zero_frozen=zero_frozen, q_rows=q_rows,
+                        h_rows=h_rows, gap_rows=slice(nd + last, nd + last + n),
+                        hv_rows=hv_rows, av_rows=av_rows, sigma_rows=sigma_rows,
+                        cost_rows=cost_rows, av_decode=av_decode, hv_decode=hv_decode,
+                        hv_lin=hv_lin, mu_lin=mu_lin)
 
 
 @dataclass(frozen=True)
 class CondensedQp:
-    """Dense QP plus the state-dependent vectors needed to decode a plan."""
+    """Dense QP plus the state-dependent vectors needed to decode a plan.
+
+    ``terms`` is the step's product of the structure's affine map with its
+    input vector z; q, h, ``hv_const``, ``mu_const`` and ``sigma`` are views
+    of it, and :meth:`decode` reads its offsets.
+    """
 
     qp: QuadraticProgram
     v0: np.ndarray
@@ -303,18 +384,25 @@ class CondensedQp:
     gap_bounds: np.ndarray
     cost_const: float
     structure: _QpStructure = field(repr=False)
+    terms: np.ndarray = field(repr=False)
 
     def decode(self, x: np.ndarray):
-        """Stage trajectories implied by a stacked acceleration vector."""
+        """Stage trajectories implied by a stacked acceleration vector:
+        ``(acc, av_vel, av_pos, hv_vel, hv_pos_mean)``.
+
+        Two products added to this step's offsets: ``acc @ [t S' | t^2 W']``
+        gives the AVs' velocity and position increments, ``[hv_lin; mu_lin]
+        @ x`` the HV's. The AV arrays are views of one array, and so are the
+        HV's.
+        """
         st = self.structure
-        t = st.cfg.step
-        acc = x.reshape(st.cfg.n_av, st.cfg.horizon)
-        av_vel = self.v0[:, None] + t * (st.s_mat @ acc.T).T
-        av_pos = (self.p0[:, None] + np.outer(self.v0, st.stages) * t
-                  + t * t * (st.w_mat @ acc.T).T)
-        hv_vel = self.hv_const + st.hv_lin @ x
-        mu = self.mu_const[:-1] + st.mu_lin[:-1] @ x
-        return acc, av_vel, av_pos, hv_vel, mu
+        n = st.cfg.horizon
+        acc = x.reshape(st.cfg.n_av, n)
+        av = acc @ st.av_decode
+        av += self.terms[st.av_rows].reshape(av.shape)
+        hv = st.hv_decode @ x
+        hv += self.terms[st.hv_rows]
+        return acc, av[:, :n], av[:, n:], hv[:n], hv[n:-1]
 
 
 def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
@@ -331,52 +419,38 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     millimetre incursion there would falsely mark the program infeasible.
 
     The cost and constraint matrices come from the template program cached
-    per ``(cfg, arx)``; this call forms only the vectors of the measured state.
+    per ``(cfg, arx)``. This call checks its inputs, stacks the input vector
+    z (see :class:`_QpStructure`; a nominal step's frozen terms are zero)
+    and takes one sparse product, of which q, h, ``hv_const``, ``mu_const``,
+    ``sigma`` and the decode offsets are slices. Only the gap bounds, which
+    it subtracts from h, and the cost constant are computed apart from it.
     """
     arx = arx or ArxParams.default()
-    n, nav, t = cfg.horizon, cfg.n_av, cfg.step
-    if state.n_av != nav:
-        raise ValueError(f"state has {state.n_av} AVs but config expects {nav}")
-    ref = np.atleast_1d(np.asarray(v_ref, dtype=float))
+    n = cfg.horizon
+    if state.n_av != cfg.n_av:
+        raise ValueError(f"state has {state.n_av} AVs but config expects {cfg.n_av}")
+    ref = np.asarray(v_ref, dtype=float)
     if ref.shape != (n,):
         raise ValueError(f"v_ref must supply {n} stages, got {ref.shape}")
-    fz = frozen if frozen is not None else FrozenGpTrajectory.zeros(n)
-    if fz.mean.size != n:
+    if not np.isfinite(ref).all():
+        raise ValueError("v_ref must be finite")
+    if frozen is not None and frozen.mean.size != n:
         raise ValueError(f"frozen trajectory must supply {n} stages")
     st = _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
     v0, p0 = state.av_vel, state.av_pos
     hist = state.history
-
-    hv_const = st.hv_state @ np.concatenate([hist.hv, hist.av, v0[-1:]])
-    # the first mean increment uses the measured velocity and the final one
-    # repeats the last frozen term
-    incr = np.empty(n + 1)
-    incr[0] = state.hv_pos + t * hist.hv[0] + t * fz.mean[0]
-    incr[1:] = t * hv_const + t * np.append(fz.mean[1:], fz.mean[-1])
-    mu_const = np.cumsum(incr)
-
-    # positions one step ahead are fixed by the measured state, so gap
-    # constraints cover the controllable stages k+2..k+N+1
-    sigma = (state.hv_pos_var + t * t * np.cumsum(np.append(fz.var, fz.var[-1])))[1:]
-    bounds = (tightened_min_gap(cfg.gap, sigma) if frozen is not None
-              else np.full(n, cfg.gap.delta))
-
-    e_lead = np.append(v0[0] - ref, v0[0] - ref[-1])
-    dv = v0[1:] - v0[:-1]
-    q_cost = st.lead_q @ e_lead + st.follow_q @ dv
-    c0 = cfg.q1 * float(e_lead @ e_lead) + cfg.q2 * (n + 1) * float(dv @ dv)
-
-    h_vec = np.concatenate([
-        ((p0[:-1] - p0[1:])[:, None] + st.t_pos * (-dv)[:, None] - cfg.av_gap).ravel(),
-        p0[-1] + st.t_pos * v0[-1] - mu_const[1:] - bounds,
-        np.repeat(cfg.v_max - v0, n),
-        np.repeat(v0 - cfg.v_min, n),
-        st.h_acc,
-    ])
-
-    return CondensedQp(qp=st.qp.with_vectors(q_cost, h_vec), v0=v0, p0=p0,
-                       hv_const=hv_const, mu_const=mu_const, sigma=sigma, gap_bounds=bounds,
-                       cost_const=c0, structure=st)
+    fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
+    out = st.terms @ np.concatenate((p0, v0, (state.hv_pos, state.hv_pos_var), hist.hv,
+                                     hist.av, *fz, ref, (1.0,)))
+    sigma = out[st.sigma_rows]
+    bounds = (np.full(n, cfg.gap.delta) if frozen is None
+              else tightened_min_gap(cfg.gap, sigma))
+    out[st.gap_rows] -= bounds
+    residual = out[st.cost_rows]
+    hv = out[st.hv_rows]
+    return CondensedQp(qp=st.qp.with_vectors(out[st.q_rows], out[st.h_rows]), v0=v0, p0=p0,
+                       hv_const=hv[:n], mu_const=hv[n:], sigma=sigma, gap_bounds=bounds,
+                       cost_const=float(residual @ residual), structure=st, terms=out)
 
 
 class PlatoonController:

@@ -38,7 +38,6 @@ one n x n product per entering row and one k x n x n product per hint.
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -102,14 +101,18 @@ class QuadraticProgram:
         for name, a, size in (("cost_vector", q, self.n),
                               ("ineq_vector", h, self.ineq_matrix.shape[0])):
             a = np.atleast_1d(np.asarray(a, dtype=float))
-            if a.shape != (size,) or not np.isfinite(a).all():
-                raise ValueError(f"{name} must be finite with shape ({size},), got {a.shape}")
+            if a.shape != (size,):
+                raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, a)
 
     def with_vectors(self, cost_vector, ineq_vector) -> QuadraticProgram:
         """This program with q and h replaced; P, its factor and G (dense and
         CSR) are shared and only the two vectors are checked."""
-        qp = copy.copy(self)
+        # a shallow copy of the fields, without copy.copy's generic protocol
+        qp = object.__new__(QuadraticProgram)
+        qp.__dict__.update(self.__dict__)
         qp._set_vectors(cost_vector, ineq_vector)
         return qp
 

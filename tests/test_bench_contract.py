@@ -77,9 +77,9 @@ def test_train_exact_evaluates_through_module_once_per_point(monkeypatch):
     lml = gp.log_marginal_likelihood
     thetas = []
 
-    def counting(data_, hyper):
+    def counting(data_, hyper, **kwargs):
         thetas.append(hyper.to_log_vector())
-        return lml(data_, hyper)
+        return lml(data_, hyper, **kwargs)
 
     monkeypatch.setattr(gp, "log_marginal_likelihood", counting)
     gp.train_exact(data, init)

@@ -212,6 +212,36 @@ def test_train_never_worse_than_init():
     assert v_final >= v_init - 1e-9
 
 
+def test_train_shares_a_workspace_bit_identical_to_fresh_evaluations(monkeypatch):
+    # every evaluation of a fit reuses one D_d stack and its n x n buffers;
+    # dropping them must change no bit of any value, gradient or the result
+    rng = np.random.default_rng(5)
+    x = 20.0 + 1.5 * rng.normal(size=(120, 2))
+    data = Dataset(inputs=x, targets=0.1 * np.sin(x[:, 0]) + 0.01 * rng.normal(size=120))
+    init = KernelHyper(signal_variance=0.5, length_scales=np.array([2.0, 3.0]),
+                       noise_variance=0.05)
+    lml = gp_module.log_marginal_likelihood
+    runs = {True: [], False: []}
+
+    def recording(shared):
+        def evaluate(data_, hyper, **kwargs):
+            assert "workspace" in kwargs
+            value, grad = lml(data_, hyper, **kwargs) if shared else lml(data_, hyper)
+            runs[shared].append(np.concatenate([[value], grad, hyper.to_log_vector()]))
+            return value, grad
+        return evaluate
+
+    fits = {}
+    for shared in (True, False):
+        monkeypatch.setattr(gp_module, "log_marginal_likelihood", recording(shared))
+        fits[shared] = train_exact(data, init)
+    assert len(runs[True]) > 2
+    np.testing.assert_array_equal(np.array(runs[True]), np.array(runs[False]))
+    np.testing.assert_array_equal(fits[True].hyper.to_log_vector(),
+                                  fits[False].hyper.to_log_vector())
+    np.testing.assert_array_equal(fits[True].alpha, fits[False].alpha)
+
+
 def test_train_beats_linear_fit_on_sine():
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 2.0 * np.pi, size=50)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,31 +133,37 @@ def test_cost_at_zero_acceleration_matches_hand_expansion():
     assert cd.qp.objective(x0) + cd.cost_const == pytest.approx(expected, abs=1e-10)
 
 
-@pytest.mark.parametrize("horizon", [2, 7])
-@pytest.mark.parametrize("n_av", [1, 3])
+# small shapes, and that of the benchmark's large_nominal workload
+SHAPES = [(1, 2), (1, 7), (3, 2), (3, 7), (8, 40)]
+
+
+@pytest.mark.parametrize("n_av, horizon", SHAPES)
 def test_cost_matches_scalar_laws(n_av, horizon):
     # objective plus constant equals the cost summed over av_step velocities:
     # effort, leader tracking and follower matching, the written (N+1)-th
-    # stage repeating the terminal velocity under a zero-held input
+    # stage repeating the terminal velocity under a zero-held input; frozen
+    # GP terms move the HV only, so a GP step has the same cost
     rng = np.random.default_rng(10 * n_av + horizon)
     cfg = MpcConfig(horizon=horizon, n_av=n_av, q1=3.0, q2=7.0, r=11.0)
     state = PlatoonState(av_pos=-12.0 * np.arange(n_av), av_vel=rng.uniform(5.0, 15.0, n_av),
                          hv_pos=-12.0 * n_av, history=VelocityHistory.constant(9.0, 9.0))
     ref = rng.uniform(5.0, 15.0, horizon)
     ref_ext = np.append(ref, ref[-1])
-    cd = condense(state, cfg, ref)
-    for _ in range(3):
-        acc = rng.uniform(-4.0, 4.0, (n_av, horizon))
-        vel = np.empty((n_av, horizon + 1))
-        for j in range(n_av):
-            av = AvState(p=float(state.av_pos[j]), v=float(state.av_vel[j]))
-            for k in range(horizon + 1):
-                av = av_step(av, acc[j, k] if k < horizon else 0.0, cfg.step)
-                vel[j, k] = av.v
-        expected = (cfg.r * np.sum(acc ** 2) + cfg.q1 * np.sum((vel[0] - ref_ext) ** 2)
-                    + cfg.q2 * np.sum(np.diff(vel, axis=0) ** 2))
-        got = cd.qp.objective(acc.ravel()) + cd.cost_const
-        assert got == pytest.approx(expected, rel=1e-10)
+    frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
+                                var=rng.uniform(0.0, 0.05, horizon))
+    for cd in (condense(state, cfg, ref), condense(state, cfg, ref, frozen=frozen)):
+        for _ in range(3):
+            acc = rng.uniform(-4.0, 4.0, (n_av, horizon))
+            vel = np.empty((n_av, horizon + 1))
+            for j in range(n_av):
+                av = AvState(p=float(state.av_pos[j]), v=float(state.av_vel[j]))
+                for k in range(horizon + 1):
+                    av = av_step(av, acc[j, k] if k < horizon else 0.0, cfg.step)
+                    vel[j, k] = av.v
+            expected = (cfg.r * np.sum(acc ** 2) + cfg.q1 * np.sum((vel[0] - ref_ext) ** 2)
+                        + cfg.q2 * np.sum(np.diff(vel, axis=0) ** 2))
+            got = cd.qp.objective(acc.ravel()) + cd.cost_const
+            assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_gp_qp_with_zero_frozen_equals_nominal():
@@ -163,7 +171,7 @@ def test_gp_qp_with_zero_frozen_equals_nominal():
     state = _state(v=5.0)
     ref = np.linspace(5.0, 8.0, 10)
     nominal = condense(state, cfg, ref).qp
-    gp_qp = condense(state, cfg, ref, frozen=FrozenGpTrajectory.zeros(10)).qp
+    gp_qp = condense(state, cfg, ref, frozen=FrozenGpTrajectory(np.zeros(10), np.zeros(10))).qp
     assert np.max(np.abs(nominal.cost_matrix - gp_qp.cost_matrix)) <= 1e-12
     assert np.max(np.abs(nominal.cost_vector - gp_qp.cost_vector)) <= 1e-12
     assert np.max(np.abs(nominal.ineq_matrix - gp_qp.ineq_matrix)) <= 1e-12
@@ -271,11 +279,12 @@ def test_solution_satisfies_stage_constraints():
 # ---------------------------------------------------------------------------
 
 
-def _scalar_constraint_values(state, cfg, frozen, params, acc):
-    """G x - h rebuilt row by row from dynamics.py's scalar laws and an ARX
-    replay, in the row order av_gap, hv_gap, v_max, v_min, acc_max, acc_min."""
+def _scalar_trajectories(state, cfg, frozen, params, acc):
+    """AV positions and velocities (column k is stage k+1, through N+1), HV
+    velocities (stages k+1..k+N) and the HV position means and variances
+    (stages k+1..k+N+1) from dynamics.py's scalar laws and an ARX replay."""
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
-    fz = frozen if frozen is not None else FrozenGpTrajectory.zeros(n)
+    fz = frozen if frozen is not None else FrozenGpTrajectory(np.zeros(n), np.zeros(n))
     # column k holds stage k+1; the last column only needs a position
     pos = np.empty((nav, n + 1))
     vel = np.empty((nav, n + 1))
@@ -298,6 +307,14 @@ def _scalar_constraint_values(state, cfg, frozen, params, acc):
     for s in range(1, n + 1):
         mu.append(propagate_hv_mean(mu[-1], hv_vel[s - 1], fz.mean[min(s, n - 1)], t))
         sig.append(propagate_hv_variance(sig[-1], fz.var[min(s, n - 1)], t))
+    return pos, vel, np.array(hv_vel), np.array(mu), np.array(sig)
+
+
+def _scalar_constraint_values(state, cfg, frozen, params, acc):
+    """G x - h rebuilt row by row from the scalar trajectories, in the row
+    order av_gap, hv_gap, v_max, v_min, acc_max, acc_min."""
+    n, nav = cfg.horizon, cfg.n_av
+    pos, vel, _, mu, sig = _scalar_trajectories(state, cfg, frozen, params, acc)
     rows = []
     for j in range(1, nav):
         rows += [cfg.av_gap - (pos[j - 1, k + 1] - pos[j, k + 1]) for k in range(n)]
@@ -312,12 +329,9 @@ def _scalar_constraint_values(state, cfg, frozen, params, acc):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("gp_mode", [False, True])
-@pytest.mark.parametrize("horizon", [2, 7])
-@pytest.mark.parametrize("n_av", [1, 3])
-def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
-    rng = np.random.default_rng(100 * n_av + 10 * horizon + gp_mode)
-    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+def _random_step(rng, n_av, horizon, gp_mode):
+    """A perturbed ARX model, a state near a 12 m spacing and, in GP mode,
+    a frozen trajectory: (params, state, frozen, v_ref)."""
     params = ArxParams(c=ArxParams.default().c + rng.uniform(-1e-3, 1e-3, 4),
                        b=ArxParams.default().b)
     hist = VelocityHistory(hv=rng.uniform(8.0, 10.0, 4), av=rng.uniform(8.0, 10.0, 4))
@@ -328,7 +342,15 @@ def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
     if gp_mode:
         frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
                                     var=rng.uniform(0.0, 0.05, horizon))
-    ref = rng.uniform(8.0, 12.0, horizon)
+    return params, state, frozen, rng.uniform(8.0, 12.0, horizon)
+
+
+@pytest.mark.parametrize("gp_mode", [False, True])
+@pytest.mark.parametrize("n_av, horizon", SHAPES)
+def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
+    rng = np.random.default_rng(100 * n_av + 10 * horizon + gp_mode)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    params, state, frozen, ref = _random_step(rng, n_av, horizon, gp_mode)
     miss = condense(state, cfg, ref, frozen=frozen, arx=params)
     hit = condense(state, cfg, ref, frozen=frozen, arx=params)
     assert hit.structure is miss.structure
@@ -346,6 +368,45 @@ def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
         hit.structure.row_label(len(labels))
 
 
+@pytest.mark.parametrize("gp_mode", [False, True])
+@pytest.mark.parametrize("n_av, horizon", [(3, 7), (8, 40)])
+def test_decode_matches_scalar_laws(n_av, horizon, gp_mode):
+    rng = np.random.default_rng(1000 + 100 * n_av + horizon + gp_mode)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    params, state, frozen, ref = _random_step(rng, n_av, horizon, gp_mode)
+    cd = condense(state, cfg, ref, frozen=frozen, arx=params)
+    for _ in range(3):
+        acc = rng.uniform(-3.0, 3.0, (n_av, horizon))
+        pos, vel, hv_vel, mu, sig = _scalar_trajectories(state, cfg, frozen, params, acc)
+        got_acc, av_vel, av_pos, got_hv_vel, got_mu = cd.decode(acc.ravel())
+        np.testing.assert_array_equal(got_acc, acc)
+        np.testing.assert_allclose(av_vel, vel[:, :horizon], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(av_pos, pos[:, :horizon], rtol=0, atol=1e-10)
+        # the near-marginal ARX chain loses a few thousand ulps over 40
+        # stages in any summation order: 1.2e-10 m of a 285 m mean
+        np.testing.assert_allclose(got_hv_vel, hv_vel, rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(got_mu, mu[:horizon], rtol=1e-12, atol=1e-10)
+    # the variances and bounds of the constrained stages k+2..k+N+1
+    np.testing.assert_allclose(cd.sigma, sig[1:], rtol=0, atol=1e-12)
+    expected = [tightened_min_gap(cfg.gap, v) if gp_mode else cfg.gap.delta for v in sig[1:]]
+    np.testing.assert_allclose(cd.gap_bounds, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_v_ref_rejected_naming_it(bad):
+    cfg = MpcConfig(horizon=6)
+    ref = np.full(6, 6.0)
+    ref[3] = bad
+    gp = _tiny_sparse_gp()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="v_ref must be finite"):
+            condense(_state(v=5.0), cfg, ref)
+        for ctrl in (PlatoonController(cfg), PlatoonController(cfg, mode="gp", gp_model=gp)):
+            with pytest.raises(ValueError, match="v_ref must be finite"):
+                ctrl.step(_state(v=5.0), ref)
+
+
 def test_structure_shared_per_config_and_arx():
     cfg = MpcConfig(horizon=6)
     state = _state(v=5.0)
@@ -358,9 +419,16 @@ def test_structure_shared_per_config_and_arx():
     assert again.structure is default.structure
     assert again.qp.cost_matrix is default.qp.cost_matrix
     assert again.qp.ineq_matrix is default.qp.ineq_matrix
-    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, default.structure.hv_lin,
-                default.structure.mu_lin):
+    # the affine map and the decode matrices are shared with the structure,
+    # and nothing can write them
+    st = default.structure
+    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, st.hv_lin, st.mu_lin,
+                st.terms.data, st.terms.indices, st.terms.indptr, st.av_decode,
+                st.hv_decode, st.zero_frozen):
         assert not arr.flags.writeable
+    # each step's vectors are its own
+    assert not np.shares_memory(again.terms, default.terms)
+    assert default.terms.flags.writeable
     other_arx = ArxParams(c=ArxParams.default().c, b=ArxParams.default().b * 1.01)
     other = condense(state, cfg, ref, arx=other_arx)
     assert other.structure is not default.structure

@@ -325,7 +325,7 @@ def test_non_finite_inputs_rejected_naming_the_field(field, via, bad):
                 ineq_vector=np.array([0.5, 1.0]))
     data[field] = data[field].copy()
     data[field].flat[0] = bad
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         if via == "constructor":
             QuadraticProgram(**data)
         else:
