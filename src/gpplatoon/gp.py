@@ -417,7 +417,9 @@ class SparseGpModel:
     them into one m x m form loses accuracy.
 
     On construction (by :meth:`from_inducing`, :func:`load_model` or
-    directly) the model checks that both factors are finite, stores them
+    directly) the model checks the shapes of its arrays, (m, d) inducing
+    inputs with d = ``hyper.n_dims``, (m, m) factors and m weights, and
+    that the factors and weights are finite. It stores the factors
     Fortran-ordered so LAPACK solves with them without a copy, and caches
     the length-scale-scaled inducing inputs and their squared norms, so a
     prediction forms only the query-dependent part of the kernel. The
@@ -434,11 +436,25 @@ class SparseGpModel:
     _inducing_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        inducing = np.asarray(self.inducing, dtype=float)
+        d = self.hyper.n_dims
+        if inducing.ndim != 2 or inducing.shape[1] != d:
+            raise ValueError(f"inducing must have shape (m, {d}), got {inducing.shape}")
+        m = inducing.shape[0]
+        object.__setattr__(self, "inducing", inducing)
         for name in ("chol_inducing", "chol_cap"):
             chol = np.asfortranarray(getattr(self, name), dtype=float)
+            if chol.shape != (m, m):
+                raise ValueError(f"{name} must have shape ({m}, {m}), got {chol.shape}")
             if not np.isfinite(chol).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, chol)
+        weights = np.asarray(self.mean_weights, dtype=float)
+        if weights.shape != (m,):
+            raise ValueError(f"mean_weights must have shape ({m},), got {weights.shape}")
+        if not np.isfinite(weights).all():
+            raise ValueError("mean_weights must be finite")
+        object.__setattr__(self, "mean_weights", weights)
         inv = 1.0 / np.sqrt(self.hyper.length_scales)
         scaled, sq_norms = _scale(self.inducing, inv)
         object.__setattr__(self, "_inv_scale", inv)

@@ -3,22 +3,27 @@
 The horizon couples AV kinematics, the linear ARX chain of the HV, and the
 HV position mean/variance propagation. GP terms are frozen along the
 previous solution's trajectory (one sparse batch prediction per control
-step), so every solve is a convex QP over the stacked AV accelerations.
+step), so every solve is a convex QP over the stacked AV accelerations x.
 
 Everything that does not depend on the measured state is built once per
-``(cfg, arx)`` and cached: the cost matrix P, the constraint matrix G, the
-matrices that decode a plan, and one sparse affine map from the step's
-input vector (the state, the frozen GP terms and the reference) to every
-vector the step needs: q, h without the gap bounds, the HV chain's constant
-part, the position variances and the decode offsets. This is the
-multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
-chain is :func:`gpplatoon.hv.arx_step` applied to linear maps, and P and G
-are Kronecker products of one AV's blocks with the platoon coupling. They
-sit in one template :class:`~gpplatoon.qp.QuadraticProgram`, which checks
-them and factors P once. A control step takes one product with the map,
-subtracts the gap bounds from h and computes the cost constant; it
-decodes one plan, the QP's solution or maximum braking when the solve
-fails, with two more products.
+``(cfg, arx)`` and cached. Every law of the horizon (the AV velocities and
+positions, the HV position mean and variance, the constraints, the cost
+residuals and the decoded trajectories) is written once, as a function
+that is linear in w = [z; x], where z is the step's input (the state, the
+frozen GP terms, the reference and a constant 1). Evaluated on the
+identity over x, the laws give the constraint matrix G, the cost matrix P
+and the matrices that decode a plan. Evaluated on the identity over z,
+they give one sparse affine map from z to every vector the step needs: h
+without the gap bounds, the HV chain's constant part, the position
+variances, the decode offsets, the cost residuals and, through the
+residuals' x-half, the cost vector q. This is
+the multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
+chain is :func:`gpplatoon.hv.arx_step` applied to linear maps. P and G sit
+in one template :class:`~gpplatoon.qp.QuadraticProgram`, which checks them
+and factors P once. A control step takes one product with the map,
+subtracts the gap bounds from h and computes the cost constant; it decodes
+one plan, the QP's solution or maximum braking when the solve fails, with
+two more products.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
-from .qp import QuadraticProgram, solve_qp
+from .qp import QuadraticProgram, solve_qp, to_csr
 
 
 @dataclass(frozen=True)
@@ -171,34 +176,35 @@ def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
     return FrozenGpTrajectory(mean=mean, var=var + gp.hyper.noise_variance)
 
 
+# the inequality blocks, in the row order of G and h
+_CONSTRAINTS = ("av_gap", "hv_gap", "v_max", "v_min", "acc_max", "acc_min")
+
+
 @dataclass(frozen=True)
 class _QpStructure:
     """The parts of a condensed horizon that depend only on ``(cfg, arx)``.
 
-    The decision vector stacks AV accelerations block by block (AV j holds
-    entries j*N..j*N+N-1). ``qp`` is the template program: P, its factor and
-    G, with zero vectors.
-
-    Every state-dependent vector of a step is affine in one input vector
+    The decision vector x stacks AV accelerations block by block (AV j holds
+    entries j*N..j*N+N-1), and a step's input is one vector
 
         z = [p0 (n_av), v0 (n_av), hv_pos, hv_pos_var, history.hv (4),
              history.av (4), frozen mean (N), frozen var (N), v_ref (N), 1]
 
     (75 entries at ``n_av=2, N=20``, 147 at ``n_av=8, N=40``; a nominal
-    step's frozen terms are ``zero_frozen``). ``terms`` is the sparse map
-    whose product with z stacks, in this order, the rows of
-
-    - ``q_rows``: the cost vector q;
-    - ``h_rows``: the right-hand sides h, before the AV-HV gap bounds are
-      subtracted from their ``gap_rows``;
-    - ``hv_rows``: ``hv_const`` (N), then ``mu_const`` (N+1);
-    - ``av_rows``: per AV, v0 at each stage, then p0 + t v0 k for
-      k = 1..N, the offsets of the decoded velocities and positions;
-    - ``sigma_rows``: the HV position variances of the constrained stages;
-    - ``cost_rows``: weighted residuals whose squared norm is the cost
-      constant.
-
-    Decoding adds ``acc @ av_decode`` and ``hv_decode @ x`` to the offsets.
+    step's frozen terms are ``zero_frozen``). Every law of the horizon is
+    linear in w = [z; x] and written once, as a named block of rows, in
+    ``_structure``'s ``laws``: the constraints of ``_CONSTRAINTS``, each
+    non-negative where it holds (``hv_gap`` before the gap bounds), the
+    decoded trajectories ``av_vel``, ``av_pos`` and ``hv`` (HV velocities,
+    then position means), the position variances ``sigma`` and the cost
+    residuals ``cost``. ``terms`` maps z to the z-half of every block, then
+    to the cost vector ``q`` = 2 R_x'R_z z, where R_x and R_z are the two
+    halves of the residuals; ``rows`` names each block's rows of ``terms``
+    (``h`` spans the constraints, ``av`` both AV trajectories) and
+    ``shapes`` its shape, stages last. The x-half of the constraints is -G,
+    P = 2 R_x'R_x + 2r I, and the x-halves of the trajectories are
+    ``av_decode`` (AV 0's blocks, the same for every AV) and ``hv_decode``.
+    ``qp`` is the template program: P, its factor and G, with zero vectors.
     Every array is read-only and shared by all the :class:`CondensedQp`
     built from the same ``(cfg, arx)``.
     """
@@ -207,17 +213,10 @@ class _QpStructure:
     qp: QuadraticProgram        # P (nd, nd) and G (rows, nd)
     terms: sparse.csr_array     # (rows, len(z)), the affine map of a step
     zero_frozen: np.ndarray     # (N,) zeros, a nominal step's frozen mean and variance
-    q_rows: slice
-    h_rows: slice
-    gap_rows: slice             # the AV-HV gap rows of h, as rows of terms
-    hv_rows: slice
-    av_rows: slice              # (n_av, 2N) row-major
-    sigma_rows: slice
-    cost_rows: slice
-    av_decode: np.ndarray       # (N, 2N), [t S' | t^2 W']: acc -> (velocities, positions)
-    hv_decode: np.ndarray       # (2N+1, nd), [hv_lin; mu_lin]
-    hv_lin: np.ndarray          # (N, nd), HV velocity chain in x, a view of hv_decode
-    mu_lin: np.ndarray          # (N+1, nd), t * cumsum(hv_lin), a view of hv_decode
+    rows: dict                  # block name -> slice of terms
+    shapes: dict                # block name -> shape
+    av_decode: np.ndarray       # (2, N, N): one AV's acc -> velocities, positions
+    hv_decode: np.ndarray       # (2N+1, nd): x -> (HV velocities, position means)
 
     def row_label(self, row: int) -> str:
         """Name of inequality row ``row``, e.g. ``av_gap[j,k]`` or ``hv_gap[k]``.
@@ -225,145 +224,108 @@ class _QpStructure:
         ``j`` is the AV (the follower for ``av_gap``) and ``k`` the row's
         stage within its horizon block, counted from 0.
         """
-        n, nav = self.cfg.horizon, self.cfg.n_av
-        i = row
-        for name, count, first in (("av_gap", nav - 1, 1), ("hv_gap", 1, None),
-                                   ("v_max", nav, 0), ("v_min", nav, 0),
-                                   ("acc_max", nav, 0), ("acc_min", nav, 0)):
-            if 0 <= i < count * n:
-                j, k = divmod(i, n)
-                return f"{name}[{k}]" if first is None else f"{name}[{j + first},{k}]"
-            i -= count * n
+        for name in _CONSTRAINTS:
+            rows, shape = self.rows[name], self.shapes[name]
+            if rows.start <= row < rows.stop:
+                *j, k = np.unravel_index(row - rows.start, shape)
+                # the av_gap block has no row for the leader
+                return f"{name}[{k}]" if not j else \
+                    f"{name}[{j[0] + self.cfg.n_av - shape[0]},{k}]"
         raise IndexError(f"row {row} outside the {self.qp.ineq_vector.size} rows")
-
-
-def _position_map(n: int) -> np.ndarray:
-    """W with W[i, m] = max(i - m, 0): positions from accelerations."""
-    i = np.arange(n)
-    return np.maximum(i[:, None] - i, 0).astype(float)
 
 
 @functools.lru_cache(maxsize=16)
 def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     """Build the fixed part of the condensed QP; cached on its full key.
 
-    The HV chain is :func:`arx_step` applied to linear maps: every velocity
-    is a row over the inputs (history.hv, history.av, v0[last], trailing-AV
-    accelerations). The cost and constraint matrices are Kronecker products
-    of one AV's blocks with the platoon's coupling: S maps accelerations to
-    velocities, W to positions, and row j of D is e_{j+1} - e_j, the
-    difference between AV j+1 and the AV ahead of it.
-
-    The per-step vectors are written once, in ``step_terms``, as formulas
-    on the rows of a matrix whose rows stand for the entries of z; on the
-    identity they give the map ``terms`` (the same idiom as the HV chain).
+    ``laws`` evaluates the laws at the columns of a matrix whose rows stand
+    for the entries of [z; x]: on the identity over z, made sparse block by
+    block, then on the identity over x, whose constraint blocks go straight
+    into G, so neither half is ever dense as a whole.
     """
     arx = ArxParams(c=np.frombuffer(arx_c), b=np.frombuffer(arx_b))
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
     nd, ns = nav * n, 2 * N_LAGS + 1
-    last = (nav - 1) * n
-    s_mat = np.tril(np.ones((n, n)))
-    w_mat = _position_map(n)
-    # velocities k+1..k+N plus the (N+1)-th stage, which under a zero-held
-    # terminal input repeats the terminal velocity; positions k+2..k+N+1
-    s_ext = t * s_mat[np.r_[:n, n - 1]]
-    w_ext = _position_map(n + 1)[1:, :n]
-    d = np.eye(nav - 1, nav, 1) - np.eye(nav - 1, nav)
+    cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n, 1])
+    nz = int(cuts[-1])
+
+    def integrate(step, first, *rates):
+        """Forward-Euler stages from ``first``, on the second-to-last axis."""
+        seq = np.concatenate((first, *rates), axis=-2)
+        seq[..., 1:, :] *= step
+        return np.cumsum(seq, axis=-2, out=seq)
 
     # HV and trailing-AV velocities as row maps over (history.hv, history.av,
     # v0[last], x), oldest first: the history, then the chain (hv row
-    # N_LAGS-1+s is stage k+s) and the planned AV velocities k+1..k+N-1
+    # N_LAGS-1+s is stage k+s) and the planned AV velocities k+1..k+N-1. The
+    # chain is built on these maps rather than inside laws: the near-marginal
+    # ARX recursion amplifies the last-bit differences of other column sets.
     hv = np.zeros((N_LAGS + n, ns + nd))
     hv[:N_LAGS, :N_LAGS] = np.eye(N_LAGS)[::-1]
     av = np.zeros((N_LAGS + n - 1, ns + nd))
     av[:N_LAGS, N_LAGS:2 * N_LAGS] = np.eye(N_LAGS)[::-1]
-    av[N_LAGS:, 2 * N_LAGS] = 1.0
-    av[N_LAGS:, ns + last:] = t * s_mat[:n - 1]
+    av[N_LAGS:] = integrate(t, np.eye(1, ns + nd, 2 * N_LAGS),
+                            np.eye(n - 1, ns + nd, ns + nd - n))[1:]
     for s in range(n):
         hv[N_LAGS + s] = arx_step(arx, hv[s:s + N_LAGS][::-1], av[s:s + N_LAGS][::-1])
-    hv_state = hv[N_LAGS:, :ns]
-    # HV velocities k+1..k+N, then the position mean over stages k+1..k+N+1,
-    # whose stage k+1 is fixed by the state
-    hv_decode = np.zeros((2 * n + 1, nd))
-    hv_decode[:n] = hv[N_LAGS:, ns:]
-    np.cumsum(t * hv_decode[:n], axis=0, out=hv_decode[n + 1:])
-    hv_decode.flags.writeable = False
-    hv_lin, mu_lin = hv_decode[:n], hv_decode[n:]
+    chain = hv[N_LAGS:]
 
-    # cost: r |x|^2 + q1 |m_lead x + e_lead|^2 + q2 |m_follow x + dv (x) 1|^2
-    # with m_lead = kron(e_0', S_ext) and m_follow = kron(D, S_ext), whose
-    # Gram matrices follow from kron(A, B)' kron(A, B) = kron(A'A, B'B)
-    coupling = 2.0 * cfg.q2 * d.T @ d
-    coupling[0, 0] += 2.0 * cfg.q1
-    p_cost = 2.0 * cfg.r * np.eye(nd) + np.kron(coupling, s_ext.T @ s_ext)
-    lead_q = 2.0 * cfg.q1 * np.kron(np.eye(nav, 1), s_ext.T)
-    follow_q = 2.0 * cfg.q2 * np.kron(d.T, s_ext.sum(axis=0)[:, None])
+    def laws(w):
+        """(name, block) for every law at the columns of w, in row order."""
+        p0, v0, hv_pos, hv_var, hist_hv, hist_av, mean, var, ref, one, x = np.split(w, cuts)
+        acc = x.reshape(nav, n, -1)
+        # stages k..k+N+1, the input held at zero after the horizon and each
+        # position taken from the velocity before the update
+        v = integrate(t, v0[:, None], acc, 0 * v0[:, None])
+        p = integrate(t, p0[:, None], v[:, :-1])
+        vel, pos = v[:, 1:-1], p[:, 2:]     # positions are constrained at k+2..k+N+1
+        hv_vel = chain[:, :ns] @ np.vstack((hist_hv, hist_av, v0[-1:])) + chain[:, ns:] @ x
+        # means of stages k+1..k+N+1, the first from the measured velocity; the
+        # last mean and variance updates repeat the final frozen terms
+        mu = integrate(t, hv_pos + t * hist_hv[:1] + t * mean[:1],
+                       hv_vel + np.vstack((mean[1:], mean[-1:])))
+        yield "av_gap", pos[:-1] - pos[1:] - cfg.av_gap * one
+        yield "hv_gap", pos[-1] - mu[1:]
+        yield "v_max", cfg.v_max * one - vel
+        yield "v_min", vel - cfg.v_min * one
+        yield "acc_max", cfg.acc_max * one - acc
+        yield "acc_min", acc - cfg.acc_min * one
+        yield "av_vel", vel
+        yield "av_pos", p[:, 1:-1]
+        yield "hv", np.vstack((hv_vel, mu))
+        yield "sigma", integrate(t * t, hv_var, var, var[-1:])[2:]    # stages k+2..k+N+1
+        # leader tracking and follower velocity matching through stage k+N+1
+        yield "cost", np.concatenate((math.sqrt(cfg.q1) * (v[:1, 1:] - np.vstack((ref, ref[-1:]))),
+                                      math.sqrt(cfg.q2) * np.diff(v[:, 1:], axis=0)))
 
-    # inequalities in row_label's order: AV-AV gaps, AV-HV gap, velocity
-    # and acceleration boxes
-    g_mat = np.zeros((last + n + 4 * nd, nd))
-    g_mat[:last] = np.kron(d, t * t * w_ext)
-    g_hv = g_mat[last:last + n]
-    g_hv[:] = mu_lin[1:]
-    g_hv[:, last:] -= t * t * w_ext
-    box = last + n
-    v_box = np.kron(np.eye(nav), t * s_mat)
-    g_mat[box:box + nd] = v_box
-    g_mat[box + nd:box + 2 * nd] = -v_box
-    diag = np.arange(nd)
-    g_mat[box + 2 * nd + diag, diag] = 1.0
-    g_mat[box + 3 * nd + diag, diag] = -1.0
-
-    t_pos = t * np.arange(2, n + 2)[:, None]    # the constrained position stages
-    stages = t * np.arange(1, n + 1)[:, None]
-    cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n])
-
-    def step_terms(z):
-        """The stacked per-step vectors, one column per column of ``z``."""
-        p0, v0, hv_pos, hv_var, hist_hv, hist_av, mean, var, ref, one = np.split(z, cuts)
-        m = z.shape[1]
-        hv_const = hv_state @ np.vstack([hist_hv, hist_av, v0[-1:]])
-        # the first mean increment uses the measured velocity and the final
-        # one repeats the last frozen term
-        incr = np.vstack([hv_pos + t * hist_hv[:1] + t * mean[:1],
-                          t * hv_const + t * np.vstack([mean[1:], mean[-1:]])])
-        mu_const = np.cumsum(incr, axis=0)
-        e_lead = np.vstack([v0[:1] - ref, v0[:1] - ref[-1:]])
-        dv = v0[1:] - v0[:-1]
-        q_cost = lead_q @ e_lead + follow_q @ dv
-        h_vec = np.vstack([
-            ((p0[:-1] - p0[1:])[:, None] - t_pos * dv[:, None]
-             - cfg.av_gap * one).reshape(last, m),
-            p0[-1:] + t_pos * v0[-1:] - mu_const[1:],
-            np.repeat(cfg.v_max * one - v0, n, axis=0),
-            np.repeat(v0 - cfg.v_min * one, n, axis=0),
-            np.repeat(cfg.acc_max * one, nd, axis=0),
-            np.repeat(-cfg.acc_min * one, nd, axis=0),
-        ])
-        av_offsets = np.hstack([np.repeat(v0[:, None], n, axis=1),
-                                p0[:, None] + stages * v0[:, None]]).reshape(2 * nd, m)
-        # position variances of the constrained stages k+2..k+N+1; the final
-        # update repeats the last frozen term
-        sigma = (hv_var + t * t * np.cumsum(np.vstack([var, var[-1:]]), axis=0))[1:]
-        # squared norm: the cost constant q1 |e_lead|^2 + q2 (N+1) |dv|^2
-        cost = np.vstack([math.sqrt(cfg.q1) * e_lead, math.sqrt(cfg.q2 * (n + 1)) * dv])
-        return np.vstack([q_cost, h_vec, hv_const, mu_const, av_offsets, sigma, cost])
-
-    terms = sparse.csr_array(step_terms(np.eye(cuts[-1] + 1)))
-    for a in (terms.data, terms.indices, terms.indptr):
-        a.flags.writeable = False
-    rows = np.cumsum([0, nd, g_mat.shape[0], 2 * n + 1, 2 * nd, n, n + nav])
-    q_rows, h_rows, hv_rows, av_rows, sigma_rows, cost_rows = map(slice, rows[:-1], rows[1:])
-    av_decode = np.hstack([t * s_mat.T, t * t * w_mat.T])
+    shapes, z_half = {}, {}
+    for name, block in laws(np.eye(nz + nd, nz)):
+        shapes[name] = block.shape[:-1]
+        z_half[name] = to_csr(block.reshape(-1, nz))
+    ends = np.cumsum([math.prod(s) for s in shapes.values()] + [nd]).tolist()
+    rows = dict(zip([*shapes, "q"], map(slice, [0, *ends[:-1]], ends)))
+    rows.update(h=slice(0, rows[_CONSTRAINTS[-1]].stop),
+                av=slice(rows["av_vel"].start, rows["av_pos"].stop))
+    g_mat, x_half = np.empty((rows["h"].stop, nd)), {}
+    for name, block in laws(np.eye(nz + nd, nd, -nz)):
+        if name in _CONSTRAINTS:
+            np.negative(block.reshape(-1, nd), out=g_mat[rows[name]])
+        else:
+            x_half[name] = block
+    r_x = x_half["cost"].reshape(-1, nd)
+    av_decode = np.stack((x_half["av_vel"][0, :, :n].T, x_half["av_pos"][0, :, :n].T))
+    hv_decode = x_half["hv"]
+    del x_half      # before P, whose product can then reuse the memory
+    p_cost = r_x.T @ r_x
+    p_cost *= 2.0
+    p_cost.flat[::nd + 1] += 2.0 * cfg.r
+    terms = sparse.vstack((*z_half.values(), to_csr(2.0 * (r_x.T @ z_half["cost"]))), format="csr")
     zero_frozen = np.zeros(n)
-    for arr in (g_mat, av_decode, zero_frozen):
+    for arr in (g_mat, av_decode, hv_decode, zero_frozen, terms.data, terms.indices, terms.indptr):
         arr.flags.writeable = False
     qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]))
-    return _QpStructure(cfg=cfg, qp=qp, terms=terms, zero_frozen=zero_frozen, q_rows=q_rows,
-                        h_rows=h_rows, gap_rows=slice(nd + last, nd + last + n),
-                        hv_rows=hv_rows, av_rows=av_rows, sigma_rows=sigma_rows,
-                        cost_rows=cost_rows, av_decode=av_decode, hv_decode=hv_decode,
-                        hv_lin=hv_lin, mu_lin=mu_lin)
+    return _QpStructure(cfg=cfg, qp=qp, terms=terms, zero_frozen=zero_frozen, rows=rows,
+                        shapes=shapes, av_decode=av_decode, hv_decode=hv_decode)
 
 
 @dataclass(frozen=True)
@@ -376,8 +338,6 @@ class CondensedQp:
     """
 
     qp: QuadraticProgram
-    v0: np.ndarray
-    p0: np.ndarray
     hv_const: np.ndarray
     mu_const: np.ndarray
     sigma: np.ndarray
@@ -390,19 +350,18 @@ class CondensedQp:
         """Stage trajectories implied by a stacked acceleration vector:
         ``(acc, av_vel, av_pos, hv_vel, hv_pos_mean)``.
 
-        Two products added to this step's offsets: ``acc @ [t S' | t^2 W']``
-        gives the AVs' velocity and position increments, ``[hv_lin; mu_lin]
-        @ x`` the HV's. The AV arrays are views of one array, and so are the
-        HV's.
+        Two products added to this step's offsets: ``acc @ av_decode`` gives
+        the AVs' velocity and position increments, ``hv_decode @ x`` the
+        HV's. The AV arrays are views of one array, and so are the HV's.
         """
         st = self.structure
         n = st.cfg.horizon
         acc = x.reshape(st.cfg.n_av, n)
         av = acc @ st.av_decode
-        av += self.terms[st.av_rows].reshape(av.shape)
+        av += self.terms[st.rows["av"]].reshape(av.shape)
         hv = st.hv_decode @ x
-        hv += self.terms[st.hv_rows]
-        return acc, av[:, :n], av[:, n:], hv[:n], hv[n:-1]
+        hv += self.terms[st.rows["hv"]]
+        return acc, av[0], av[1], hv[:n], hv[n:-1]
 
 
 def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
@@ -422,8 +381,9 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     per ``(cfg, arx)``. This call checks its inputs, stacks the input vector
     z (see :class:`_QpStructure`; a nominal step's frozen terms are zero)
     and takes one sparse product, of which q, h, ``hv_const``, ``mu_const``,
-    ``sigma`` and the decode offsets are slices. Only the gap bounds, which
-    it subtracts from h, and the cost constant are computed apart from it.
+    ``sigma``, the decode offsets and the cost residuals are slices. Only
+    the gap bounds, which it subtracts from h, and the cost constant, the
+    residuals' squared norm, are computed apart from it.
     """
     arx = arx or ArxParams.default()
     n = cfg.horizon
@@ -437,18 +397,19 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     if frozen is not None and frozen.mean.size != n:
         raise ValueError(f"frozen trajectory must supply {n} stages")
     st = _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
-    v0, p0 = state.av_vel, state.av_pos
     hist = state.history
     fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
-    out = st.terms @ np.concatenate((p0, v0, (state.hv_pos, state.hv_pos_var), hist.hv,
-                                     hist.av, *fz, ref, (1.0,)))
-    sigma = out[st.sigma_rows]
+    out = st.terms @ np.concatenate((state.av_pos, state.av_vel,
+                                     (state.hv_pos, state.hv_pos_var), hist.hv, hist.av,
+                                     *fz, ref, (1.0,)))
+    rows = st.rows
+    sigma = out[rows["sigma"]]
     bounds = (np.full(n, cfg.gap.delta) if frozen is None
               else tightened_min_gap(cfg.gap, sigma))
-    out[st.gap_rows] -= bounds
-    residual = out[st.cost_rows]
-    hv = out[st.hv_rows]
-    return CondensedQp(qp=st.qp.with_vectors(out[st.q_rows], out[st.h_rows]), v0=v0, p0=p0,
+    out[rows["hv_gap"]] -= bounds
+    residual = out[rows["cost"]]
+    hv = out[rows["hv"]]
+    return CondensedQp(qp=st.qp.with_vectors(out[rows["q"]], out[rows["h"]]),
                        hv_const=hv[:n], mu_const=hv[n:], sigma=sigma, gap_bounds=bounds,
                        cost_const=float(residual @ residual), structure=st, terms=out)
 

@@ -11,6 +11,7 @@ and solver diagnostics, and reduces runs to scalar metrics.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -108,6 +109,9 @@ class ScenarioSpec:
     plant_noise_std: float = 0.0005
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
         if not math.isfinite(self.spacing_factor):

@@ -563,6 +563,19 @@ def test_sparse_model_rejects_bad_stored_factors():
             model.predict_batch(q)
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             dataclasses.replace(sparse, **{name: np.full_like(singular, np.nan)})
+    # a wrong shape or a non-finite weight is named on construction, not
+    # met at predict time as a bare matmul or broadcast error
+    weights = sparse.mean_weights
+    cases = [
+        ("inducing", sparse.inducing[:, :1]), ("inducing", sparse.inducing.ravel()),
+        ("chol_inducing", sparse.chol_inducing[:4, :4]), ("chol_cap", sparse.chol_cap[:, :4]),
+        ("mean_weights", weights[:4]), ("mean_weights", weights[:, None]),
+        ("mean_weights", np.where(np.arange(5) == 2, np.nan, weights)),
+        ("mean_weights", np.where(np.arange(5) == 2, np.inf, weights)),
+    ]
+    for name, value in cases:
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(sparse, **{name: value})
 
 
 def _edited_model_file(tmp_path, model, key, value):

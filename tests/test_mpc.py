@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -200,7 +201,7 @@ def test_gp_qp_constant_mean_shifts_hv_position():
     # frozen mean, so the shift keeps telescoping by T * 0.5 per stage
     shift = gp.mu_const - nom.mu_const
     np.testing.assert_allclose(shift, 0.1 * 0.5 * np.arange(1, 8), atol=1e-12)
-    np.testing.assert_allclose(gp.structure.mu_lin, nom.structure.mu_lin, atol=1e-15)
+    np.testing.assert_allclose(gp.structure.hv_decode[6:], nom.structure.hv_decode[6:], atol=1e-15)
 
 
 def test_hv_chain_matches_standalone_arx_replay():
@@ -368,6 +369,32 @@ def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
         hit.structure.row_label(len(labels))
 
 
+@pytest.mark.parametrize("n_av, horizon", SHAPES)
+def test_row_labels_name_the_law_of_each_row(n_av, horizon):
+    # every row carries the label of its block, stage-major within each AV,
+    # and raising one bound moves h by +-1 on the rows labelled with its
+    # name and on no other row
+    rng = np.random.default_rng(10 * n_av + horizon)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    params, state, _, ref = _random_step(rng, n_av, horizon, gp_mode=False)
+    base = condense(state, cfg, ref, arx=params)
+    labels = [base.structure.row_label(i) for i in range(base.qp.ineq_vector.size)]
+    stages = range(horizon)
+    assert labels == ([f"av_gap[{j},{k}]" for j in range(1, n_av) for k in stages]
+                      + [f"hv_gap[{k}]" for k in stages]
+                      + [f"{name}[{j},{k}]" for name in ("v_max", "v_min", "acc_max", "acc_min")
+                         for j in range(n_av) for k in stages])
+    names = np.array([label.split("[")[0] for label in labels])
+    raised = [(name, sign, {name: getattr(cfg, name) + 1.0}) for name, sign in
+              (("av_gap", -1), ("v_max", 1), ("v_min", -1), ("acc_max", 1), ("acc_min", -1))]
+    raised.append(("hv_gap", -1, {"gap": dataclasses.replace(cfg.gap, delta=cfg.gap.delta + 1.0)}))
+    for name, sign, change in raised:
+        other = condense(state, dataclasses.replace(cfg, **change), ref, arx=params)
+        moved = other.qp.ineq_vector - base.qp.ineq_vector
+        np.testing.assert_allclose(moved[names == name], sign, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(moved[names != name], 0.0)
+
+
 @pytest.mark.parametrize("gp_mode", [False, True])
 @pytest.mark.parametrize("n_av, horizon", [(3, 7), (8, 40)])
 def test_decode_matches_scalar_laws(n_av, horizon, gp_mode):
@@ -422,9 +449,8 @@ def test_structure_shared_per_config_and_arx():
     # the affine map and the decode matrices are shared with the structure,
     # and nothing can write them
     st = default.structure
-    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, st.hv_lin, st.mu_lin,
-                st.terms.data, st.terms.indices, st.terms.indptr, st.av_decode,
-                st.hv_decode, st.zero_frozen):
+    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, st.terms.data,
+                st.terms.indices, st.terms.indptr, st.av_decode, st.hv_decode, st.zero_frozen):
         assert not arr.flags.writeable
     # each step's vectors are its own
     assert not np.shares_memory(again.terms, default.terms)
@@ -451,8 +477,8 @@ def test_structure_cache_hit_bit_identical_to_miss():
         sol = solve_qp(cd.qp)
         decoded = cd.decode(sol.x)
         arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix,
-                  cd.qp.ineq_vector, cd.hv_const, cd.structure.hv_lin, cd.mu_const,
-                  cd.structure.mu_lin, cd.sigma, cd.gap_bounds, np.array([cd.cost_const]),
+                  cd.qp.ineq_vector, cd.hv_const, cd.mu_const, cd.structure.hv_decode,
+                  cd.sigma, cd.gap_bounds, np.array([cd.cost_const]),
                   sol.x, *decoded]
         return cd, [a.copy() for a in arrays]
 

@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from gpplatoon.qp import QuadraticProgram, solve_qp
+from gpplatoon.qp import QuadraticProgram, solve_qp, to_csr
 
 
 def enumerate_qp(p, q, g, h, tol=1e-9):
@@ -508,3 +509,18 @@ def test_dependent_and_duplicate_rows_agree_with_linprog():
                 assert _full_product_kkt_residual(qp, sol) <= 1e-6
         verdicts.add(feasible)
     assert verdicts == {True, False}
+
+
+def test_to_csr_matches_scipy_conversion():
+    # the same arrays and index dtype as csr_array(a), negative zeros dropped
+    rng = np.random.default_rng(61)
+    for shape in [(0, 3), (1, 1), (3, 1), (5, 7), (40, 30)]:
+        a = rng.normal(size=shape)
+        a[rng.random(shape) < 0.6] = 0.0
+        a[:1, :1] = -0.0
+        for arr in (a, np.asfortranarray(a)):
+            got, want = to_csr(arr), sparse.csr_array(arr)
+            assert got.shape == want.shape and got.has_canonical_format
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert getattr(got, name).dtype == getattr(want, name).dtype

@@ -289,7 +289,8 @@ def test_scenario_validation():
 @pytest.mark.parametrize("name, value", [
     ("duration", -1.0), ("duration", 0.0), ("duration", np.nan), ("duration", np.inf),
     ("spacing_factor", np.nan), ("spacing_factor", np.inf),
-    ("plant_noise_std", np.nan), ("plant_noise_std", np.inf), ("plant_noise_std", -0.1)])
+    ("plant_noise_std", np.nan), ("plant_noise_std", np.inf), ("plant_noise_std", -0.1),
+    ("seed", -1), ("seed", 1.5)])
 def test_scenario_rejects_bad_number(name, value):
     with pytest.raises(ValueError, match=name):
         make_scenario("emergency", **{name: value})
