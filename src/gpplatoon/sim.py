@@ -11,7 +11,6 @@ and solver diagnostics, and reduces runs to scalar metrics.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -109,7 +108,7 @@ class ScenarioSpec:
     plant_noise_std: float = 0.0005
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (math.isfinite(self.duration) and self.duration > 0):
