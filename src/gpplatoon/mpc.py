@@ -328,6 +328,12 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
                         shapes=shapes, av_decode=av_decode, hv_decode=hv_decode)
 
 
+def _template(cfg: MpcConfig, arx: ArxParams | None) -> _QpStructure:
+    """The cached template of ``(cfg, arx)``, the default ARX model if None."""
+    arx = arx or ArxParams.default()
+    return _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
+
+
 @dataclass(frozen=True)
 class CondensedQp:
     """Dense QP plus the state-dependent vectors needed to decode a plan.
@@ -366,7 +372,8 @@ class CondensedQp:
 
 def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
              frozen: FrozenGpTrajectory | None = None,
-             arx: ArxParams | None = None) -> CondensedQp:
+             arx: ArxParams | None = None, *,
+             structure: _QpStructure | None = None) -> CondensedQp:
     """Reduce one horizon to a dense QP over stacked AV accelerations.
 
     With ``frozen`` set, the HV mean chain gains the frozen correction means,
@@ -383,9 +390,10 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     and takes one sparse product, of which q, h, ``hv_const``, ``mu_const``,
     ``sigma``, the decode offsets and the cost residuals are slices. Only
     the gap bounds, which it subtracts from h, and the cost constant, the
-    residuals' squared norm, are computed apart from it.
+    residuals' squared norm, are computed apart from it. A caller that
+    holds the template of ``(cfg, arx)`` passes it as ``structure``, as
+    :class:`PlatoonController` does, and the cache is not consulted.
     """
-    arx = arx or ArxParams.default()
     n = cfg.horizon
     if state.n_av != cfg.n_av:
         raise ValueError(f"state has {state.n_av} AVs but config expects {cfg.n_av}")
@@ -396,7 +404,7 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
         raise ValueError("v_ref must be finite")
     if frozen is not None and frozen.mean.size != n:
         raise ValueError(f"frozen trajectory must supply {n} stages")
-    st = _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
+    st = _template(cfg, arx) if structure is None else structure
     hist = state.history
     fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
     out = st.terms @ np.concatenate((state.av_pos, state.av_vel,
@@ -419,7 +427,10 @@ class PlatoonController:
 
     One instance is single-threaded: it keeps the previous solution for the
     frozen GP evaluation and reuses its active set to warm-start the next
-    solve. The shared sparse GP model is only read.
+    solve. The shared sparse GP model is only read. The template of
+    ``(cfg, arx)`` is resolved once, at construction (built there if no
+    controller of the same configuration came before), and every step
+    condenses through it.
     """
 
     def __init__(self, cfg: MpcConfig, mode: str = "nominal", gp_model=None,
@@ -432,6 +443,7 @@ class PlatoonController:
         self.mode = mode
         self.gp_model = gp_model
         self.arx = arx or ArxParams.default()
+        self.structure = _template(cfg, self.arx)
         self.solver_tol = solver_tol
         self.prev_solution: MpcSolution | None = None
         self.gp_batch_evals = 0
@@ -449,7 +461,7 @@ class PlatoonController:
             prev = self.prev_solution if self.prev_solution is not None else state
             self.gp_batch_evals += 1
             frozen = evaluate_gp_along_trajectory(self.gp_model, prev, cfg.horizon)
-        cd = condense(state, cfg, v_ref, frozen=frozen, arx=self.arx)
+        cd = condense(state, cfg, v_ref, frozen=frozen, structure=self.structure)
         hint = self.prev_solution.active if self.prev_solution is not None else None
         res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=hint)
         fallback = res.status != "optimal"

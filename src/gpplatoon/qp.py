@@ -28,17 +28,28 @@ Every product of G with x over all its rows, G x - h, goes through
 :meth:`QuadraticProgram.ineq_excess` and so through the CSR copy: the MPC's
 G is about 5% nonzeros, so the violation scan that starts each iteration
 costs a fraction of a dense product (about 28 against 200 us for the
-1600 x 320 G of ``n_av=8, N=40`` on one BLAS thread). The rows y of the
+1600 x 320 G of ``n_av=8, N=40`` on one BLAS thread). It calls scipy's CSR
+kernel directly: ``csr_array @ x`` reaches the same kernel through operator
+dispatch that takes longer than the kernel itself on the 200 x 40 G of
+``n_av=2, N=20`` (about 9.5 against 4.9 us). The rows y of the
 active set, their Gram matrix y y^T and the multipliers live in buffers
 that grow by doubling; an entering row adds one Gram row, a dropped row
 shifts slices, and each solve with y y^T is one LAPACK ``dposv``. G J
-itself is not stored: at 1600 x 320 it would add 4 MB per template to save
-one n x n product per entering row and one k x n x n product per hint.
+itself is not stored: at 1600 x 320 it would add 4 MB per template. A row
+of G with one nonzero, a simple bound such as the MPC's acceleration box,
+needs no product: its row of G J is that entry times one row of J. The
+program records the column of each such row when it is built
+(``bound_column``, one integer per row), so an entering bound row and the
+bound rows of a hint are gathered from J, and only the other rows are
+multiplied, one n x n product per entering row and one k x n x n product
+for the k other rows of a hint. The product of a one-entry row adds only
+exact zeros, so the gathered row equals it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -46,6 +57,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dposv
+from scipy.sparse._sparsetools import csr_matvec
 
 # An entering row is dependent on the active rows when the part of it
 # outside their span, |d - y^T r|^2, is below this share of |d|^2.
@@ -75,8 +87,9 @@ class QuadraticProgram:
     """Dense QP data: symmetric PSD cost and optional inequalities.
 
     Construction checks every input and keeps a read-only copy of P with its
-    factor and a read-only CSR copy of G, so a bad P raises ``ValueError``
-    here and later edits of the caller's arrays do not reach the program.
+    factor, a read-only CSR copy of G and the column of each one-entry row
+    of G, so a bad P raises ``ValueError`` here and later edits of the
+    caller's arrays do not reach the program.
     """
 
     cost_matrix: np.ndarray
@@ -85,6 +98,8 @@ class QuadraticProgram:
     ineq_vector: np.ndarray = None
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)  # J = L^-T
     ineq_sparse: sparse.csr_array = field(init=False, repr=False, compare=False)  # G as CSR
+    # per row of G: the column of its one nonzero, or -1 if it has none or several
+    bound_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.cost_matrix, dtype=float, ndmin=2)
@@ -106,6 +121,11 @@ class QuadraticProgram:
         for a in (g_csr.data, g_csr.indices, g_csr.indptr):
             a.flags.writeable = False
         object.__setattr__(self, "ineq_sparse", g_csr)
+        single = np.diff(g_csr.indptr) == 1
+        column = np.full(g.shape[0], -1, dtype=np.intp)
+        column[single] = g_csr.indices[g_csr.indptr[:-1][single]]
+        column.flags.writeable = False
+        object.__setattr__(self, "bound_column", column)
         object.__setattr__(self, "inverse_factor", _inverse_factor(p))
         self._set_vectors(self.cost_vector,
                           np.zeros(0) if self.ineq_vector is None else self.ineq_vector)
@@ -148,7 +168,12 @@ class QuadraticProgram:
 
     def ineq_excess(self, x) -> np.ndarray:
         """G x - h through the CSR copy of G; positive entries are violated."""
-        return self.ineq_sparse @ np.asarray(x, dtype=float) - self.ineq_vector
+        g = self.ineq_sparse
+        out = np.zeros(g.shape[0])
+        csr_matvec(*g.shape, g.indptr, g.indices, g.data,
+                   np.ascontiguousarray(x, dtype=float), out)
+        out -= self.ineq_vector
+        return out
 
     def max_violation(self, x) -> float:
         """Largest constraint violation at ``x`` (0 when feasible)."""
@@ -199,7 +224,9 @@ class _DualActiveSet:
 
     Works in the fixed basis J = L^-T of the cost factor: it keeps the rows
     ``-G[i] @ J`` of the active constraints, so each step solves a system
-    of the active-set size instead of the bordered KKT system. Those rows
+    of the active-set size instead of the bordered KKT system. For a bound
+    row (``bound_column[i] >= 0``) that row is ``-G[i, c] * J[c]``,
+    gathered instead of multiplied, in ``hot_start`` and ``enter``. Those rows
     ``y``, their Gram matrix ``y y^T`` and the multipliers ``u`` sit in the
     first ``k`` rows of buffers that start at 16 rows and double when full:
     an entering row writes one Gram row and column (its products with the
@@ -213,6 +240,7 @@ class _DualActiveSet:
     def __init__(self, qp: QuadraticProgram):
         self.g, self.h = qp.ineq_matrix, qp.ineq_vector
         self.j = j = qp.inverse_factor
+        self.column = qp.bound_column
         self.n = qp.n
         self.w = -(qp.cost_vector @ j)
         self.x = j @ self.w
@@ -278,16 +306,30 @@ class _DualActiveSet:
         right-hand side until then.
         """
         g, h = self.g, self.h
-        idx = sorted({int(i) for i in hint if 0 <= int(i) < h.size})
-        if idx:
-            k = len(idx)
+        ids = list(hint)
+        # a previous solution's active rows are sorted, unique and in range
+        if ids and not (0 <= ids[0] and ids[-1] < h.size
+                        and all(map(operator.lt, ids, ids[1:]))):
+            ids = sorted({int(i) for i in ids if 0 <= int(i) < h.size})
+        if ids:
+            idx = np.array(ids, dtype=np.intp)
+            k = idx.size
             self._reserve(k)
             y = self.y[:k]
-            np.matmul(g[idx], self.j, out=y)
+            cols = self.column[idx]
+            dense = cols < 0
+            if dense.all():
+                np.matmul(g[idx], self.j, out=y)
+            else:
+                # a bound row's product is its one entry times a row of J;
+                # the other rows gather J[-1] here and are overwritten below
+                np.multiply(self.j[cols], g[idx, cols][:, None], out=y)
+                if dense.any():
+                    y[dense] = g[idx[dense]] @ self.j
             self.gram[:k, :k] = y @ y.T
             np.subtract(y @ self.w, h[idx], out=self.u[:k])
             np.negative(y, out=y)
-            self.ids, self.k = idx, k
+            self.ids, self.k = idx.tolist(), k
         while True:
             self.iterations += 1
             k = self.k
@@ -323,7 +365,8 @@ class _DualActiveSet:
         back onto the active rows.
         """
         npl, level = -self.g[cid], -self.h[cid]
-        d = npl @ self.j
+        col = self.column[cid]
+        d = npl[col] * self.j[col] if col >= 0 else npl @ self.j
         d_norm2 = d @ d
         slack = float(npl @ self.x) - level
         u_plus = 0.0
@@ -394,7 +437,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         x = state.x
         if excess is None:
             excess = qp.ineq_excess(x)
-        act = state.ids
+        act = np.array(state.ids, dtype=np.intp)
         u = np.maximum(state.u[:state.k], 0.0)
         mu = np.zeros(mi)
         mu[act] = u
@@ -409,7 +452,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
             worst = int(excess.argmax())
             most = worst if excess[worst] > 0 else None
         return QpSolution(x=x, status=status, iterations=max(state.iterations, 1),
-                          ineq_multipliers=mu, active=tuple(sorted(act)), kkt_residual=res,
+                          ineq_multipliers=mu, active=tuple(sorted(state.ids)), kkt_residual=res,
                           objective=float(0.5 * x @ px + qp.cost_vector @ x),
                           most_violated=most, solve_time=time.perf_counter() - t0)
 

@@ -395,6 +395,49 @@ def test_row_labels_name_the_law_of_each_row(n_av, horizon):
         np.testing.assert_array_equal(moved[names != name], 0.0)
 
 
+@pytest.mark.parametrize("n_av, horizon", [(2, 20), (8, 40)])
+def test_template_marks_its_one_entry_rows_as_bounds(n_av, horizon):
+    """The template program marks every acceleration-box row as a bound on
+    its own variable (+1 for acc_max, -1 for acc_min). Besides those
+    2 n_av N rows, only the first stage's velocity rows of each AV and
+    hv_gap[0] have one nonzero, since they depend on the first input alone."""
+    st = mpc._template(MpcConfig(n_av=n_av, horizon=horizon), None)
+    column, g = st.qp.bound_column, st.qp.ineq_matrix
+    for name, coef in (("acc_max", 1.0), ("acc_min", -1.0)):
+        rows = np.arange(st.rows[name].start, st.rows[name].stop)
+        np.testing.assert_array_equal(column[rows], rows - rows[0])
+        np.testing.assert_array_equal(g[rows, column[rows]], coef)
+    marked = np.flatnonzero(column >= 0)
+    assert marked.size == 2 * n_av * horizon + 2 * n_av + 1
+    others = {st.row_label(r) for r in marked if not st.row_label(r).startswith("acc_")}
+    assert others == {"hv_gap[0]"} | {f"{name}[{j},0]" for name in ("v_max", "v_min")
+                                      for j in range(n_av)}
+    np.testing.assert_array_equal(np.count_nonzero(g, axis=1) == 1, column >= 0)
+
+
+def test_controller_condenses_through_the_template_it_resolved(monkeypatch):
+    """A controller looks its template up once, when it is built: its steps
+    never consult the cache again, and condensing through the held template
+    gives the same program as looking it up."""
+    cfg = MpcConfig(horizon=8)
+    ctrl = PlatoonController(cfg, mode="nominal")
+    assert ctrl.structure is mpc._template(MpcConfig(horizon=8), ArxParams.default())
+    assert PlatoonController(cfg).structure is ctrl.structure
+    state, ref = _state(v=5.0), np.full(8, 6.0)
+    looked_up = condense(state, cfg, ref)
+    held = condense(state, cfg, ref, structure=ctrl.structure)
+    assert held.structure is looked_up.structure
+    np.testing.assert_array_equal(held.terms, looked_up.terms)
+
+    def no_lookup(*args):
+        raise AssertionError("template looked up during a step")
+
+    monkeypatch.setattr(mpc, "_structure", no_lookup)
+    for _ in range(3):
+        _, sol = ctrl.step(state, ref)
+        assert sol.status == "optimal"
+
+
 @pytest.mark.parametrize("gp_mode", [False, True])
 @pytest.mark.parametrize("n_av, horizon", [(3, 7), (8, 40)])
 def test_decode_matches_scalar_laws(n_av, horizon, gp_mode):

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from gpplatoon.qp import QuadraticProgram, solve_qp, to_csr
+from gpplatoon.qp import QuadraticProgram, _DualActiveSet, solve_qp, to_csr
 
 
 def enumerate_qp(p, q, g, h, tol=1e-9):
@@ -75,19 +75,109 @@ def test_infeasible_inequalities_certified():
     assert sol.most_violated in (0, 1)
 
 
+def _with_bound_rows(rng, n, m_dense):
+    """A strictly convex program whose rows, shuffled, are ``m_dense`` dense
+    rows and one-entry rows (simple bounds) around a feasible x0: one bound
+    row for each coefficient in (1, -1, 2.5, -0.5), a copy of one of them, a
+    band lo <= x[c] <= hi written as a bound row and its negation, and an
+    all-zero row. Returns the program, the column of the one entry of each
+    row (-1 for the dense and the zero row) and the rows that bound the
+    same set without the copy and the zero row."""
+    a = rng.normal(size=(n, n))
+    p = a.T @ a + n * np.eye(n)
+    x0 = rng.normal(size=n)
+    rows, rhs, column = [], [], []
+
+    def bound(c, coef, slack):
+        row = np.zeros(n)
+        row[c] = coef
+        rows.append(row), rhs.append(coef * x0[c] + slack), column.append(c)
+
+    for _ in range(m_dense):
+        g = rng.normal(size=n)
+        rows.append(g), rhs.append(g @ x0 + rng.uniform(0.0, 0.5)), column.append(-1)
+    for coef in (1.0, -1.0, 2.5, -0.5):
+        bound(int(rng.integers(n)), coef, rng.uniform(0.0, 0.5))
+    rows.append(rows[-1].copy()), rhs.append(rhs[-1]), column.append(column[-1])
+    c = int(rng.integers(n))
+    bound(c, 1.0, rng.uniform(0.0, 0.5))
+    bound(c, -1.0, rng.uniform(0.0, 0.5))
+    rows.append(np.zeros(n)), rhs.append(rng.uniform(0.0, 0.5)), column.append(-1)
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[[-1, -4]] = False      # the zero row and the copy
+    order = rng.permutation(len(rows))
+    g, h = np.array(rows)[order], np.array(rhs)[order]
+    qp = QuadraticProgram(p, rng.normal(size=n) * 4.0, g, h)
+    return qp, np.array(column)[order], np.flatnonzero(distinct[order])
+
+
 def test_matches_enumeration_oracle():
+    """Cold and hinted solves reach the enumerated optimum, on random
+    programs and on programs that mix dense rows with one-entry rows (see
+    ``_with_bound_rows``), whose copied and all-zero rows the oracle leaves
+    out since they bound the same set."""
     rng = np.random.default_rng(0)
+    cases = []
     for _ in range(40):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 5))
-        qp = _random_feasible_qp(rng, n, m)
-        sol = solve_qp(qp, tol=1e-8)
-        assert sol.status == "optimal"
-        oracle = enumerate_qp(qp.cost_matrix, qp.cost_vector,
-                              qp.ineq_matrix, qp.ineq_vector)
+        cases.append((_random_feasible_qp(rng, n, m), np.arange(m)))
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        qp, column, distinct = _with_bound_rows(rng, int(rng.integers(2, 5)),
+                                                int(rng.integers(1, 3)))
+        np.testing.assert_array_equal(qp.bound_column, column)
+        assert not qp.bound_column.flags.writeable
+        assert qp.with_vectors(qp.cost_vector, qp.ineq_vector).bound_column is qp.bound_column
+        cases.append((qp, distinct))
+    bound_active = 0
+    for qp, rows in cases:
+        g, h = qp.ineq_matrix, qp.ineq_vector
+        oracle = enumerate_qp(qp.cost_matrix, qp.cost_vector, g[rows], h[rows])
         assert oracle is not None
-        np.testing.assert_allclose(sol.x, oracle[0], atol=1e-6)
-        assert qp.objective(sol.x) == pytest.approx(oracle[1], abs=1e-6)
+        cold = solve_qp(qp, tol=1e-8)
+        bounds = tuple(int(i) for i in np.flatnonzero(qp.bound_column >= 0))
+        for hint in (None, cold.active, tuple(range(h.size)), bounds, bounds[::-1] + bounds):
+            sol = solve_qp(qp, tol=1e-8, active_hint=hint)
+            assert sol.status == "optimal", hint
+            np.testing.assert_allclose(sol.x, oracle[0], atol=1e-6)
+            assert qp.objective(sol.x) == pytest.approx(oracle[1], abs=1e-6)
+        bound_active += any(qp.bound_column[i] >= 0 for i in cold.active)
+    assert bound_active >= 25
+
+
+def _assert_bound_rows_of_y_exact(state, qp):
+    """The active bound rows of y equal -(G[ids] @ J) bit for bit."""
+    ids = state.ids
+    bound = qp.bound_column[ids] >= 0
+    want = -(qp.ineq_matrix[ids] @ qp.inverse_factor)
+    np.testing.assert_array_equal(state.y[:state.k][bound], want[bound])
+    return int(bound.sum())
+
+
+def test_bound_rows_of_y_equal_their_products_with_j():
+    """The rows y = -G J of active bound rows, gathered from J by the hot
+    start and by entering steps, equal the dense products bit for bit."""
+    rng = np.random.default_rng(31)
+    checked = 0
+    for _ in range(20):
+        qp, column, _ = _with_bound_rows(rng, int(rng.integers(5, 30)), int(rng.integers(1, 6)))
+        m = qp.ineq_vector.size
+        cold = solve_qp(qp)
+        for hint in (None, cold.active, tuple(range(m))):
+            state = _DualActiveSet(qp)
+            if hint is not None:
+                state.hot_start(hint)
+            checked += _assert_bound_rows_of_y_exact(state, qp)
+            for _ in range(200):
+                viol = qp.ineq_excess(state.x)
+                worst = int(viol.argmax())
+                if viol[worst] <= 1e-10 * (1.0 + abs(qp.ineq_vector[worst])):
+                    break
+                assert state.enter(worst, 1000) == "ok"
+                checked += _assert_bound_rows_of_y_exact(state, qp)
+            np.testing.assert_allclose(state.x, cold.x, rtol=0, atol=1e-8)
+    assert checked >= 100
 
 
 def test_kkt_residual_reported_small():

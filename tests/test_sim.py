@@ -233,6 +233,21 @@ def test_vehicle_ordering_preserved_short_emergency(control_fit):
         assert np.all(result.hv_vel >= 0.0)
 
 
+def test_wltp_nominal_run_solves_every_step_within_bounds():
+    """The full 180 s multiphase profile under nominal control: every one of
+    its 1800 steps solves to optimality, the HV never reaches the last AV,
+    and the applied accelerations and AV velocities keep their bounds."""
+    spec = make_scenario("wltp")
+    cfg = spec.cfg
+    result = run_closed_loop(spec, controller="nominal")
+    assert result.time.size == 1800
+    assert list(result.status) == ["optimal"] * 1800
+    assert result.events == []
+    assert np.all(result.hv_gap() > 0.0)
+    assert np.all((result.av_acc >= cfg.acc_min) & (result.av_acc <= cfg.acc_max))
+    assert np.all((result.av_vel >= cfg.v_min) & (result.av_vel <= cfg.v_max))
+
+
 def test_gp_run_counts_one_batch_per_step(control_fit):
     spec = make_scenario("rest", duration=2.0)
     result = run_closed_loop(spec, controller="gp", gp_model=control_fit.sparse)
