@@ -204,6 +204,9 @@ class _QpStructure:
     ``shapes`` its shape, stages last. The x-half of the constraints is -G,
     P = 2 R_x'R_x + 2r I, and the x-halves of the trajectories are
     ``av_decode`` (AV 0's blocks, the same for every AV) and ``hv_decode``.
+    The HV chain reads only the trailing AV's velocities, so the HV block's
+    x-half is zero outside that AV's N columns; ``hv_decode`` is those
+    columns, (2N+1, N), and the build checks that the rest are zero.
     ``qp`` is the template program: P, its factor and G, with zero vectors.
     Every array is read-only and shared by all the :class:`CondensedQp`
     built from the same ``(cfg, arx)``.
@@ -216,7 +219,7 @@ class _QpStructure:
     rows: dict                  # block name -> slice of terms
     shapes: dict                # block name -> shape
     av_decode: np.ndarray       # (2, N, N): one AV's acc -> velocities, positions
-    hv_decode: np.ndarray       # (2N+1, nd): x -> (HV velocities, position means)
+    hv_decode: np.ndarray       # (2N+1, N): trailing AV's acc -> (HV velocities, position means)
 
     def row_label(self, row: int) -> str:
         """Name of inequality row ``row``, e.g. ``av_gap[j,k]`` or ``hv_gap[k]``.
@@ -314,7 +317,11 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
             x_half[name] = block
     r_x = x_half["cost"].reshape(-1, nd)
     av_decode = np.stack((x_half["av_vel"][0, :, :n].T, x_half["av_pos"][0, :, :n].T))
-    hv_decode = x_half["hv"]
+    # the HV chain reads the trailing AV's velocities alone, so its decode
+    # keeps only that AV's acceleration columns
+    if x_half["hv"][:, :-n].any():
+        raise AssertionError("the HV chain depends on an AV other than the last")
+    hv_decode = np.ascontiguousarray(x_half["hv"][:, -n:])
     del x_half      # before P, whose product can then reuse the memory
     p_cost = r_x.T @ r_x
     p_cost *= 2.0
@@ -357,15 +364,16 @@ class CondensedQp:
         ``(acc, av_vel, av_pos, hv_vel, hv_pos_mean)``.
 
         Two products added to this step's offsets: ``acc @ av_decode`` gives
-        the AVs' velocity and position increments, ``hv_decode @ x`` the
-        HV's. The AV arrays are views of one array, and so are the HV's.
+        the AVs' velocity and position increments, ``hv_decode @ acc[-1]``
+        the HV's, which depend on the trailing AV's accelerations alone. The
+        AV arrays are views of one array, and so are the HV's.
         """
         st = self.structure
         n = st.cfg.horizon
         acc = x.reshape(st.cfg.n_av, n)
         av = acc @ st.av_decode
         av += self.terms[st.rows["av"]].reshape(av.shape)
-        hv = st.hv_decode @ x
+        hv = st.hv_decode @ acc[-1]
         hv += self.terms[st.rows["hv"]]
         return acc, av[0], av[1], hv[:n], hv[n:-1]
 

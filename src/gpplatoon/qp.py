@@ -44,6 +44,24 @@ bound rows of a hint are gathered from J, and only the other rows are
 multiplied, one n x n product per entering row and one k x n x n product
 for the k other rows of a hint. The product of a one-entry row adds only
 exact zeros, so the gathered row equals it bit for bit.
+
+J is upper triangular (its strictly lower part is exactly zero), and the
+two products every solve starts with, w = -J^T q and x = J w, go through
+BLAS ``dtrmv`` on the Fortran-ordered view ``J.T``, which reads one
+triangle in place. The reported residual and objective take P x through
+``dsymv`` on P's lower triangle, the one its factor is built from; P is
+symmetric only to within 1e-10, so the upper triangle could disagree with
+the factor. An empty-hint solve at ``n_av=8, N=40`` thus reads half of J
+and half of P (410 KB each) instead of all of both, and with the G CSR
+copy (320 KB) and the MPC's step map and decode blocks (190 KB) its data
+is about 1.3 MB, where the dense products needed about 2.3 MB: more than
+a 2 MB L2 cache. The products inside the iteration (``enter``'s
+``npl @ J`` and ``J @ v``, and ``J @ ...`` in ``hot_start`` and
+``_retighten``) stay on ``@``: through ``dtrmv`` their last bits change
+the verdict of a degenerate program (an equality written as two opposite
+rows) on one BLAS thread, for a gain in the slow steps of a few percent
+at most. ``J`` itself is formed with ``solve_triangular``, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -56,6 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dsymv, dtrmv
 from scipy.linalg.lapack import dposv
 from scipy.sparse._sparsetools import csr_matvec
 
@@ -228,13 +247,14 @@ class _DualActiveSet:
     row (``bound_column[i] >= 0``) that row is ``-G[i, c] * J[c]``,
     gathered instead of multiplied, in ``hot_start`` and ``enter``. Those rows
     ``y``, their Gram matrix ``y y^T`` and the multipliers ``u`` sit in the
-    first ``k`` rows of buffers that start at 16 rows and double when full:
-    an entering row writes one Gram row and column (its products with the
-    active rows are the dual step's right-hand side anyway), a dropped row
-    shifts the slices after it, and each solve is one ``dposv``. A row is
-    admitted only if its part outside the active rows' span is not
-    negligible (``_RANK_TOL``), so the kept rows have full row rank and
-    ``y y^T`` stays positive definite.
+    first ``k`` rows of buffers that are allocated with 16 rows when the
+    first row arrives (a solve that needs none allocates none) and double
+    when full: an entering row writes one Gram row and column (its products
+    with the active rows are the dual step's right-hand side anyway), a
+    dropped row shifts the slices after it, and each solve is one
+    ``dposv``. A row is admitted only if its part outside the active rows'
+    span is not negligible (``_RANK_TOL``), so the kept rows have full row
+    rank and ``y y^T`` stays positive definite.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -242,13 +262,15 @@ class _DualActiveSet:
         self.j = j = qp.inverse_factor
         self.column = qp.bound_column
         self.n = qp.n
-        self.w = -(qp.cost_vector @ j)
-        self.x = j @ self.w
+        # J is upper triangular, so J.T is its lower triangle in Fortran order,
+        # which BLAS reads in place: w = -J^T q, then x = J w
+        self.w = dtrmv(j.T, -qp.cost_vector, lower=1, overwrite_x=1)
+        self.x = dtrmv(j.T, self.w, lower=1, trans=1)
         self.ids: list[int] = []
         self.k = 0
-        self.y = np.empty((16, self.n))  # active normals times J
-        self.gram = np.empty((16, 16))   # y y^T
-        self.u = np.empty(16)            # multipliers
+        self.y = np.empty((0, self.n))   # active normals times J
+        self.gram = np.empty((0, 0))     # y y^T
+        self.u = np.empty(0)             # multipliers
         self.iterations = 0
 
     def _reserve(self, k: int) -> None:
@@ -256,6 +278,7 @@ class _DualActiveSet:
         cap = self.u.size
         if k <= cap:
             return
+        cap = max(cap, 16)
         while cap < k:
             cap *= 2
         m = self.k
@@ -441,8 +464,10 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         u = np.maximum(state.u[:state.k], 0.0)
         mu = np.zeros(mi)
         mu[act] = u
+        # P.T in Fortran order is P, and its upper triangle there is P's
+        # lower one, the triangle the factor was built from
+        px = dsymv(1.0, qp.cost_matrix.T, x)
         # mu is zero outside the active rows, so G^T mu needs only those
-        px = qp.cost_matrix @ x
         grad = px + qp.cost_vector + u @ g[act]
         res = float(max(np.abs(grad).max(initial=0.0), excess.max(initial=0.0),
                         np.abs(u * excess[act]).max(initial=0.0)))

@@ -462,6 +462,37 @@ def test_decode_matches_scalar_laws(n_av, horizon, gp_mode):
     np.testing.assert_allclose(cd.gap_bounds, expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_av, horizon", [(1, 20), (2, 20), (8, 40)])
+def test_hv_decode_block_reproduces_the_full_x_half(n_av, horizon):
+    """The template keeps the HV decode only over the trailing AV's N
+    accelerations. By the scalar laws, the HV trajectories do not move with
+    the other AVs' accelerations, and their columns over the trailing AV's
+    equal that block, so the block's product with x[-N:] is the full
+    x-half's product with x."""
+    rng = np.random.default_rng(7 * n_av + horizon)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    st = mpc._template(cfg, None)
+    assert st.hv_decode.shape == (2 * horizon + 1, horizon)
+    params, nd = ArxParams.default(), n_av * horizon
+    state = PlatoonState(av_pos=np.zeros(n_av), av_vel=np.zeros(n_av), hv_pos=0.0,
+                         history=VelocityHistory.constant(0.0, 0.0))
+
+    def hv_trajectories(x):
+        _, _, hv_vel, mu, _ = _scalar_trajectories(state, cfg, None, params,
+                                                   x.reshape(n_av, horizon))
+        return np.concatenate((hv_vel, mu))
+
+    # the laws are linear and zero at the zero state, so column i of the
+    # x-half is the image of the i-th unit plan
+    trailing = np.stack([hv_trajectories(e) for e in np.eye(nd)[-horizon:]], axis=1)
+    np.testing.assert_allclose(st.hv_decode, trailing, rtol=1e-12, atol=1e-13)
+    for _ in range(3):
+        x = rng.uniform(-3.0, 3.0, nd)
+        np.testing.assert_array_equal(hv_trajectories(np.append(x[:-horizon], np.zeros(horizon))), 0.0)
+        np.testing.assert_allclose(st.hv_decode @ x[-horizon:], hv_trajectories(x),
+                                   rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_v_ref_rejected_naming_it(bad):
     cfg = MpcConfig(horizon=6)

@@ -180,6 +180,85 @@ def test_bound_rows_of_y_equal_their_products_with_j():
     assert checked >= 100
 
 
+def _psd_jitter_program(rng, n):
+    """A program whose P is singular (rank n - 2), so its factor takes the
+    jitter path."""
+    a = rng.integers(-3, 4, size=(n - 2, n)).astype(float)
+    p = a.T @ a
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(p)
+    return QuadraticProgram(p, rng.normal(size=n), rng.normal(size=(3, n)), np.ones(3))
+
+
+def test_inverse_factor_is_exactly_upper_triangular():
+    """J = L^-T is applied through BLAS trmv, which reads only its upper
+    triangle: the strictly lower part must be exactly zero, for positive
+    definite programs and for PSD ones factored with jitter."""
+    rng = np.random.default_rng(41)
+    definite = [_random_feasible_qp(rng, n, 3) for n in (1, 2, 7, 40, 120)]
+    for qp in definite + [_psd_jitter_program(rng, n) for n in (4, 30)]:
+        j = qp.inverse_factor
+        assert np.all(np.tril(j, -1) == 0.0)
+        assert np.all(np.diag(j) > 0.0)
+    for qp in definite:
+        j = qp.inverse_factor
+        np.testing.assert_allclose(j @ j.T @ qp.cost_matrix, np.eye(qp.n), rtol=0, atol=1e-12)
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+def test_triangular_and_symmetric_kernels_match_dense_products():
+    """The start w = -J^T q and x = J w (trmv on J's triangle) and the
+    reported objective and KKT residual (symv on P's lower triangle) match
+    the dense products to 1e-13, relative to each quantity's size, with and
+    without active rows."""
+    rng = np.random.default_rng(43)
+    jitter = _psd_jitter_program(rng, 12)
+    for qp in [jitter] + [_random_feasible_qp(rng, n, m) for n, m in ((3, 2), (20, 30), (160, 200))]:
+        j, p, q, g = qp.inverse_factor, qp.cost_matrix, qp.cost_vector, qp.ineq_matrix
+        state = _DualActiveSet(qp)
+        assert _rel_err(state.w, -(q @ j)) <= 1e-13
+        assert _rel_err(state.x, j @ state.w) <= 1e-13
+        if qp is jitter:
+            continue  # unbounded along P's null space: only the start is checked
+        for hint in (None, solve_qp(qp).active):
+            sol = solve_qp(qp, active_hint=hint)
+            assert sol.status == "optimal"
+            x, mu = sol.x, sol.ineq_multipliers
+            dense_obj = 0.5 * x @ p @ x + q @ x
+            assert sol.objective == pytest.approx(dense_obj, rel=1e-13, abs=1e-13)
+            # the residual is a difference of terms of this size
+            scale = max(np.abs(p @ x).max(), np.abs(q).max(), np.abs(g.T @ mu).max(), 1.0)
+            assert abs(sol.kkt_residual - _full_product_kkt_residual(qp, sol)) <= 1e-13 * scale
+
+
+def test_residual_reads_the_lower_triangle_of_a_slightly_asymmetric_cost():
+    """P may be asymmetric by up to 1e-10. The factor is built from its lower
+    triangle, so the optimum is that of the lower triangle's symmetric
+    matrix, and the reported residual is the one of that matrix: small,
+    where the upper triangle's residual is not."""
+    rng = np.random.default_rng(47)
+    n = 8
+    for _ in range(5):
+        base = _random_feasible_qp(rng, n, 10)
+        p = base.cost_matrix.copy()
+        p[np.tril_indices(n, -1)] += 9e-11
+        qp = QuadraticProgram(p, base.cost_vector, base.ineq_matrix, base.ineq_vector)
+        lower = np.tril(p) + np.tril(p, -1).T
+        upper = np.triu(p) + np.triu(p, 1).T
+        for hint in (None, solve_qp(qp).active):
+            sol = solve_qp(qp, active_hint=hint, tol=1e-12)
+            assert sol.status == "optimal"
+            grad = sol.ineq_multipliers @ qp.ineq_matrix + qp.cost_vector
+            assert np.abs(lower @ sol.x + grad).max() <= 1e-12
+            assert np.abs(upper @ sol.x + grad).max() > 1e-11
+            assert sol.kkt_residual <= 1e-12
+            assert sol.objective == pytest.approx(
+                0.5 * sol.x @ lower @ sol.x + qp.cost_vector @ sol.x, rel=1e-13)
+
+
 def test_kkt_residual_reported_small():
     rng = np.random.default_rng(3)
     for _ in range(10):

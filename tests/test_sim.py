@@ -248,6 +248,24 @@ def test_wltp_nominal_run_solves_every_step_within_bounds():
     assert np.all((result.av_vel >= cfg.v_min) & (result.av_vel <= cfg.v_max))
 
 
+def test_realtime_nominal_run_solves_every_step_within_bounds():
+    """The 60 s realtime profile under nominal control, with its own sample
+    time (0.25 s) and input weight (r = 15), so a third template shape: all
+    240 steps solve to optimality with no events, and the HV gap never drops
+    below delta. The bounds are checked to 1e-9 rather than exactly: the
+    applied acceleration reaches acc_max + 2e-15 there, which the solver's
+    feasibility tolerance (1e-10 (1 + |h|)) accepts."""
+    spec = make_scenario("realtime")
+    cfg = spec.cfg
+    result = run_closed_loop(spec, controller="nominal")
+    assert result.time.size == 240
+    assert list(result.status) == ["optimal"] * 240
+    assert result.events == []
+    assert result.hv_gap().min() >= cfg.gap.delta - 1e-9
+    assert np.all((result.av_acc >= cfg.acc_min - 1e-9) & (result.av_acc <= cfg.acc_max + 1e-9))
+    assert np.all((result.av_vel >= cfg.v_min - 1e-9) & (result.av_vel <= cfg.v_max + 1e-9))
+
+
 def test_gp_run_counts_one_batch_per_step(control_fit):
     spec = make_scenario("rest", duration=2.0)
     result = run_closed_loop(spec, controller="gp", gp_model=control_fit.sparse)
