@@ -48,7 +48,8 @@ class KernelHyper:
     noise_variance: float
 
     def __post_init__(self):
-        ls = np.atleast_1d(np.asarray(self.length_scales, dtype=float))
+        ls = np.array(self.length_scales, dtype=float, ndmin=1)
+        ls.flags.writeable = False
         object.__setattr__(self, "length_scales", ls)
         if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
             raise ValueError("signal_variance must be positive and finite")
@@ -419,7 +420,8 @@ class SparseGpModel:
     On construction (by :meth:`from_inducing`, :func:`load_model` or
     directly) the model checks the shapes of its arrays, (m, d) inducing
     inputs with d = ``hyper.n_dims``, (m, m) factors and m weights, and
-    that the factors and weights are finite. It stores the factors
+    that the factors and weights are finite. It keeps read-only copies of
+    the four, which the caller's later edits do not reach, the factors
     Fortran-ordered so LAPACK solves with them without a copy, and caches
     the length-scale-scaled inducing inputs and their squared norms, so a
     prediction forms only the query-dependent part of the kernel. The
@@ -436,20 +438,22 @@ class SparseGpModel:
     _inducing_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inducing = np.asarray(self.inducing, dtype=float)
+        inducing = np.array(self.inducing, dtype=float)
         d = self.hyper.n_dims
         if inducing.ndim != 2 or inducing.shape[1] != d:
             raise ValueError(f"inducing must have shape (m, {d}), got {inducing.shape}")
         m = inducing.shape[0]
         object.__setattr__(self, "inducing", inducing)
         for name in ("chol_inducing", "chol_cap"):
-            chol = np.asfortranarray(getattr(self, name), dtype=float)
+            chol = np.array(getattr(self, name), dtype=float, order="F")
+            chol.flags.writeable = False
             if chol.shape != (m, m):
                 raise ValueError(f"{name} must have shape ({m}, {m}), got {chol.shape}")
             if not np.isfinite(chol).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, chol)
-        weights = np.asarray(self.mean_weights, dtype=float)
+        weights = np.array(self.mean_weights, dtype=float)
+        inducing.flags.writeable = weights.flags.writeable = False
         if weights.shape != (m,):
             raise ValueError(f"mean_weights must have shape ({m},), got {weights.shape}")
         if not np.isfinite(weights).all():

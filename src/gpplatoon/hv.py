@@ -10,6 +10,7 @@ can be checked against ground truth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +25,18 @@ ARX_B_DEFAULT = (0.0063, -0.0303, 0.0495, -0.0254)
 N_LAGS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArxParams:
-    """Coefficients of the 4-lag ARX driver model."""
+    """Coefficients of the 4-lag ARX driver model: an immutable value with
+    read-only copies of ``c`` and ``b``, compared and hashed by their bytes."""
 
     c: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        c = np.array(self.c, dtype=float)
+        b = np.array(self.b, dtype=float)
+        c.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "b", b)
         if c.shape != (N_LAGS,) or b.shape != (N_LAGS,):
@@ -43,9 +46,17 @@ class ArxParams:
         if abs(1.0 + c.sum()) < 1e-12:
             raise ValueError("1 + sum(c) must be nonzero for a finite DC gain")
 
+    def __eq__(self, other):
+        return (isinstance(other, ArxParams) and self.c.tobytes() == other.c.tobytes()
+                and self.b.tobytes() == other.b.tobytes())
+
+    def __hash__(self):
+        return hash((self.c.tobytes(), self.b.tobytes()))
+
     @classmethod
+    @functools.cache    # immutable, so one instance serves every caller
     def default(cls) -> "ArxParams":
-        return cls(c=np.array(ARX_C_DEFAULT), b=np.array(ARX_B_DEFAULT))
+        return cls(c=ARX_C_DEFAULT, b=ARX_B_DEFAULT)
 
     @property
     def dc_gain(self) -> float:

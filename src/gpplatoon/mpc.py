@@ -6,24 +6,24 @@ previous solution's trajectory (one sparse batch prediction per control
 step), so every solve is a convex QP over the stacked AV accelerations x.
 
 Everything that does not depend on the measured state is built once per
-``(cfg, arx)`` and cached. Every law of the horizon (the AV velocities and
+``(cfg, arx)``, cached on those two values and passed to :func:`condense`
+as its one source of both. Every law of the horizon (the AV velocities and
 positions, the HV position mean and variance, the constraints, the cost
-residuals and the decoded trajectories) is written once, as a function
-that is linear in w = [z; x], where z is the step's input (the state, the
-frozen GP terms, the reference and a constant 1). Evaluated on the
-identity over x, the laws give the constraint matrix G, the cost matrix P
-and the matrices that decode a plan. Evaluated on the identity over z,
-they give one sparse affine map from z to every vector the step needs: h
-without the gap bounds, the HV chain's constant part, the position
-variances, the decode offsets, the cost residuals and, through the
-residuals' x-half, the cost vector q. This is
-the multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
-chain is :func:`gpplatoon.hv.arx_step` applied to linear maps. P and G sit
-in one template :class:`~gpplatoon.qp.QuadraticProgram`, which checks them
-and factors P once. A control step takes one product with the map,
-subtracts the gap bounds from h and computes the cost constant; it decodes
-one plan, the QP's solution or maximum braking when the solve fails, with
-two more products.
+residuals and the decoded trajectories) is written once, as a function that
+is linear in w = [z; x], where z is the step's input (the state, the frozen
+GP terms, the reference and a constant 1). Evaluated on the identity over
+x, the laws give the constraint matrix G, the cost matrix P and the
+matrices that decode a plan. Evaluated on the identity over z, they give
+one sparse affine map from z to every vector the step needs: h without the
+gap bounds, the HV chain's constant part, the position variances, the
+decode offsets, the cost residuals and, through the residuals' x-half, the
+cost vector q. This is the multi-parametric form of condensed MPC (Bemporad
+et al. 2002). The HV chain is :func:`gpplatoon.hv.arx_step` applied to
+linear maps. P and G sit in one :class:`~gpplatoon.qp.QuadraticProgram`,
+which checks them and factors P once. A control step takes one product
+with the map, subtracts the gap bounds from h and computes the cost
+constant; it decodes one plan, the QP's solution or maximum braking when
+the solve fails, with two more products.
 """
 
 from __future__ import annotations
@@ -238,15 +238,15 @@ class _QpStructure:
 
 
 @functools.lru_cache(maxsize=16)
-def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
-    """Build the fixed part of the condensed QP; cached on its full key.
+def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
+    """The template of ``(cfg, arx)``, cached on the two values; pass both
+    positionally, as the cache keys a keyword call apart.
 
     ``laws`` evaluates the laws at the columns of a matrix whose rows stand
     for the entries of [z; x]: on the identity over z, made sparse block by
     block, then on the identity over x, whose constraint blocks go straight
     into G, so neither half is ever dense as a whole.
     """
-    arx = ArxParams(c=np.frombuffer(arx_c), b=np.frombuffer(arx_b))
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
     nd, ns = nav * n, 2 * N_LAGS + 1
     cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n, 1])
@@ -328,31 +328,24 @@ def _structure(cfg: MpcConfig, arx_c: bytes, arx_b: bytes) -> _QpStructure:
     p_cost.flat[::nd + 1] += 2.0 * cfg.r
     terms = sparse.vstack((*z_half.values(), to_csr(2.0 * (r_x.T @ z_half["cost"]))), format="csr")
     zero_frozen = np.zeros(n)
-    for arr in (g_mat, av_decode, hv_decode, zero_frozen, terms.data, terms.indices, terms.indptr):
+    for arr in (av_decode, hv_decode, zero_frozen, terms.data, terms.indices, terms.indptr):
         arr.flags.writeable = False
     qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]))
     return _QpStructure(cfg=cfg, qp=qp, terms=terms, zero_frozen=zero_frozen, rows=rows,
                         shapes=shapes, av_decode=av_decode, hv_decode=hv_decode)
 
 
-def _template(cfg: MpcConfig, arx: ArxParams | None) -> _QpStructure:
-    """The cached template of ``(cfg, arx)``, the default ARX model if None."""
-    arx = arx or ArxParams.default()
-    return _structure(cfg, arx.c.tobytes(), arx.b.tobytes())
-
-
 @dataclass(frozen=True)
 class CondensedQp:
     """Dense QP plus the state-dependent vectors needed to decode a plan.
 
-    ``terms`` is the step's product of the structure's affine map with its
-    input vector z; q, h, ``hv_const``, ``mu_const`` and ``sigma`` are views
-    of it, and :meth:`decode` reads its offsets.
+    ``structure`` is its template, and ``terms`` the step's product of the
+    template's affine map with its input vector z: ``sigma`` is a view of
+    it, ``qp`` holds copies of its q and h, and :meth:`decode` reads its
+    offsets.
     """
 
     qp: QuadraticProgram
-    hv_const: np.ndarray
-    mu_const: np.ndarray
     sigma: np.ndarray
     gap_bounds: np.ndarray
     cost_const: float
@@ -378,10 +371,8 @@ class CondensedQp:
         return acc, av[0], av[1], hv[:n], hv[n:-1]
 
 
-def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
-             frozen: FrozenGpTrajectory | None = None,
-             arx: ArxParams | None = None, *,
-             structure: _QpStructure | None = None) -> CondensedQp:
+def condense(template: _QpStructure, state: PlatoonState, v_ref,
+             frozen: FrozenGpTrajectory | None = None) -> CondensedQp:
     """Reduce one horizon to a dense QP over stacked AV accelerations.
 
     With ``frozen`` set, the HV mean chain gains the frozen correction means,
@@ -392,16 +383,15 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
     constraining them adds no control authority and an unavoidable
     millimetre incursion there would falsely mark the program infeasible.
 
-    The cost and constraint matrices come from the template program cached
-    per ``(cfg, arx)``. This call checks its inputs, stacks the input vector
-    z (see :class:`_QpStructure`; a nominal step's frozen terms are zero)
-    and takes one sparse product, of which q, h, ``hv_const``, ``mu_const``,
+    ``template`` (see :class:`_QpStructure`) is the one source of the
+    configuration, the ARX model and the cost and constraint matrices. This
+    call checks its inputs, stacks the input vector z (a nominal step's
+    frozen terms are zero) and takes one sparse product, of which q, h,
     ``sigma``, the decode offsets and the cost residuals are slices. Only
     the gap bounds, which it subtracts from h, and the cost constant, the
-    residuals' squared norm, are computed apart from it. A caller that
-    holds the template of ``(cfg, arx)`` passes it as ``structure``, as
-    :class:`PlatoonController` does, and the cache is not consulted.
+    residuals' squared norm, are computed apart from it.
     """
+    st, cfg = template, template.cfg
     n = cfg.horizon
     if state.n_av != cfg.n_av:
         raise ValueError(f"state has {state.n_av} AVs but config expects {cfg.n_av}")
@@ -412,7 +402,6 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
         raise ValueError("v_ref must be finite")
     if frozen is not None and frozen.mean.size != n:
         raise ValueError(f"frozen trajectory must supply {n} stages")
-    st = _template(cfg, arx) if structure is None else structure
     hist = state.history
     fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
     out = st.terms @ np.concatenate((state.av_pos, state.av_vel,
@@ -424,9 +413,8 @@ def condense(state: PlatoonState, cfg: MpcConfig, v_ref,
               else tightened_min_gap(cfg.gap, sigma))
     out[rows["hv_gap"]] -= bounds
     residual = out[rows["cost"]]
-    hv = out[rows["hv"]]
     return CondensedQp(qp=st.qp.with_vectors(out[rows["q"]], out[rows["h"]]),
-                       hv_const=hv[:n], mu_const=hv[n:], sigma=sigma, gap_bounds=bounds,
+                       sigma=sigma, gap_bounds=bounds,
                        cost_const=float(residual @ residual), structure=st, terms=out)
 
 
@@ -436,9 +424,9 @@ class PlatoonController:
     One instance is single-threaded: it keeps the previous solution for the
     frozen GP evaluation and reuses its active set to warm-start the next
     solve. The shared sparse GP model is only read. The template of
-    ``(cfg, arx)`` is resolved once, at construction (built there if no
-    controller of the same configuration came before), and every step
-    condenses through it.
+    ``(cfg, arx)``, the default ARX model if ``arx`` is None, is looked up
+    once, at construction (built there if no controller of an equal
+    configuration came before), and every step condenses through it.
     """
 
     def __init__(self, cfg: MpcConfig, mode: str = "nominal", gp_model=None,
@@ -450,8 +438,7 @@ class PlatoonController:
         self.cfg = cfg
         self.mode = mode
         self.gp_model = gp_model
-        self.arx = arx or ArxParams.default()
-        self.structure = _template(cfg, self.arx)
+        self.structure = _structure(cfg, arx or ArxParams.default())
         self.solver_tol = solver_tol
         self.prev_solution: MpcSolution | None = None
         self.gp_batch_evals = 0
@@ -469,7 +456,7 @@ class PlatoonController:
             prev = self.prev_solution if self.prev_solution is not None else state
             self.gp_batch_evals += 1
             frozen = evaluate_gp_along_trajectory(self.gp_model, prev, cfg.horizon)
-        cd = condense(state, cfg, v_ref, frozen=frozen, structure=self.structure)
+        cd = condense(self.structure, state, v_ref, frozen)
         hint = self.prev_solution.active if self.prev_solution is not None else None
         res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=hint)
         fallback = res.status != "optimal"

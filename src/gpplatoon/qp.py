@@ -18,11 +18,11 @@ If the hint was the optimal active set, the solve is one linear system.
 As in Goldfarb and Idnani's method, the iteration works in the fixed basis
 J = L^-T of the cost factor P = L L^T: with the active rows mapped to
 y = G J, each step solves a system of the active-set size rather than the
-bordered KKT system. Each :class:`QuadraticProgram` owns a read-only copy
-of P and its J, checked and factored once when it is built, and a
-read-only CSR copy of G; :meth:`QuadraticProgram.with_vectors` gives
-programs that share them (the MPC's, one template per configuration), so P
-is factored once per template.
+bordered KKT system. Each :class:`QuadraticProgram` owns read-only copies
+of P, G, q and h, and P's J and a CSR copy of G, checked and built once
+with it; :meth:`QuadraticProgram.with_vectors` gives programs that copy
+only q and h and share the rest (the MPC's, one template per
+configuration), so P is factored once per template.
 
 Every product of G with x over all its rows, G x - h, goes through
 :meth:`QuadraticProgram.ineq_excess` and so through the CSR copy: the MPC's
@@ -105,8 +105,8 @@ def _feasibility_tol(level) -> float:
 class QuadraticProgram:
     """Dense QP data: symmetric PSD cost and optional inequalities.
 
-    Construction checks every input and keeps a read-only copy of P with its
-    factor, a read-only CSR copy of G and the column of each one-entry row
+    Construction checks every input and keeps read-only copies of P, q, G
+    and h, P's factor, a CSR copy of G and the column of each one-entry row
     of G, so a bad P raises ``ValueError`` here and later edits of the
     caller's arrays do not reach the program.
     """
@@ -130,8 +130,9 @@ class QuadraticProgram:
         asym = p - p.T
         if not np.abs(asym, out=asym).max() <= 1e-10:
             raise ValueError("cost matrix must be finite and symmetric")
-        g = np.zeros((0, n)) if self.ineq_matrix is None else np.atleast_2d(
-            np.asarray(self.ineq_matrix, dtype=float))
+        g = np.zeros((0, n)) if self.ineq_matrix is None else np.array(
+            self.ineq_matrix, dtype=float, ndmin=2)
+        g.flags.writeable = False
         if g.shape[1:] != (n,) or not np.isfinite(g).all():
             raise ValueError(f"ineq_matrix must be finite with {n} columns, got {g.shape}")
         object.__setattr__(self, "cost_matrix", p)
@@ -152,7 +153,8 @@ class QuadraticProgram:
     def _set_vectors(self, q, h) -> None:
         for name, a, size in (("cost_vector", q, self.n),
                               ("ineq_vector", h, self.ineq_matrix.shape[0])):
-            a = np.atleast_1d(np.asarray(a, dtype=float))
+            a = np.array(a, dtype=float, ndmin=1)
+            a.flags.writeable = False
             if a.shape != (size,):
                 raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
             if not np.isfinite(a).all():
@@ -160,8 +162,8 @@ class QuadraticProgram:
             object.__setattr__(self, name, a)
 
     def with_vectors(self, cost_vector, ineq_vector) -> QuadraticProgram:
-        """This program with q and h replaced; P, its factor and G (dense and
-        CSR) are shared and only the two vectors are checked."""
+        """This program with q and h replaced by copies; P, its factor and G
+        (dense and CSR) are shared and only the two vectors are checked."""
         # a shallow copy of the fields, without copy.copy's generic protocol
         qp = object.__new__(QuadraticProgram)
         qp.__dict__.update(self.__dict__)

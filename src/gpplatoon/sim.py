@@ -290,15 +290,11 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
     plan violates a row (``fallback:infeasible:hv_gap[9]``). Steps where
     the plant clamps the HV's velocity record ``hv_velocity_clamped``, and
     steps where the AVs' velocities are clamped ``av_velocity_clamped``.
+    An unknown controller, or a GP controller or paper plant without
+    ``gp_model``, raises ``ValueError`` from the controller or the plant.
     """
-    if controller not in ("nominal", "gp"):
-        raise ValueError(f"unknown controller {controller!r}")
     arx = arx or ArxParams.default()
     cfg = spec.cfg
-    if controller == "gp" and gp_model is None:
-        raise ValueError("gp controller requires a trained sparse GP model")
-    if spec.plant_mode == "paper" and gp_model is None:
-        raise ValueError("paper plant mode requires a trained sparse GP model")
     profile = spec.profile()
     ctrl = PlatoonController(cfg, mode=controller, gp_model=gp_model, arx=arx)
     plant = HvPlant(

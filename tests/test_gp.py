@@ -75,6 +75,14 @@ def test_hyper_validation():
         KernelHyper(signal_variance=1.0, length_scales=np.ones(2), noise_variance=0.0)
 
 
+def test_hyper_keeps_its_own_length_scales():
+    ls = np.array([1.0, 2.0])
+    h = KernelHyper(signal_variance=1.0, length_scales=ls, noise_variance=0.1)
+    ls[0] = 5.0
+    assert not h.length_scales.flags.writeable
+    np.testing.assert_array_equal(h.length_scales, [1.0, 2.0])
+
+
 # ---------------------------------------------------------------------------
 # log marginal likelihood
 # ---------------------------------------------------------------------------
@@ -473,6 +481,30 @@ def test_model_roundtrip_sparse(tmp_path):
     q = rng.normal(size=(5, 2))
     np.testing.assert_array_equal(sparse.predict_batch(q)[0], loaded.predict_batch(q)[0])
     np.testing.assert_array_equal(sparse.predict_batch(q)[1], loaded.predict_batch(q)[1])
+
+
+def test_sparse_model_keeps_its_own_arrays(tmp_path):
+    """Edits of the caller's arrays after construction reach neither the
+    model's fields, its predictions nor what save_model writes."""
+    rng = np.random.default_rng(35)
+    model = build_sparse(_random_model(rng, n=30), m=6, seed=2)
+    given = {name: getattr(model, name).copy()
+             for name in ("inducing", "chol_inducing", "chol_cap", "mean_weights")}
+    own = SparseGpModel(hyper=model.hyper, **given)
+    q = rng.normal(size=(5, 2))
+    before = own.predict_batch(q)
+    save_model(own, tmp_path / "before.txt")
+    for a in given.values():
+        a *= 2.0
+    for name, a in given.items():
+        stored = getattr(own, name)
+        assert stored is not a and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, getattr(model, name))
+    after = own.predict_batch(q)
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
+    save_model(own, tmp_path / "after.txt")
+    assert (tmp_path / "after.txt").read_bytes() == (tmp_path / "before.txt").read_bytes()
 
 
 def _two_solve_reference(model, xs):

@@ -25,6 +25,27 @@ def test_default_dc_gain_is_unity():
     assert p.dc_gain == pytest.approx(1.0, abs=0.01)
 
 
+def test_arx_params_is_an_immutable_value():
+    """Coefficients from lists or from copied arrays give a model equal to
+    the default that hashes alike; it keeps read-only copies, so editing
+    the caller's arrays changes nothing, and a different b is a different
+    value."""
+    default = ArxParams.default()
+    assert ArxParams.default() == default and hash(ArxParams.default()) == hash(default)
+    c, b = default.c.copy(), default.b.copy()
+    for p in (ArxParams(c=list(c), b=list(b)), ArxParams(c=c, b=b)):
+        assert p == default and hash(p) == hash(default)
+        assert p.c is not c and p.b is not b
+        assert not p.c.flags.writeable and not p.b.flags.writeable
+    p = ArxParams(c=c, b=b)
+    c *= 2.0
+    b[0] = 1.0
+    assert p == default
+    np.testing.assert_array_equal(p.c, default.c)
+    other = ArxParams(c=default.c, b=1.01 * default.b)
+    assert other != default and other != "not a model"
+
+
 def test_arx_zero_history():
     h = VelocityHistory.constant(0.0, 0.0)
     assert arx_step(ArxParams.default(), h.hv, h.av) == 0.0

@@ -36,6 +36,19 @@ def _state(n_av=2, spacing=12.0, v=0.0, hv_gap=12.0):
     )
 
 
+def _condense(state, cfg, v_ref, frozen=None, arx=None):
+    """condense through the cached template of (cfg, arx), the default ARX
+    model if arx is None."""
+    return condense(mpc._structure(cfg, arx or ArxParams.default()), state, v_ref, frozen)
+
+
+def _hv_offsets(cd):
+    """The HV velocities and position means of a zero plan, from terms."""
+    hv = cd.terms[cd.structure.rows["hv"]]
+    n = cd.structure.cfg.horizon
+    return hv[:n], hv[n:]
+
+
 def _tiny_sparse_gp(targets=None, nv=1e-6):
     inputs = np.array([[5.0, 5.0], [10.0, 10.0], [15.0, 15.0], [20.0, 20.0]])
     targets = np.zeros(4) if targets is None else np.asarray(targets, dtype=float)
@@ -106,7 +119,7 @@ def test_frozen_validation():
 def test_nominal_row_count():
     for n_av in (1, 2, 3):
         cfg = MpcConfig(horizon=7, n_av=n_av)
-        qp = condense(_state(n_av=n_av), cfg, np.zeros(7)).qp
+        qp = _condense(_state(n_av=n_av), cfg, np.zeros(7)).qp
         n = cfg.horizon
         assert qp.ineq_vector.size == n * (n_av - 1) + n + 4 * n * n_av
         assert qp.eq_vector.size == 0
@@ -116,7 +129,7 @@ def test_nominal_row_count():
 def test_stationary_platoon_zero_acceleration():
     cfg = MpcConfig(horizon=2, n_av=1)
     state = _state(n_av=1, v=0.0)
-    qp = condense(state, cfg, np.zeros(2)).qp
+    qp = _condense(state, cfg, np.zeros(2)).qp
     sol = solve_qp(qp)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.x, 0.0, atol=1e-9)
@@ -127,7 +140,7 @@ def test_cost_at_zero_acceleration_matches_hand_expansion():
     cfg = MpcConfig(horizon=2, n_av=2)
     v0, ref = 6.0, np.array([8.0, 9.0])
     state = _state(n_av=2, v=v0)
-    cd = condense(state, cfg, ref)
+    cd = _condense(state, cfg, ref)
     x0 = np.zeros(cd.qp.n)
     # leader: (v0-8)^2 + (v0-9)^2 + terminal repeat (v0-9)^2, follower diffs 0
     expected = cfg.q1 * ((v0 - 8.0) ** 2 + (v0 - 9.0) ** 2 + (v0 - 9.0) ** 2)
@@ -152,7 +165,7 @@ def test_cost_matches_scalar_laws(n_av, horizon):
     ref_ext = np.append(ref, ref[-1])
     frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
                                 var=rng.uniform(0.0, 0.05, horizon))
-    for cd in (condense(state, cfg, ref), condense(state, cfg, ref, frozen=frozen)):
+    for cd in (_condense(state, cfg, ref), _condense(state, cfg, ref, frozen=frozen)):
         for _ in range(3):
             acc = rng.uniform(-4.0, 4.0, (n_av, horizon))
             vel = np.empty((n_av, horizon + 1))
@@ -171,8 +184,8 @@ def test_gp_qp_with_zero_frozen_equals_nominal():
     cfg = MpcConfig(horizon=10)
     state = _state(v=5.0)
     ref = np.linspace(5.0, 8.0, 10)
-    nominal = condense(state, cfg, ref).qp
-    gp_qp = condense(state, cfg, ref, frozen=FrozenGpTrajectory(np.zeros(10), np.zeros(10))).qp
+    nominal = _condense(state, cfg, ref).qp
+    gp_qp = _condense(state, cfg, ref, frozen=FrozenGpTrajectory(np.zeros(10), np.zeros(10))).qp
     assert np.max(np.abs(nominal.cost_matrix - gp_qp.cost_matrix)) <= 1e-12
     assert np.max(np.abs(nominal.cost_vector - gp_qp.cost_vector)) <= 1e-12
     assert np.max(np.abs(nominal.ineq_matrix - gp_qp.ineq_matrix)) <= 1e-12
@@ -183,7 +196,7 @@ def test_gp_qp_bound_telescopes_frozen_variance():
     cfg = MpcConfig(horizon=8)
     state = _state(v=10.0)
     fz = FrozenGpTrajectory(mean=np.zeros(8), var=np.full(8, 0.04))
-    cd = condense(state, cfg, np.full(8, 10.0), frozen=fz)
+    cd = _condense(state, cfg, np.full(8, 10.0), frozen=fz)
     # constrained stages start one step in, so row j has j+2 accumulations
     for j in range(8):
         expected = 10.0 + 1.6448536 * np.sqrt((j + 2) * 4.0e-4)
@@ -194,12 +207,12 @@ def test_gp_qp_constant_mean_shifts_hv_position():
     cfg = MpcConfig(horizon=6)
     state = _state(v=10.0)
     ref = np.full(6, 10.0)
-    nom = condense(state, cfg, ref)
+    nom = _condense(state, cfg, ref)
     fz = FrozenGpTrajectory(mean=np.full(6, 0.5), var=np.zeros(6))
-    gp = condense(state, cfg, ref, frozen=fz)
+    gp = _condense(state, cfg, ref, frozen=fz)
     # mean chain spans stages k+1..k+N+1; the last update repeats the final
     # frozen mean, so the shift keeps telescoping by T * 0.5 per stage
-    shift = gp.mu_const - nom.mu_const
+    shift = _hv_offsets(gp)[1] - _hv_offsets(nom)[1]
     np.testing.assert_allclose(shift, 0.1 * 0.5 * np.arange(1, 8), atol=1e-12)
     np.testing.assert_allclose(gp.structure.hv_decode[6:], nom.structure.hv_decode[6:], atol=1e-15)
 
@@ -213,7 +226,7 @@ def test_hv_chain_matches_standalone_arx_replay():
     state = PlatoonState(av_pos=np.array([0.0, -12.0]),
                          av_vel=np.array([10.0, 10.0]),
                          hv_pos=-24.0, history=hist)
-    cd = condense(state, cfg, np.full(12, 10.0), arx=params)
+    cd = _condense(state, cfg, np.full(12, 10.0), arx=params)
     x = rng.uniform(-1.0, 1.0, size=cd.qp.n)
     acc, av_vel, av_pos, hv_vel, mu = cd.decode(x)
     # standalone replay: ARX recursion fed by the planned trailing-AV velocities
@@ -238,7 +251,7 @@ def test_hv_chain_matches_standalone_arx_replay():
     state = PlatoonState(av_pos=state.av_pos, av_vel=state.av_vel,
                          hv_pos=state.hv_pos, history=hist, hv_pos_var=0.3)
     fz = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, 12), var=rng.uniform(0.0, 0.05, 12))
-    cd = condense(state, cfg, np.full(12, 10.0), frozen=fz, arx=params)
+    cd = _condense(state, cfg, np.full(12, 10.0), frozen=fz, arx=params)
     acc, av_vel, av_pos, hv_vel_fz, mu = cd.decode(x)
     np.testing.assert_allclose(hv_vel_fz, replay, atol=1e-10)
     for j in range(cfg.n_av):
@@ -262,7 +275,7 @@ def test_solution_satisfies_stage_constraints():
     cfg = MpcConfig(horizon=10)
     state = _state(v=20.0, spacing=12.0, hv_gap=11.0)
     ref = np.full(10, 5.0)  # hard braking request
-    cd = condense(state, cfg, ref)
+    cd = _condense(state, cfg, ref)
     sol = solve_qp(cd.qp)
     assert sol.status == "optimal"
     assert cd.qp.max_violation(sol.x) <= 1e-6
@@ -352,8 +365,8 @@ def test_cached_constraints_match_scalar_laws(n_av, horizon, gp_mode):
     rng = np.random.default_rng(100 * n_av + 10 * horizon + gp_mode)
     cfg = MpcConfig(horizon=horizon, n_av=n_av)
     params, state, frozen, ref = _random_step(rng, n_av, horizon, gp_mode)
-    miss = condense(state, cfg, ref, frozen=frozen, arx=params)
-    hit = condense(state, cfg, ref, frozen=frozen, arx=params)
+    miss = _condense(state, cfg, ref, frozen=frozen, arx=params)
+    hit = _condense(state, cfg, ref, frozen=frozen, arx=params)
     assert hit.structure is miss.structure
     for _ in range(3):
         x = rng.uniform(-3.0, 3.0, hit.qp.n)
@@ -377,7 +390,7 @@ def test_row_labels_name_the_law_of_each_row(n_av, horizon):
     rng = np.random.default_rng(10 * n_av + horizon)
     cfg = MpcConfig(horizon=horizon, n_av=n_av)
     params, state, _, ref = _random_step(rng, n_av, horizon, gp_mode=False)
-    base = condense(state, cfg, ref, arx=params)
+    base = _condense(state, cfg, ref, arx=params)
     labels = [base.structure.row_label(i) for i in range(base.qp.ineq_vector.size)]
     stages = range(horizon)
     assert labels == ([f"av_gap[{j},{k}]" for j in range(1, n_av) for k in stages]
@@ -389,7 +402,7 @@ def test_row_labels_name_the_law_of_each_row(n_av, horizon):
               (("av_gap", -1), ("v_max", 1), ("v_min", -1), ("acc_max", 1), ("acc_min", -1))]
     raised.append(("hv_gap", -1, {"gap": dataclasses.replace(cfg.gap, delta=cfg.gap.delta + 1.0)}))
     for name, sign, change in raised:
-        other = condense(state, dataclasses.replace(cfg, **change), ref, arx=params)
+        other = _condense(state, dataclasses.replace(cfg, **change), ref, arx=params)
         moved = other.qp.ineq_vector - base.qp.ineq_vector
         np.testing.assert_allclose(moved[names == name], sign, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(moved[names != name], 0.0)
@@ -401,7 +414,7 @@ def test_template_marks_its_one_entry_rows_as_bounds(n_av, horizon):
     its own variable (+1 for acc_max, -1 for acc_min). Besides those
     2 n_av N rows, only the first stage's velocity rows of each AV and
     hv_gap[0] have one nonzero, since they depend on the first input alone."""
-    st = mpc._template(MpcConfig(n_av=n_av, horizon=horizon), None)
+    st = mpc._structure(MpcConfig(n_av=n_av, horizon=horizon), ArxParams.default())
     column, g = st.qp.bound_column, st.qp.ineq_matrix
     for name, coef in (("acc_max", 1.0), ("acc_min", -1.0)):
         rows = np.arange(st.rows[name].start, st.rows[name].stop)
@@ -421,11 +434,11 @@ def test_controller_condenses_through_the_template_it_resolved(monkeypatch):
     gives the same program as looking it up."""
     cfg = MpcConfig(horizon=8)
     ctrl = PlatoonController(cfg, mode="nominal")
-    assert ctrl.structure is mpc._template(MpcConfig(horizon=8), ArxParams.default())
+    assert ctrl.structure is mpc._structure(MpcConfig(horizon=8), ArxParams.default())
     assert PlatoonController(cfg).structure is ctrl.structure
     state, ref = _state(v=5.0), np.full(8, 6.0)
-    looked_up = condense(state, cfg, ref)
-    held = condense(state, cfg, ref, structure=ctrl.structure)
+    looked_up = _condense(state, cfg, ref)
+    held = condense(ctrl.structure, state, ref)
     assert held.structure is looked_up.structure
     np.testing.assert_array_equal(held.terms, looked_up.terms)
 
@@ -444,7 +457,7 @@ def test_decode_matches_scalar_laws(n_av, horizon, gp_mode):
     rng = np.random.default_rng(1000 + 100 * n_av + horizon + gp_mode)
     cfg = MpcConfig(horizon=horizon, n_av=n_av)
     params, state, frozen, ref = _random_step(rng, n_av, horizon, gp_mode)
-    cd = condense(state, cfg, ref, frozen=frozen, arx=params)
+    cd = _condense(state, cfg, ref, frozen=frozen, arx=params)
     for _ in range(3):
         acc = rng.uniform(-3.0, 3.0, (n_av, horizon))
         pos, vel, hv_vel, mu, sig = _scalar_trajectories(state, cfg, frozen, params, acc)
@@ -471,7 +484,7 @@ def test_hv_decode_block_reproduces_the_full_x_half(n_av, horizon):
     x-half's product with x."""
     rng = np.random.default_rng(7 * n_av + horizon)
     cfg = MpcConfig(horizon=horizon, n_av=n_av)
-    st = mpc._template(cfg, None)
+    st = mpc._structure(cfg, ArxParams.default())
     assert st.hv_decode.shape == (2 * horizon + 1, horizon)
     params, nd = ArxParams.default(), n_av * horizon
     state = PlatoonState(av_pos=np.zeros(n_av), av_vel=np.zeros(n_av), hv_pos=0.0,
@@ -502,7 +515,7 @@ def test_non_finite_v_ref_rejected_naming_it(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="v_ref must be finite"):
-            condense(_state(v=5.0), cfg, ref)
+            _condense(_state(v=5.0), cfg, ref)
         for ctrl in (PlatoonController(cfg), PlatoonController(cfg, mode="gp", gp_model=gp)):
             with pytest.raises(ValueError, match="v_ref must be finite"):
                 ctrl.step(_state(v=5.0), ref)
@@ -512,12 +525,16 @@ def test_structure_shared_per_config_and_arx():
     cfg = MpcConfig(horizon=6)
     state = _state(v=5.0)
     ref = np.full(6, 6.0)
-    default = condense(state, cfg, ref)
-    # equal values in new objects hit the same entry
-    again = condense(state, MpcConfig(horizon=6), ref,
-                     arx=ArxParams(c=ArxParams.default().c.copy(),
-                                   b=ArxParams.default().b.copy()))
+    default = _condense(state, cfg, ref)
+    # equal values in new objects, the ARX model's from copied arrays or
+    # from lists, hit the same entry, from _structure and from a controller
+    copied = ArxParams(c=ArxParams.default().c.copy(), b=ArxParams.default().b.copy())
+    listed = ArxParams(c=list(ArxParams.default().c), b=list(ArxParams.default().b))
+    again = _condense(state, MpcConfig(horizon=6), ref, arx=copied)
     assert again.structure is default.structure
+    assert mpc._structure(MpcConfig(horizon=6), listed) is default.structure
+    for arx in (None, copied, listed):
+        assert PlatoonController(MpcConfig(horizon=6), arx=arx).structure is default.structure
     assert again.qp.cost_matrix is default.qp.cost_matrix
     assert again.qp.ineq_matrix is default.qp.ineq_matrix
     # the affine map and the decode matrices are shared with the structure,
@@ -530,11 +547,12 @@ def test_structure_shared_per_config_and_arx():
     assert not np.shares_memory(again.terms, default.terms)
     assert default.terms.flags.writeable
     other_arx = ArxParams(c=ArxParams.default().c, b=ArxParams.default().b * 1.01)
-    other = condense(state, cfg, ref, arx=other_arx)
+    other = _condense(state, cfg, ref, arx=other_arx)
     assert other.structure is not default.structure
+    assert PlatoonController(cfg, arx=other_arx).structure is other.structure
     assert not np.array_equal(other.qp.ineq_matrix, default.qp.ineq_matrix)
-    assert not np.array_equal(other.hv_const, default.hv_const)
-    heavier = condense(state, MpcConfig(horizon=6, r=11.0), ref)
+    assert not np.array_equal(_hv_offsets(other)[0], _hv_offsets(default)[0])
+    heavier = _condense(state, MpcConfig(horizon=6, r=11.0), ref)
     assert heavier.structure is not default.structure
     assert not np.array_equal(heavier.qp.cost_matrix, default.qp.cost_matrix)
 
@@ -547,11 +565,11 @@ def test_structure_cache_hit_bit_identical_to_miss():
     frozen = evaluate_gp_along_trajectory(gp, state, cfg.horizon)
 
     def snapshot():
-        cd = condense(state, cfg, ref, frozen=frozen)
+        cd = _condense(state, cfg, ref, frozen=frozen)
         sol = solve_qp(cd.qp)
         decoded = cd.decode(sol.x)
         arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix,
-                  cd.qp.ineq_vector, cd.hv_const, cd.mu_const, cd.structure.hv_decode,
+                  cd.qp.ineq_vector, *_hv_offsets(cd), cd.structure.hv_decode,
                   cd.sigma, cd.gap_bounds, np.array([cd.cost_const]),
                   sol.x, *decoded]
         return cd, [a.copy() for a in arrays]
@@ -676,7 +694,7 @@ def test_warm_start_descent_property():
         prev = ctrl.prev_solution
         warm = None if prev is None else np.hstack([prev.acc[:, 1:],
                                                     prev.acc[:, -1:]]).ravel()
-        cd = condense(state, cfg, ref)
+        cd = _condense(state, cfg, ref)
         _, sol = ctrl.step(state, ref)
         if warm is not None and cd.qp.max_violation(warm) <= 1e-9:
             assert cd.qp.objective(sol.acc.ravel()) <= cd.qp.objective(warm) + 1e-9
@@ -699,7 +717,7 @@ def test_infeasible_state_falls_back_to_max_braking():
     assert ctrl.fallback_count == 1
     assert ctrl.prev_solution is None
     # the fallback's trajectories are the braking plan's, decoded as a solution's
-    cd = condense(state, cfg, np.full(10, 10.0))
+    cd = _condense(state, cfg, np.full(10, 10.0))
     braking = cd.decode(np.full(cd.qp.n, cfg.acc_min))
     for got, want in zip((sol.acc, sol.av_vel, sol.av_pos, sol.hv_vel, sol.hv_pos_mean),
                          braking):

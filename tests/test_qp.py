@@ -479,6 +479,31 @@ def test_program_keeps_its_own_cost_matrix():
     np.testing.assert_array_equal(qp.cost_matrix, 2.0 * np.eye(2))
 
 
+def test_program_keeps_its_own_vectors_and_constraint_matrix():
+    """Edits of the caller's q, G and h after construction, and of the
+    vectors passed to with_vectors, reach neither program: G's dense rows
+    keep agreeing with its CSR copy, and both programs solve as built."""
+    q, g, h = np.array([-2.0, -2.0]), np.array([[1.0, 0.0]]), np.array([0.5])
+    qp = QuadraticProgram(cost_matrix=2.0 * np.eye(2), cost_vector=q, ineq_matrix=g,
+                          ineq_vector=h)
+    q2, h2 = np.array([-4.0, -2.0]), np.array([1.0])
+    shared = qp.with_vectors(q2, h2)
+    g[0, 0] = 2.0
+    q[:] = h[:] = q2[:] = h2[:] = 7.0
+    for prog, x in ((qp, [0.5, 1.0]), (shared, [1.0, 1.0])):
+        for name in ("cost_vector", "ineq_matrix", "ineq_vector"):
+            assert not getattr(prog, name).flags.writeable
+        np.testing.assert_array_equal(prog.ineq_matrix, [[1.0, 0.0]])
+        np.testing.assert_array_equal(prog.ineq_sparse.toarray(), prog.ineq_matrix)
+        sol = solve_qp(prog)
+        assert sol.status == "optimal"
+        np.testing.assert_allclose(sol.x, x, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(qp.cost_vector, [-2.0, -2.0])
+    np.testing.assert_array_equal(qp.ineq_vector, [0.5])
+    np.testing.assert_array_equal(shared.cost_vector, [-4.0, -2.0])
+    np.testing.assert_array_equal(shared.ineq_vector, [1.0])
+
+
 def test_non_psd_cost_matrix_rejected_when_built():
     with pytest.raises(ValueError, match="positive semidefinite"):
         QuadraticProgram(cost_matrix=np.diag([1.0, -1.0]), cost_vector=np.zeros(2))

@@ -341,10 +341,16 @@ def test_realtime_preset_uses_its_sample_time():
     assert (spec.cfg.step, spec.cfg.r, spec.steps) == (0.25, 15.0, 240)
 
 
-def test_gp_controller_requires_model():
-    spec = make_scenario("rest", duration=1.0)
-    with pytest.raises(ValueError):
-        run_closed_loop(spec, controller="gp")
+@pytest.mark.parametrize("controller, plant_mode, message", [
+    ("bogus", "truth", "unknown controller mode 'bogus'"),
+    ("gp", "truth", "gp mode requires a trained sparse GP model"),
+    ("nominal", "paper", "paper mode needs a trained GP model"),
+], ids=["unknown-controller", "gp-without-model", "paper-plant-without-model"])
+def test_gp_controller_requires_model(controller, plant_mode, message):
+    # the controller and the plant the loop builds reject these inputs
+    spec = make_scenario("rest", duration=1.0, plant_mode=plant_mode)
+    with pytest.raises(ValueError, match=message):
+        run_closed_loop(spec, controller=controller)
 
 
 def test_events_name_violated_row_and_hv_clamps():
