@@ -228,13 +228,19 @@ def generate_synthetic_trace(profile, duration: float, step: float,
 
 def arx_prediction_series(trace: DriverTrace, params: ArxParams) -> np.ndarray:
     """One-step-ahead ARX predictions over a recorded trace (entries left of
-    the warm-up are copied from the recording)."""
+    the warm-up are copied from the recording).
+
+    One :func:`arx_step` on ``(4, n - 4)`` lag maps, row i holding lag i + 1
+    of every predicted sample. It sums the lags in another order than a
+    step on ``(4,)`` lags, so the two differ by rounding only, about 1e-14
+    on velocities of tens of m/s.
+    """
     n = trace.n
     pred = np.empty(n)
     pred[:N_LAGS] = trace.v_hv[:N_LAGS]
-    for k in range(N_LAGS, n):
-        pred[k] = arx_step(params, trace.v_hv[k - N_LAGS: k][::-1],
-                           trace.v_av[k - N_LAGS: k][::-1])
+    lags = [slice(N_LAGS - 1 - i, n - 1 - i) for i in range(N_LAGS)]
+    pred[N_LAGS:] = arx_step(params, np.stack([trace.v_hv[sl] for sl in lags]),
+                             np.stack([trace.v_av[sl] for sl in lags]))
     return pred
 
 

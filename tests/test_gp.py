@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.stats import norm
 
 from gpplatoon import gp as gp_module
+from gpplatoon import hv as hv_module
 from gpplatoon.gp import (
     Dataset,
     GpModel,
@@ -168,6 +169,63 @@ def test_lml_matches_explicit_inverse_reference(n, d):
         ref_value, ref_grad = _lml_reference(data, hyper)
         assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
         assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit, monkeypatch):
+    # two ramp traces at noise 0.08, a fifth of their points (n = 479, d = 2),
+    # checked at the start, at L-BFGS-B's first trial point (log noise at its
+    # bound of 30, where the O(n) signal-variance term cancels hardest) and
+    # at the fitted optimum
+    data = control_fit.dataset
+    assert data.n > 400 and data.n_dims == 2
+    lml = gp_module.log_marginal_likelihood
+    path = []
+
+    def recording(data_, hyper, **kwargs):
+        path.append(hyper)
+        return lml(data_, hyper, **kwargs)
+
+    monkeypatch.setattr(gp_module, "log_marginal_likelihood", recording)
+    start = hv_module._init_hyper(data)
+    fitted = train_exact(data, start).hyper
+    at_bound = [h for h in path if math.log(h.noise_variance) >= 30.0 - 1e-9]
+    assert at_bound, "no trial point reached the noise bound"
+    for hyper in (start, at_bound[0], fitted):
+        value, grad = lml(data, hyper)
+        ref_value, ref_grad = _lml_reference(data, hyper)
+        assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize("n", [1, 2, gp_module._INVERSE_LEAF - 1, gp_module._INVERSE_LEAF,
+                               gp_module._INVERSE_LEAF + 1, 97, 479])
+def test_invert_lower_in_place_matches_triangular_solve(n):
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, n))
+    chol = cholesky(b @ b.T / n + np.eye(n), lower=True)
+    buf = np.array(chol, order="F")
+    # a view into a larger Fortran array, as in the recursion
+    outer = np.zeros((n + 3, n + 3), order="F")
+    outer[2:-1, 2:-1] = chol
+    gp_module._invert_lower(buf)
+    gp_module._invert_lower(outer[2:-1, 2:-1])
+    ref = solve_triangular(chol, np.eye(n), lower=True)
+    scale = np.max(np.abs(ref))
+    for got in (buf, outer[2:-1, 2:-1]):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+        np.testing.assert_array_equal(np.triu(got, 1), 0.0)
+    np.testing.assert_array_equal(outer[:2], 0.0)
+    np.testing.assert_array_equal(outer[-1], 0.0)
+
+
+def test_lml_non_finite_kernel_is_ill_conditioned():
+    # 1 / length_scale overflows, so the kernel's diagonal is inf * 0 = nan
+    data = Dataset(inputs=np.arange(3.0).reshape(-1, 1), targets=np.ones(3))
+    tiny = KernelHyper(signal_variance=1.0, length_scales=np.array([1e-320]),
+                       noise_variance=0.1)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(IllConditionedKernelError, match="noise_variance"):
+        log_marginal_likelihood(data, tiny)
 
 
 def test_lml_ill_conditioned_error_names_hyper():
@@ -682,6 +740,22 @@ def test_dataset_csv_roundtrip(tmp_path):
     loaded = load_dataset_csv(path)
     np.testing.assert_array_equal(loaded.inputs, data.inputs)
     np.testing.assert_array_equal(loaded.targets, data.targets)
+
+
+def test_model_ignores_later_edits_to_the_callers_arrays():
+    x = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([0.0, 1.0, 0.0])
+    model = GpModel.from_data(Dataset(inputs=x, targets=y),
+                              KernelHyper(1.0, np.ones(1), 1e-6))
+    before = model.predict_batch([[1.0], [5.0]])
+    x[1, 0] = 5.0
+    y[1] = -3.0
+    after = model.predict_batch([[1.0], [5.0]])
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
+    assert before[0][0] == pytest.approx(1.0, abs=1e-5)
+    assert not model.dataset.inputs.flags.writeable
+    assert not model.dataset.targets.flags.writeable
 
 
 def test_dataset_validation():

@@ -141,6 +141,17 @@ def test_discrepancy_matches_replay_oracle():
     )
 
 
+def test_prediction_series_matches_per_sample_steps(driver_traces):
+    # the lag-map form sums in another order than one step per sample
+    params = ArxParams.default()
+    for tr in driver_traces["heldout_control"]:
+        pred = arx_prediction_series(tr, params)
+        expected = [float(arx_step(params, tr.v_hv[k - 4: k][::-1], tr.v_av[k - 4: k][::-1]))
+                    for k in range(4, tr.n)]
+        np.testing.assert_array_equal(pred[:4], tr.v_hv[:4])
+        np.testing.assert_allclose(pred[4:], expected, rtol=0, atol=1e-13)
+
+
 def test_discrepancy_rejects_short_trace():
     with pytest.raises(ValueError):
         DriverTrace(time=np.arange(4) * 0.1, v_av=np.zeros(4), v_hv=np.zeros(4))
