@@ -174,7 +174,7 @@ def test_lml_matches_explicit_inverse_reference(n, d):
 def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit, monkeypatch):
     # two ramp traces at noise 0.08, a fifth of their points (n = 479, d = 2),
     # checked at the start, at L-BFGS-B's first trial point (log noise at its
-    # bound of 30, where the O(n) signal-variance term cancels hardest) and
+    # bound of 30, where the signal-variance term is smallest) and
     # at the fitted optimum
     data = control_fit.dataset
     assert data.n > 400 and data.n_dims == 2
@@ -195,6 +195,13 @@ def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit, monkeypa
         ref_value, ref_grad = _lml_reference(data, hyper)
         assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
         assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
+    # at the bound the signal-variance term is about -1.6e-13, far below the
+    # absolute floor above, so it is checked relative to itself: a form that
+    # cancels terms of order n loses it
+    grad0 = lml(data, at_bound[0])[1][0]
+    ref_grad0 = _lml_reference(data, at_bound[0])[1][0]
+    assert ref_grad0 != 0.0
+    assert abs(grad0 - ref_grad0) <= 1e-6 * abs(ref_grad0)
 
 
 @pytest.mark.parametrize("n", [1, 2, gp_module._INVERSE_LEAF - 1, gp_module._INVERSE_LEAF,
@@ -218,14 +225,16 @@ def test_invert_lower_in_place_matches_triangular_solve(n):
     np.testing.assert_array_equal(outer[-1], 0.0)
 
 
-def test_lml_non_finite_kernel_is_ill_conditioned():
-    # 1 / length_scale overflows, so the kernel's diagonal is inf * 0 = nan
+def test_non_finite_kernel_is_ill_conditioned():
+    # 1 / length_scale overflows, so the kernel's diagonal is inf * 0 = nan;
+    # the likelihood and the model share one factorization and its error
     data = Dataset(inputs=np.arange(3.0).reshape(-1, 1), targets=np.ones(3))
     tiny = KernelHyper(signal_variance=1.0, length_scales=np.array([1e-320]),
                        noise_variance=0.1)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(IllConditionedKernelError, match="noise_variance"):
-        log_marginal_likelihood(data, tiny)
+    for build in (log_marginal_likelihood, GpModel.from_data):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IllConditionedKernelError, match="noise_variance"):
+            build(data, tiny)
 
 
 def test_lml_ill_conditioned_error_names_hyper():
