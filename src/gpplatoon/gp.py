@@ -384,11 +384,25 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
     Returns the best evaluated hyperparameters. L-BFGS-B evaluates its
     start (``init`` clipped to the search bounds) first, so the result is
     never worse than the start, whether or not the optimizer converges.
+
+    L-BFGS-B minimizes the negative log marginal likelihood per training
+    point, -value / n, because two of its rules depend on the objective's
+    scale. With every variable boxed, its first step is clip(theta0 - g):
+    on the NLL summed over n points the gradient g grows with n, and on
+    the benchmark's 479-point fits that step reached a corner of the box
+    (log noise at its bound of 30, where the factors of C are partly
+    subnormal and an evaluation is several times slower); per point it is a
+    bounded step from the start. And its ``gtol`` is an absolute test on
+    the projected gradient, so per point it does not tighten as n grows:
+    on the summed NLL those fits kept walking a flat ridge (signal
+    variance towards 0) for a dozen or more evaluations that gained less
+    than 5e-4 nats in all.
     """
     if data.n_dims != init.n_dims:
         raise ValueError("init length_scales dimension does not match data")
 
     theta0 = init.to_log_vector()
+    n = data.n
     best = {"nll": np.inf, "theta": theta0}
     # shared by this fit's evaluations only
     workspace = _LmlWorkspace(data.inputs)
@@ -402,7 +416,7 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
         if -value < best["nll"]:
             best["nll"] = -value
             best["theta"] = theta.copy()
-        return -value, -grad
+        return -value / n, -grad / n
 
     lo = np.full(theta0.size, -30.0)
     hi = np.full(theta0.size, 30.0)
@@ -573,6 +587,32 @@ class SparseGpModel:
         return means, np.maximum(variances, 0.0, out=variances)
 
 
+def _lloyd_step(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """One Lloyd update: the mean of the rows nearest each center, and for a
+    center that no row is nearest, the row farthest from every center.
+
+    The per-cluster sums come from one ``np.bincount`` over (cluster,
+    column) bins, which adds each bin's rows in row order. On rows of two
+    or more columns the masked ``mean(axis=0)`` of a per-cluster loop adds
+    them in the same order, so the centroids are bit-identical to that
+    loop's; on one column numpy sums pairwise, and they differ by rounding.
+    """
+    k, dim = centers.shape
+    d = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    labels = np.argmin(d, axis=1)
+    counts = np.bincount(labels, minlength=k)
+    bins = (labels[:, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(bins, weights=points.ravel(), minlength=k * dim).reshape(k, dim)
+    new = sums / np.maximum(counts, 1)[:, None]
+    if not counts.all():
+        new[counts == 0] = points[np.argmax(np.min(d, axis=1))]
+    return new
+
+
 def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Deterministic k-means++ centroids over input rows (at most 50 Lloyd
     iterations)."""
@@ -589,19 +629,7 @@ def _kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
         centers[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     for _ in range(50):
-        d = (
-            np.sum(points**2, axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers**2, axis=1)[None, :]
-        )
-        labels = np.argmin(d, axis=1)
-        new = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new[j] = points[mask].mean(axis=0)
-            else:
-                new[j] = points[np.argmax(np.min(d, axis=1))]
+        new = _lloyd_step(points, centers)
         if np.allclose(new, centers):
             break
         centers = new

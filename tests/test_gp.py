@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.optimize import minimize
 from scipy.stats import norm
 
 from gpplatoon import gp as gp_module
@@ -171,26 +172,29 @@ def test_lml_matches_explicit_inverse_reference(n, d):
         assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
 
 
-def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit, monkeypatch):
+def _log_bounds(size):
+    """The box train_exact searches over log-hyperparameters."""
+    lo = np.full(size, -30.0)
+    lo[-1] = math.log(gp_module.NOISE_FLOOR)
+    return lo, np.full(size, 30.0)
+
+
+def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit):
     # two ramp traces at noise 0.08, a fifth of their points (n = 479, d = 2),
-    # checked at the start, at L-BFGS-B's first trial point (log noise at its
-    # bound of 30, where the signal-variance term is smallest) and
-    # at the fitted optimum
+    # checked at the start, at clip(theta0 + grad LML(theta0)) (log noise at
+    # its bound of 30, where the signal-variance term is smallest; the first
+    # trial point of L-BFGS-B on the NLL summed over the points) and at the
+    # fitted optimum
     data = control_fit.dataset
     assert data.n > 400 and data.n_dims == 2
     lml = gp_module.log_marginal_likelihood
-    path = []
-
-    def recording(data_, hyper, **kwargs):
-        path.append(hyper)
-        return lml(data_, hyper, **kwargs)
-
-    monkeypatch.setattr(gp_module, "log_marginal_likelihood", recording)
     start = hv_module._init_hyper(data)
-    fitted = train_exact(data, start).hyper
-    at_bound = [h for h in path if math.log(h.noise_variance) >= 30.0 - 1e-9]
-    assert at_bound, "no trial point reached the noise bound"
-    for hyper in (start, at_bound[0], fitted):
+    theta0 = start.to_log_vector()
+    theta1 = np.clip(theta0 + lml(data, start)[1], *_log_bounds(theta0.size))
+    assert theta1[-1] == 30.0
+    at_bound = KernelHyper.from_log_vector(theta1)
+    fitted = control_fit.exact.hyper
+    for hyper in (start, at_bound, fitted):
         value, grad = lml(data, hyper)
         ref_value, ref_grad = _lml_reference(data, hyper)
         assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
@@ -198,8 +202,8 @@ def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit, monkeypa
     # at the bound the signal-variance term is about -1.6e-13, far below the
     # absolute floor above, so it is checked relative to itself: a form that
     # cancels terms of order n loses it
-    grad0 = lml(data, at_bound[0])[1][0]
-    ref_grad0 = _lml_reference(data, at_bound[0])[1][0]
+    grad0 = lml(data, at_bound)[1][0]
+    ref_grad0 = _lml_reference(data, at_bound)[1][0]
     assert ref_grad0 != 0.0
     assert abs(grad0 - ref_grad0) <= 1e-6 * abs(ref_grad0)
 
@@ -315,6 +319,54 @@ def test_train_shares_a_workspace_bit_identical_to_fresh_evaluations(monkeypatch
     np.testing.assert_array_equal(fits[True].hyper.to_log_vector(),
                                   fits[False].hyper.to_log_vector())
     np.testing.assert_array_equal(fits[True].alpha, fits[False].alpha)
+
+
+def _summed_nll_fit(data, init):
+    """Best LML and evaluation count of L-BFGS-B on the NLL summed over the
+    points, with train_exact's bounds and options."""
+    workspace = gp_module._LmlWorkspace(data.inputs)
+    best, evals = [-np.inf], [0]
+
+    def objective(theta):
+        evals[0] += 1
+        try:
+            value, grad = log_marginal_likelihood(data, KernelHyper.from_log_vector(theta),
+                                                  workspace=workspace)
+        except IllConditionedKernelError:
+            return 1e12, np.zeros_like(theta)
+        best[0] = max(best[0], value)
+        return -value, -grad
+
+    theta0 = init.to_log_vector()
+    minimize(objective, theta0, jac=True, method="L-BFGS-B",
+             bounds=list(zip(*_log_bounds(theta0.size))),
+             options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-12})
+    return best[0], evals[0]
+
+
+def test_train_per_point_objective_on_benchmark_sized_data(control_fit, hv_fit, monkeypatch):
+    # control_fit's data (n = 479, noise 0.08) holds little signal, and the
+    # summed-NLL fit first jumps to log noise 30, then walks the ridge
+    # where the signal variance goes to 0
+    data = control_fit.dataset
+    ref_lml, ref_evals = _summed_nll_fit(data, hv_module._init_hyper(data))
+    lml = gp_module.log_marginal_likelihood
+    path = []
+
+    def recording(data_, hyper, **kwargs):
+        path.append(hyper.to_log_vector())
+        return lml(data_, hyper, **kwargs)
+
+    monkeypatch.setattr(gp_module, "log_marginal_likelihood", recording)
+    fitted = train_exact(data, hv_module._init_hyper(data)).hyper
+    assert np.all(np.abs(path) < 30.0)
+    assert lml(data, fitted)[0] >= ref_lml - 1e-5 * data.n
+    assert len(path) < ref_evals
+    # hv_fit's data holds a disturbance the GP learns; both fits find it
+    data = hv_fit.dataset
+    ref_lml, _ = _summed_nll_fit(data, hv_module._init_hyper(data))
+    value = lml(data, hv_fit.exact.hyper)[0]
+    assert abs(value - ref_lml) <= 1e-6 * abs(ref_lml)
 
 
 def test_train_beats_linear_fit_on_sine():
@@ -478,6 +530,47 @@ def test_sparse_single_inducing_converges_to_centroid():
         model.dataset, h, sparse.inducing
     ) >= max(vals) - 1e-6
     assert abs(z_opt) < 0.25
+
+
+def _lloyd_step_loop(points, centers):
+    """One Lloyd update as a loop over the clusters."""
+    d = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers**2, axis=1)[None, :]
+    )
+    labels = np.argmin(d, axis=1)
+    new = centers.copy()
+    for j in range(centers.shape[0]):
+        mask = labels == j
+        if mask.any():
+            new[j] = points[mask].mean(axis=0)
+        else:
+            new[j] = points[np.argmax(np.min(d, axis=1))]
+    return new
+
+
+def test_lloyd_step_matches_the_per_cluster_loop():
+    rng = np.random.default_rng(31)
+    for trial in range(20):
+        n, dim = int(rng.integers(5, 500)), int(rng.integers(1, 4))
+        k = int(rng.integers(2, min(n, 25) + 1))
+        points = 20.0 + 5.0 * rng.normal(size=(n, dim))
+        centers = points[rng.choice(n, size=k, replace=False)]
+        far = trial % 2 == 1
+        if far:
+            # no row is nearest this center, so its cluster is empty
+            centers[k - 1] = 1e3
+        new = gp_module._lloyd_step(points, centers)
+        ref = _lloyd_step_loop(points, centers)
+        if dim == 1:
+            # a one-column mean(axis=0) sums pairwise, bincount in row order
+            np.testing.assert_allclose(new, ref, rtol=n * np.finfo(float).eps, atol=0.0)
+        else:
+            np.testing.assert_array_equal(new, ref)
+        if far:
+            farthest = np.argmax(np.min(np.sum((points[:, None] - centers) ** 2, axis=2), axis=1))
+            np.testing.assert_array_equal(new[k - 1], points[farthest])
 
 
 def test_sparse_default_inducing_count_is_20():
