@@ -46,22 +46,23 @@ for the k other rows of a hint. The product of a one-entry row adds only
 exact zeros, so the gathered row equals it bit for bit.
 
 J is upper triangular (its strictly lower part is exactly zero), and the
-two products every solve starts with, w = -J^T q and x = J w, go through
+two products a solve starts from, w = -J^T q and x = J w, go through
 BLAS ``dtrmv`` on the Fortran-ordered view ``J.T``, which reads one
-triangle in place. The reported residual and objective take P x through
-``dsymv`` on P's lower triangle, the one its factor is built from; P is
-symmetric only to within 1e-10, so the upper triangle could disagree with
-the factor. An empty-hint solve at ``n_av=8, N=40`` thus reads half of J
-and half of P (410 KB each) instead of all of both, and with the G CSR
-copy (320 KB) and the MPC's step map and decode blocks (190 KB) its data
-is about 1.3 MB, where the dense products needed about 2.3 MB: more than
-a 2 MB L2 cache. The products inside the iteration (``enter``'s
-``npl @ J`` and ``J @ v``, and ``J @ ...`` in ``hot_start`` and
-``_retighten``) stay on ``@``: through ``dtrmv`` their last bits change
-the verdict of a degenerate program (an equality written as two opposite
-rows) on one BLAS thread, for a gain in the slow steps of a few percent
-at most. ``J`` itself is formed with ``solve_triangular``, for the same
-reason.
+triangle in place; x = J w is formed only if read, since a hot start
+that keeps a hinted row sets x itself. The reported residual and
+objective take P x through ``dsymv`` on P's lower triangle, the one its
+factor is built from; P is symmetric only to within 1e-10, so the upper
+triangle could disagree with the factor. An empty-hint solve at
+``n_av=8, N=40`` thus reads half of J and half of P (410 KB each)
+instead of all of both, and with the G CSR copy (320 KB) and the MPC's
+step map and decode blocks (190 KB) its data is about 1.3 MB, where the
+dense products needed about 2.3 MB: more than a 2 MB L2 cache. The
+products inside the iteration (``enter``'s ``npl @ J`` and ``J @ v``,
+and ``J @ ...`` in ``hot_start`` and ``_retighten``) stay on ``@``:
+through ``dtrmv`` their last bits change the verdict of a degenerate
+program (an equality written as two opposite rows) on one BLAS thread,
+for a gain in the slow steps of a few percent at most. ``J`` itself is
+formed with ``solve_triangular``, for the same reason.
 """
 
 from __future__ import annotations
@@ -265,15 +266,31 @@ class _DualActiveSet:
         self.column = qp.bound_column
         self.n = qp.n
         # J is upper triangular, so J.T is its lower triangle in Fortran order,
-        # which BLAS reads in place: w = -J^T q, then x = J w
+        # which BLAS reads in place: w = -J^T q here, and x = J w when read
         self.w = dtrmv(j.T, -qp.cost_vector, lower=1, overwrite_x=1)
-        self.x = dtrmv(j.T, self.w, lower=1, trans=1)
+        self._x = None
         self.ids: list[int] = []
         self.k = 0
         self.y = np.empty((0, self.n))   # active normals times J
         self.gram = np.empty((0, 0))     # y y^T
         self.u = np.empty(0)             # multipliers
         self.iterations = 0
+
+    @property
+    def x(self) -> np.ndarray:
+        """The current iterate; until a step or a hot start sets it, the
+        unconstrained minimiser J w, formed on first read because a hot
+        start that keeps a row replaces it unread. (A backing field set in
+        ``__init__``: ``functools.cached_property`` writes the instance
+        ``__dict__``, which made cold solves 3-5% slower on CPython 3.11.)"""
+        x = self._x
+        if x is None:
+            self._x = x = dtrmv(self.j.T, self.w, lower=1, trans=1)
+        return x
+
+    @x.setter
+    def x(self, value: np.ndarray) -> None:
+        self._x = value
 
     def _reserve(self, k: int) -> None:
         """Room for ``k`` active rows, doubling the buffers as needed."""

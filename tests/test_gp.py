@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -179,6 +180,29 @@ def _log_bounds(size):
     return lo, np.full(size, 30.0)
 
 
+@contextlib.contextmanager
+def _counting_paths():
+    """Counts, inside the block, the likelihood's ``dpstrf`` calls and the
+    evaluations that take each path."""
+    counts = {"dpstrf": 0, "low_rank": 0, "dense": 0}
+    names = {"dpstrf": "dpstrf", "_low_rank_lml": "low_rank", "_dense_lml": "dense"}
+    saved = {name: getattr(gp_module, name) for name in names}
+
+    def counted(fn, key):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name, key in names.items():
+        setattr(gp_module, name, counted(saved[name], key))
+    try:
+        yield counts
+    finally:
+        for name, fn in saved.items():
+            setattr(gp_module, name, fn)
+
+
 def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit):
     # two ramp traces at noise 0.08, a fifth of their points (n = 479, d = 2),
     # checked at the start, at clip(theta0 + grad LML(theta0)) (log noise at
@@ -194,18 +218,25 @@ def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit):
     assert theta1[-1] == 30.0
     at_bound = KernelHyper.from_log_vector(theta1)
     fitted = control_fit.exact.hyper
-    for hyper in (start, at_bound, fitted):
-        value, grad = lml(data, hyper)
+    # the fitted kernel with log noise 30: low rank (44) at the noise bound
+    fitted_at_bound = KernelHyper(fitted.signal_variance, fitted.length_scales, math.exp(30.0))
+    # K at at_bound has numerical rank 183 > n/3, so that point is dense
+    for hyper, path in ((start, "low_rank"), (at_bound, "dense"), (fitted, "low_rank"),
+                        (fitted_at_bound, "low_rank")):
+        with _counting_paths() as paths:
+            value, grad = lml(data, hyper)
+        assert paths == {"dpstrf": 1, "low_rank": 0, "dense": 0, path: 1}
         ref_value, ref_grad = _lml_reference(data, hyper)
         assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
         assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
     # at the bound the signal-variance term is about -1.6e-13, far below the
     # absolute floor above, so it is checked relative to itself: a form that
     # cancels terms of order n loses it
-    grad0 = lml(data, at_bound)[1][0]
-    ref_grad0 = _lml_reference(data, at_bound)[1][0]
-    assert ref_grad0 != 0.0
-    assert abs(grad0 - ref_grad0) <= 1e-6 * abs(ref_grad0)
+    for hyper in (at_bound, fitted_at_bound):
+        grad0 = lml(data, hyper)[1][0]
+        ref_grad0 = _lml_reference(data, hyper)[1][0]
+        assert ref_grad0 != 0.0
+        assert abs(grad0 - ref_grad0) <= 1e-6 * abs(ref_grad0)
 
 
 @pytest.mark.parametrize("n", [1, 2, gp_module._INVERSE_LEAF - 1, gp_module._INVERSE_LEAF,
@@ -231,14 +262,54 @@ def test_invert_lower_in_place_matches_triangular_solve(n):
 
 def test_non_finite_kernel_is_ill_conditioned():
     # 1 / length_scale overflows, so the kernel's diagonal is inf * 0 = nan;
-    # the likelihood and the model share one factorization and its error
+    # the likelihood and the model share one factorization and its error.
+    # At noise 0.1 the likelihood's dpstrf stops at rank 0 and raises; at
+    # 1e-10, n sv > 1e6 s, dpstrf does not run and the dense path raises
     data = Dataset(inputs=np.arange(3.0).reshape(-1, 1), targets=np.ones(3))
-    tiny = KernelHyper(signal_variance=1.0, length_scales=np.array([1e-320]),
-                       noise_variance=0.1)
-    for build in (log_marginal_likelihood, GpModel.from_data):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(IllConditionedKernelError, match="noise_variance"):
-            build(data, tiny)
+    none = {"dpstrf": 0, "low_rank": 0, "dense": 0}
+    for noise, lml_paths in ((0.1, {**none, "dpstrf": 1}), (1e-10, {**none, "dense": 1})):
+        tiny = KernelHyper(signal_variance=1.0, length_scales=np.array([1e-320]),
+                           noise_variance=noise)
+        for build, want in ((log_marginal_likelihood, lml_paths), (GpModel.from_data, none)):
+            with np.errstate(over="ignore", invalid="ignore"), _counting_paths() as paths, \
+                    pytest.raises(IllConditionedKernelError, match="noise_variance"):
+                build(data, tiny)
+            assert paths == want
+
+
+@pytest.mark.parametrize("noise, want", [(1e-2, {"dpstrf": 1, "low_rank": 0, "dense": 1}),
+                                         (1e-4, {"dpstrf": 0, "low_rank": 0, "dense": 1})])
+def test_lml_takes_the_dense_path_where_the_low_rank_one_does_not_hold(noise, want):
+    # length scales well below the spacing of 300 points: at noise 1e-2 dpstrf
+    # runs, finds rank > n/3 and the dense path re-forms K; at noise 1e-4,
+    # n sv > 1e6 s and the dense path runs without dpstrf. The inputs are
+    # small, so the reference's |a|^2 + |b|^2 - 2 a.b kernel keeps its digits
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 10.0, size=(300, 2))
+    data = Dataset(inputs=x, targets=np.sin(x[:, 0]) + 0.01 * rng.normal(size=300))
+    hyper = KernelHyper(1.0, np.full(2, 0.1), noise)
+    with _counting_paths() as paths:
+        value, grad = log_marginal_likelihood(data, hyper)
+    assert paths == want
+    ref_value, ref_grad = _lml_reference(data, hyper)
+    assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+    assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+def test_train_on_the_low_rank_path_matches_a_dense_fit(control_fit, monkeypatch):
+    # every likelihood of control_fit's fit takes the low-rank path; forced
+    # onto the dense path, L-BFGS-B takes the same steps to rounding
+    data = control_fit.dataset
+    init = hv_module._init_hyper(data)
+    with _counting_paths() as low_paths:
+        low = train_exact(data, init).hyper
+    with monkeypatch.context() as m, _counting_paths() as dense_paths:
+        m.setattr(gp_module, "_LOW_RANK_CONDITION", 0.0)
+        dense = train_exact(data, init).hyper
+    assert low_paths["dense"] == dense_paths["low_rank"] == dense_paths["dpstrf"] == 0
+    assert low_paths["low_rank"] == dense_paths["dense"] > 10
+    low_lml, dense_lml = (log_marginal_likelihood(data, h)[0] for h in (low, dense))
+    assert abs(low_lml - dense_lml) <= 1e-12 * abs(dense_lml)
 
 
 def test_lml_ill_conditioned_error_names_hyper():

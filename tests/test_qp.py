@@ -387,6 +387,42 @@ def test_hint_iterations_count_its_solves():
         np.testing.assert_allclose(sol.x, [1.0, 1.0, 1.0, 0.0], rtol=0, atol=1e-12)
 
 
+def test_hint_whose_rows_all_drop_returns_the_no_hint_x():
+    """When the unconstrained minimiser is strictly feasible, a hinted row
+    forced tight gets a negative multiplier and is dropped; with every
+    hinted row dropped the start is the unconstrained minimiser, and the
+    solve returns the no-hint solve's x bit for bit."""
+    rng = np.random.default_rng(71)
+    dropped = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        a = rng.normal(size=(n, n))
+        p = a.T @ a + n * np.eye(n)
+        q = rng.normal(size=n)
+        x_free = np.linalg.solve(p, -q)
+        # bound rows on every coordinate and a few dense rows, all slack at x_free
+        g = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3, n))])
+        h = g @ x_free + rng.uniform(0.5, 1.0, size=g.shape[0])
+        qp = QuadraticProgram(cost_matrix=p, cost_vector=q, ineq_matrix=g, ineq_vector=h)
+        cold = solve_qp(qp)
+        assert cold.status == "optimal" and cold.active == ()
+        # one row alone, and the upper bounds together (decoupled when P is diagonal)
+        hints = [(int(rng.integers(g.shape[0])),)]
+        diagonal = QuadraticProgram(cost_matrix=np.diag(np.diag(p)), cost_vector=q,
+                                    ineq_matrix=g[:n], ineq_vector=np.full(n, 1e3))
+        for prog, hint in [(qp, hints[0]), (diagonal, tuple(range(n)))]:
+            state = _DualActiveSet(prog)
+            state.hot_start(hint)
+            assert state.k == 0
+            warm = solve_qp(prog, active_hint=hint)
+            ref = solve_qp(prog)
+            assert warm.status == ref.status == "optimal" and warm.active == ()
+            np.testing.assert_array_equal(warm.x, ref.x)
+            np.testing.assert_array_equal(state.x, ref.x)
+            dropped += 1
+    assert dropped == 40
+
+
 def test_degenerate_duplicate_rows():
     # duplicated active inequality rows must not break the solver
     qp = QuadraticProgram(cost_matrix=np.array([[2.0]]), cost_vector=np.array([-6.0]),
@@ -718,3 +754,31 @@ def test_to_csr_matches_scipy_conversion():
             for name in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
                 assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+def test_ineq_excess_is_the_csr_product_less_h():
+    """ineq_excess calls scipy's private CSR kernel directly: it must equal
+    the public ``ineq_sparse @ x - h`` bit for bit and the dense
+    ``G @ x - h`` to rounding, with no rows and with an all-zero row too."""
+    rng = np.random.default_rng(67)
+    programs = []
+    for n, m in ((1, 1), (3, 7), (20, 45), (40, 200)):
+        g = rng.normal(size=(m, n))
+        g[rng.random(g.shape) < 0.7] = 0.0
+        programs.append(QuadraticProgram(cost_matrix=np.eye(n), cost_vector=np.zeros(n),
+                                         ineq_matrix=g, ineq_vector=rng.normal(size=m)))
+    programs.append(QuadraticProgram(cost_matrix=np.eye(4), cost_vector=np.zeros(4)))
+    g = rng.normal(size=(5, 4))
+    g[2] = 0.0
+    programs.append(QuadraticProgram(cost_matrix=np.eye(4), cost_vector=np.zeros(4),
+                                     ineq_matrix=g, ineq_vector=rng.normal(size=5)))
+    for qp in programs:
+        g, h = qp.ineq_matrix, qp.ineq_vector
+        for x in (rng.normal(size=qp.n), 1e3 * rng.normal(size=qp.n)):
+            got = qp.ineq_excess(x)
+            assert got.shape == h.shape
+            np.testing.assert_array_equal(got, qp.ineq_sparse @ x - h)
+            scale = np.abs(g) @ np.abs(x) + np.abs(h)
+            assert np.all(np.abs(got - (g @ x - h)) <= 1e-14 * scale)
+    np.testing.assert_array_equal(programs[-1].ineq_excess(np.ones(4))[2],
+                                  -programs[-1].ineq_vector[2])
