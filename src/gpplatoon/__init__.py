@@ -10,10 +10,8 @@ from .gp import (
     SparseGpModel,
     build_sparse,
     kernel_eval,
-    load_model,
     log_marginal_likelihood,
     normal_quantile,
-    save_model,
     train_exact,
 )
 from .hv import (
@@ -25,7 +23,6 @@ from .hv import (
     default_disturbance,
     fit_hv_correction,
     generate_synthetic_trace,
-    predict_corrected,
     rmse,
 )
 from .dynamics import (

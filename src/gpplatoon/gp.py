@@ -10,7 +10,6 @@ tightening.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,18 +110,6 @@ class Dataset:
     @property
     def n_dims(self) -> int:
         return self.inputs.shape[1]
-
-
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write a dataset as CSV with header a1,...,ad,g."""
-    header = [f"a{i + 1}" for i in range(data.n_dims)] + ["g"]
-    write_csv(path, header, np.column_stack([data.inputs, data.targets]))
-
-
-def load_dataset_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_csv`."""
-    rows = read_csv(path, r"(a[^,]*,)*g")
-    return Dataset(inputs=rows[:, :-1], targets=rows[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -624,15 +611,14 @@ class SparseGpModel:
     change the rounding. The variance keeps its two solves because folding
     them into one m x m form loses accuracy.
 
-    On construction (by :meth:`from_inducing`, :func:`load_model` or
-    directly) the model checks the shapes of its arrays, (m, d) inducing
-    inputs with d = ``hyper.n_dims``, (m, m) factors and m weights, and
-    that the factors and weights are finite. It keeps read-only copies of
-    the four, which the caller's later edits do not reach, the factors
+    On construction (by :meth:`from_inducing` or directly) the model
+    checks the shapes of its arrays, (m, d) inducing inputs with
+    d = ``hyper.n_dims``, (m, m) factors and m weights, and that the
+    factors and weights are finite. It keeps read-only copies of the four,
+    which the caller's later edits do not reach, the factors
     Fortran-ordered so LAPACK solves with them without a copy, and caches
     the length-scale-scaled inducing inputs and their squared norms, so a
-    prediction forms only the query-dependent part of the kernel. The
-    cached arrays are not part of the saved model.
+    prediction forms only the query-dependent part of the kernel.
     """
 
     inducing: np.ndarray
@@ -777,157 +763,3 @@ def normal_quantile(p: float) -> float:
         raise ValueError(f"probability must lie in (0, 1), got {p}")
     return float(ndtri(p))
 
-
-# ---------------------------------------------------------------------------
-# numeric CSV files and flat key-value model serialization
-# ---------------------------------------------------------------------------
-
-
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header line and numeric rows at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt17(v) for v in row) + "\n")
-
-
-def read_csv(path, header: str):
-    """Read a numeric CSV file into a (rows, fields) array.
-
-    Blank lines and lines starting with ``#`` are skipped. The first other
-    line is the header, which must match the regular expression ``header``
-    once spaces around fields are dropped. Every later line must hold one
-    finite number per header field. Errors name ``path:line`` with the
-    line's number in the file.
-    """
-    n_fields, rows = None, []
-    with open(path, "r") as fh:
-        for i, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            parts = [p.strip() for p in ln.split(",")]
-            if n_fields is None:
-                if not re.fullmatch(header, ",".join(parts)):
-                    raise ValueError(f"{path}:{i}: expected header {header!r}, got {ln!r}")
-                n_fields = len(parts)
-                continue
-            if len(parts) != n_fields:
-                raise ValueError(f"{path}:{i}: expected {n_fields} fields, "
-                                 f"got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{i}: malformed number in {ln!r}") from None
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}:{i}: non-finite number in {ln!r}")
-            rows.append(row)
-    if n_fields is None:
-        raise ValueError(f"{path}: no header line")
-    return np.array(rows, dtype=float).reshape(len(rows), n_fields)
-
-
-def _write_kv(fh, key: str, value) -> None:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        fh.write(f"{key} = {_fmt17(arr)}\n")
-    else:
-        fh.write(f"{key} = {','.join(_fmt17(v) for v in arr.ravel())}\n")
-
-
-def save_model(model, path) -> None:
-    """Serialize a trained model as flat key-value text (17 significant digits)."""
-    with open(path, "w", newline="") as fh:
-        if isinstance(model, SparseGpModel):
-            fh.write("kind = sparse\n")
-            m, d = model.inducing.shape
-            fh.write(f"m = {m}\nn_dims = {d}\n")
-            _write_kv(fh, "signal_variance", model.hyper.signal_variance)
-            _write_kv(fh, "length_scales", model.hyper.length_scales)
-            _write_kv(fh, "noise_variance", model.hyper.noise_variance)
-            _write_kv(fh, "inducing", model.inducing)
-            _write_kv(fh, "chol_inducing", model.chol_inducing)
-            _write_kv(fh, "chol_cap", model.chol_cap)
-            _write_kv(fh, "mean_weights", model.mean_weights)
-        elif isinstance(model, GpModel):
-            fh.write("kind = exact\n")
-            n, d = model.dataset.inputs.shape
-            fh.write(f"n = {n}\nn_dims = {d}\n")
-            _write_kv(fh, "signal_variance", model.hyper.signal_variance)
-            _write_kv(fh, "length_scales", model.hyper.length_scales)
-            _write_kv(fh, "noise_variance", model.hyper.noise_variance)
-            _write_kv(fh, "inputs", model.dataset.inputs)
-            _write_kv(fh, "targets", model.dataset.targets)
-            _write_kv(fh, "chol_factor", model.chol_factor)
-            _write_kv(fh, "alpha", model.alpha)
-        else:
-            raise TypeError(f"cannot serialize {type(model).__name__}")
-
-
-def load_model(path):
-    """Load a model written by :func:`save_model`.
-
-    Raises ``ValueError`` naming ``path`` and the key when a key is missing,
-    an entry is not a finite number, a size is not a positive integer, or a
-    vector's length disagrees with ``n``, ``m`` or ``n_dims``.
-    """
-    kv = {}
-    with open(path, "r") as fh:
-        for i, ln in enumerate(fh, start=1):
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            if "=" not in ln:
-                raise ValueError(f"{path}:{i}: expected 'key = value'")
-            key, _, val = ln.partition("=")
-            kv[key.strip()] = val.strip()
-
-    def vec(key, size):
-        if key not in kv:
-            raise ValueError(f"{path}: missing key {key!r}")
-        try:
-            arr = np.array([float(v) for v in kv[key].split(",")])
-        except ValueError:
-            raise ValueError(f"{path}: {key}: malformed number in {kv[key]!r}") from None
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: {key}: non-finite entry")
-        if arr.size != size:
-            raise ValueError(f"{path}: {key} has {arr.size} entries, expected {size}")
-        return arr
-
-    def size(key):
-        value = float(vec(key, 1)[0])
-        if value < 1 or value != int(value):
-            raise ValueError(f"{path}: {key} must be a positive integer, got {value:g}")
-        return int(value)
-
-    kind = kv.get("kind")
-    if kind not in ("sparse", "exact"):
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    d = size("n_dims")
-    hyper = KernelHyper(
-        signal_variance=float(vec("signal_variance", 1)[0]),
-        length_scales=vec("length_scales", d),
-        noise_variance=float(vec("noise_variance", 1)[0]),
-    )
-    if kind == "sparse":
-        m = size("m")
-        return SparseGpModel(
-            inducing=vec("inducing", m * d).reshape(m, d),
-            hyper=hyper,
-            chol_inducing=vec("chol_inducing", m * m).reshape(m, m),
-            chol_cap=vec("chol_cap", m * m).reshape(m, m),
-            mean_weights=vec("mean_weights", m),
-        )
-    n = size("n")
-    data = Dataset(inputs=vec("inputs", n * d).reshape(n, d), targets=vec("targets", n))
-    return GpModel(
-        dataset=data,
-        hyper=hyper,
-        chol_factor=vec("chol_factor", n * n).reshape(n, n),
-        alpha=vec("alpha", n),
-    )

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gp import Dataset, GpModel, SparseGpModel, KernelHyper, build_sparse, read_csv, \
-    train_exact, write_csv
+from .gp import Dataset, GpModel, SparseGpModel, KernelHyper, build_sparse, train_exact
 
 # Identified coefficients of the driver-following difference equation.
 ARX_C_DEFAULT = (-3.0227, 3.3543, -1.6329, 0.3014)
@@ -115,16 +114,6 @@ class DriverTrace:
         return self.time.size
 
 
-def save_trace_csv(trace: DriverTrace, path) -> None:
-    write_csv(path, ["t", "v_av", "v_hv"],
-              np.column_stack([trace.time, trace.v_av, trace.v_hv]))
-
-
-def load_trace_csv(path) -> DriverTrace:
-    rows = read_csv(path, "t,v_av,v_hv")
-    return DriverTrace(time=rows[:, 0], v_av=rows[:, 1], v_hv=rows[:, 2])
-
-
 def build_discrepancy_dataset(trace: DriverTrace, params: ArxParams) -> Dataset:
     """Dataset of (lag-1 velocity pair) -> (recorded minus ARX-predicted velocity).
 
@@ -139,16 +128,6 @@ def _lag1_pairs(trace: DriverTrace) -> np.ndarray:
     """(v_hv, v_av) at k-1 for every predicted sample k >= N_LAGS."""
     return np.column_stack([trace.v_hv[N_LAGS - 1: trace.n - 1],
                             trace.v_av[N_LAGS - 1: trace.n - 1]])
-
-
-def predict_corrected(params: ArxParams, gp, history: VelocityHistory):
-    """GP-corrected velocity prediction: (mean, variance).
-
-    The GP is evaluated at the one-step-lagged pair, i.e. the newest entries
-    of the history.
-    """
-    means, variances = gp.predict_batch(np.array([[history.hv[0], history.av[0]]]))
-    return arx_step(params, history.hv, history.av) + float(means[0]), float(variances[0])
 
 
 def rmse(pred, actual) -> float:

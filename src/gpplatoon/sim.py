@@ -11,12 +11,10 @@ and solver diagnostics, and reduces runs to scalar metrics.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import read_csv
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step, default_disturbance
 from .mpc import MpcConfig, PlatoonController, PlatoonState
 
@@ -57,26 +55,6 @@ def multiphase_profile(t: float) -> float:
     peaks at 36.5 m/s. Not the genuine cycle data, which is not shipped.
     """
     return float(np.interp(t, _WLTP_KNOTS_T, _WLTP_KNOTS_V))
-
-
-def load_velocity_profile(path, step: float, v_max: float = 37.0) -> np.ndarray:
-    """Load a ``t,v_ref`` CSV and resample it to ``step`` by interpolation.
-
-    The ``t,v_ref`` header is required. Values are clamped to [0, v_max]
-    with a warning; malformed or non-finite rows raise with their line
-    number and non-monotone time grids are rejected.
-    """
-    rows = read_csv(path, "t,v_ref")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two samples")
-    t, v = rows[:, 0], rows[:, 1]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError(f"{path}: time grid must be strictly increasing")
-    if np.any(v < 0) or np.any(v > v_max):
-        warnings.warn(f"{path}: reference values clamped to [0, {v_max}]")
-        v = np.clip(v, 0.0, v_max)
-    grid = np.arange(0.0, t[-1] + 0.5 * step, step)
-    return np.interp(grid, t, v)
 
 
 # name: (reference profile, make_scenario defaults)
@@ -263,8 +241,7 @@ def result_to_csv(result: SimResult, path) -> None:
             for j in range(result.n_av):
                 row += [fmt9(result.av_pos[j, k]), fmt9(result.av_vel[j, k]),
                         fmt9(result.av_acc[j, k])]
-            row += [fmt9(result.hv_pos[k]), fmt9(result.hv_vel[k]),
-                    fmt9(gap_av[k]) if np.isfinite(gap_av[k]) else "inf",
+            row += [fmt9(result.hv_pos[k]), fmt9(result.hv_vel[k]), fmt9(gap_av[k]),
                     fmt9(gap_hv[k])]
             fh.write(",".join(row) + "\n")
 

@@ -11,11 +11,9 @@ from gpplatoon.hv import (
     build_discrepancy_dataset,
     default_disturbance,
     generate_synthetic_trace,
-    load_trace_csv,
-    predict_corrected,
     rmse,
-    save_trace_csv,
     arx_prediction_series,
+    corrected_prediction_series,
 )
 from gpplatoon.mpc import MpcConfig
 
@@ -177,22 +175,26 @@ def _zero_gp(nv=1e-6):
     return SparseGpModel.from_inducing(data, h, data.inputs)
 
 
-def test_corrected_equals_arx_for_zero_trained_gp():
-    gp = _zero_gp()
+def _corrected_on_constant_trace(v, n=12):
+    """``corrected_prediction_series`` with a GP trained on zero targets on a
+    constant trace, after the checks that hold at every velocity: the
+    prediction is the ARX one, and the warm-up entries are the recording
+    with zero variance. Returns the variances past the warm-up."""
+    trace = DriverTrace(time=0.1 * np.arange(n), v_av=np.full(n, v), v_hv=np.full(n, v))
     p = ArxParams.default()
-    h = VelocityHistory.constant(10.0, 10.0)
-    mean, var = predict_corrected(p, gp, h)
-    assert mean == pytest.approx(arx_step(p, h.hv, h.av), abs=1e-9)
-    assert var <= 1e-6 + 1e-6
+    pred, var = corrected_prediction_series(trace, p, _zero_gp())
+    np.testing.assert_allclose(pred, arx_prediction_series(trace, p), rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(pred[:4], trace.v_hv[:4])
+    np.testing.assert_array_equal(var[:4], 0.0)
+    return var[4:]
+
+
+def test_corrected_equals_arx_for_zero_trained_gp():
+    assert np.all(_corrected_on_constant_trace(10.0) <= 1e-6 + 1e-6)
 
 
 def test_corrected_reverts_to_prior_far_from_data():
-    gp = _zero_gp()
-    p = ArxParams.default()
-    h = VelocityHistory.constant(3000.0, 3000.0)
-    mean, var = predict_corrected(p, gp, h)
-    assert mean == pytest.approx(arx_step(p, h.hv, h.av), abs=1e-6)
-    assert var == pytest.approx(0.04, abs=1e-6)
+    np.testing.assert_allclose(_corrected_on_constant_trace(3000.0), 0.04, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +261,6 @@ def test_noise_free_targets_equal_disturbance(driver_traces):
         data = build_discrepancy_dataset(tr, ArxParams.default())
         truth = default_disturbance(data.inputs[:, 0], data.inputs[:, 1])
         np.testing.assert_allclose(data.targets, truth, rtol=0, atol=1e-12)
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    tr = generate_synthetic_trace(lambda t: 8.0, 10.0, 0.1, noise_std=0.02, seed=4)
-    path = tmp_path / "trace.csv"
-    save_trace_csv(tr, path)
-    loaded = load_trace_csv(path)
-    np.testing.assert_array_equal(loaded.v_hv, tr.v_hv)
-    np.testing.assert_array_equal(loaded.time, tr.time)
 
 
 def test_trace_validation_uniform_grid():

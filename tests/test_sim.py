@@ -3,15 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from gpplatoon.gp import (
-    Dataset,
-    KernelHyper,
-    SparseGpModel,
-    load_dataset_csv,
-    load_model,
-    save_model,
-)
-from gpplatoon.hv import ArxParams, N_LAGS, arx_step, load_trace_csv
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
+from gpplatoon.hv import ArxParams, N_LAGS, arx_step
 from gpplatoon import mpc
 from gpplatoon import qp as qp_module
 from gpplatoon.mpc import MpcConfig
@@ -21,13 +14,13 @@ from gpplatoon.sim import (
     compute_metrics,
     diagnostics_to_csv,
     emergency_brake_profile,
-    load_velocity_profile,
     make_scenario,
     metrics_to_text,
     multiphase_profile,
     realtime_brake_profile,
     result_to_csv,
     run_closed_loop,
+    timing_to_text,
 )
 
 
@@ -57,72 +50,6 @@ def test_multiphase_profile_peak():
     v = np.array([multiphase_profile(tk) for tk in t])
     assert v.max() == pytest.approx(36.5, abs=1e-9)  # peak at the 160 s knot
     assert v.min() >= 0.0
-
-
-def test_load_profile_interpolates(tmp_path):
-    path = tmp_path / "ref.csv"
-    path.write_text("t,v_ref\n0,0\n1,1\n")
-    series = load_velocity_profile(path, step=0.5)
-    np.testing.assert_allclose(series, [0.0, 0.5, 1.0], atol=1e-12)
-
-
-def test_load_profile_clamps_with_warning(tmp_path):
-    path = tmp_path / "ref.csv"
-    path.write_text("t,v_ref\n0,-1\n1,5\n")
-    with pytest.warns(UserWarning):
-        series = load_velocity_profile(path, step=1.0)
-    assert series[0] == 0.0
-
-
-# every CSV loader: its header and a valid row of k
-CSV_LOADERS = (
-    (lambda path: load_velocity_profile(path, step=0.5), "t,v_ref",
-     lambda k: f"{k},{k}"),
-    (load_trace_csv, "t,v_av,v_hv", lambda k: f"{0.1 * k},5,5"),
-    (load_dataset_csv, "a1,a2,g", lambda k: f"{k},{k},0.5"),
-)
-
-
-def test_load_profile_errors(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t,v_ref\n0,0\nnope\n")
-    with pytest.raises(ValueError, match="bad.csv:3"):
-        load_velocity_profile(bad, step=0.5)
-    nonmono = tmp_path / "nm.csv"
-    nonmono.write_text("t,v_ref\n0,0\n2,1\n1,2\n")
-    with pytest.raises(ValueError, match="increasing"):
-        load_velocity_profile(nonmono, step=0.5)
-    nan_time = tmp_path / "nan_t.csv"
-    nan_time.write_text("t,v_ref\n0,0\nnan,1\n2,2\n")
-    with pytest.raises(ValueError, match="nan_t.csv:3: non-finite"):
-        load_velocity_profile(nan_time, step=0.5)
-    headless = tmp_path / "headless.csv"
-    headless.write_text("0,0\n1,1\n2,2\n")
-    with pytest.raises(ValueError, match="headless.csv:1: expected header"):
-        load_velocity_profile(headless, step=0.5)
-
-    # every loader names the raw line number, counting blank and comment lines
-    for load, header, row in CSV_LOADERS:
-        good = [row(k) for k in range(6)]
-        ok = tmp_path / "ok.csv"
-        ok.write_text("# written by hand\n\n" + header + "\n# six rows\n"
-                      + "\n\n".join(good) + "\n")
-        load(ok)
-        n_fields = header.count(",") + 1
-        cases = {
-            "header": ("# c\n\n" + "x" + header + "\n" + "\n".join(good), 3),
-            "fields": (header + "\n\n" + good[0] + "\n\n" + good[1] + ",1", 5),
-            "number": (header + "\n" + good[0] + "\n\n# c\n" + "1," * (n_fields - 1)
-                       + "x1", 5),
-        }
-        for bad_value in ("nan", "inf", "-inf"):
-            cases[bad_value] = (header + "\n\n" + good[0] + "\n\n"
-                                + ",".join([bad_value] + ["1"] * (n_fields - 1)), 5)
-        for what, (text, line) in cases.items():
-            path = tmp_path / f"{what}.csv"
-            path.write_text(text + "\n" + "\n".join(good[2:]) + "\n")
-            with pytest.raises(ValueError, match=rf"{what}\.csv:{line}: "):
-                load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +230,26 @@ def test_result_csv_layout(tmp_path):
     diagnostics_to_csv(result, diag)
     dlines = diag.read_text().splitlines()
     assert dlines[0] == "k,solve_time_s,status,iters,min_gap_bound,sigma_terminal"
+    metrics = compute_metrics(result)
     metrics_path = tmp_path / "metrics.txt"
-    metrics_to_text(compute_metrics(result), metrics_path)
+    metrics_to_text(metrics, metrics_path)
     text = metrics_path.read_text()
     assert "min_hv_gap = 12" in text
     assert "solve_time" not in text  # wall clock segregated from data outputs
+    timing_path = tmp_path / "timing.txt"
+    timing_to_text(metrics, timing_path)
+    keys = [ln.split(" = ")[0] for ln in timing_path.read_text().splitlines()]
+    assert keys == ["solve_time_mean_s", "solve_time_max_s", "solve_time_std_s"]
+
+    # one AV has no adjacent AV gap: written and reduced as inf
+    single = run_closed_loop(make_scenario("rest", duration=1.0, cfg=MpcConfig(n_av=1)),
+                             controller="nominal")
+    result_to_csv(single, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,p_av1,v_av1,acc_av1,p_hv,v_hv,gap_av,gap_hv"
+    assert lines[1] == "0,-0,0,0,-12,0,inf,12"
+    assert all(ln.split(",")[6] == "inf" for ln in lines[1:])
+    assert compute_metrics(single).min_av_gap == np.inf
 
 
 def test_scenario_validation():
@@ -374,19 +316,6 @@ def test_events_name_violated_row_and_hv_clamps():
     assert len(set(clamped)) == len(clamped)
     at_bound = (result.hv_vel[1:] == 0.0) | (result.hv_vel[1:] == spec.cfg.v_max)
     assert set(clamped) - {result.time.size - 1} == set(np.flatnonzero(at_bound))
-
-
-def test_loaded_gp_model_runs_the_same_closed_loop(control_fit, tmp_path):
-    path = tmp_path / "sparse.txt"
-    save_model(control_fit.sparse, path)
-    loaded = load_model(path)
-    spec = make_scenario("emergency", duration=5.0, noise=True, seed=2)
-    a = run_closed_loop(spec, controller="gp", gp_model=control_fit.sparse)
-    b = run_closed_loop(spec, controller="gp", gp_model=loaded)
-    for name in ("av_pos", "av_vel", "av_acc", "hv_pos", "hv_vel", "gap_bound",
-                 "sigma_terminal"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert a.status == b.status and a.events == b.events
 
 
 def test_nominal_closed_loop_at_n_av_8_horizon_80(monkeypatch):
