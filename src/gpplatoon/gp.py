@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dpstrf, dtrtri, dtrtrs
-from scipy.optimize import minimize
 from scipy.special import ndtri
 
 # Added to kernel diagonals before factorization; below all test tolerances.
@@ -525,6 +524,9 @@ def train_exact(data: Dataset, init: KernelHyper) -> GpModel:
     lo = np.full(theta0.size, -30.0)
     hi = np.full(theta0.size, 30.0)
     lo[-1] = math.log(NOISE_FLOOR)
+    # imported here: it costs about 15 MB and 0.2 s, which a process that
+    # only runs the controller never needs
+    from scipy.optimize import minimize
     minimize(
         objective,
         theta0,

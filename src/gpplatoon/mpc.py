@@ -1,4 +1,4 @@
-"""Receding-horizon platoon control as dense convex quadratic programs.
+"""Receding-horizon platoon control as convex quadratic programs.
 
 The horizon couples AV kinematics, the linear ARX chain of the HV, and the
 HV position mean/variance propagation. GP terms are frozen along the
@@ -12,15 +12,16 @@ positions, the HV position mean and variance, the constraints, the cost
 residuals and the decoded trajectories) is written once, as a function that
 is linear in w = [z; x], where z is the step's input (the state, the frozen
 GP terms, the reference and a constant 1). Evaluated on the identity over
-x, the laws give the constraint matrix G, the cost matrix P and the
-matrices that decode a plan. Evaluated on the identity over z, they give
-one sparse affine map from z to every vector the step needs: h without the
-gap bounds, the HV chain's constant part, the position variances, the
-decode offsets, the cost residuals and, through the residuals' x-half, the
-cost vector q. This is the multi-parametric form of condensed MPC (Bemporad
-et al. 2002). The HV chain is :func:`gpplatoon.hv.arx_step` applied to
-linear maps. P and G sit in one :class:`~gpplatoon.qp.QuadraticProgram`,
-which checks them and factors P once. A control step takes one product
+x, a few columns at a time, the laws give the constraint matrix G (in
+sparse form only), the cost matrix P and the matrices that decode a plan.
+Evaluated on the identity over z, they give one sparse affine map from z
+to every vector the step needs: h without the gap bounds, the HV chain's
+constant part, the position variances, the decode offsets, the cost
+residuals and, through the residuals' x-half, the cost vector q. This is
+the multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
+chain is :func:`gpplatoon.hv.arx_step` applied to linear maps. P and G sit
+in one :class:`~gpplatoon.qp.QuadraticProgram`, which checks them and
+factors P once. A control step takes one product
 with the map, subtracts the gap bounds from h and computes the cost
 constant; it decodes one plan, the QP's solution or maximum braking when
 the solve fails, with two more products.
@@ -38,7 +39,7 @@ from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
-from .qp import QuadraticProgram, solve_qp, to_csr
+from .qp import QuadraticProgram, solve_qp, spmv, to_csr
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ class _QpStructure:
     """
 
     cfg: MpcConfig
-    qp: QuadraticProgram        # P (nd, nd) and G (rows, nd)
+    qp: QuadraticProgram        # P (nd, nd) and G (rows, nd), G in CSR form
     terms: sparse.csr_array     # (rows, len(z)), the affine map of a step
     zero_frozen: np.ndarray     # (N,) zeros, a nominal step's frozen mean and variance
     rows: dict                  # block name -> slice of terms
@@ -237,20 +238,16 @@ class _QpStructure:
         raise IndexError(f"row {row} outside the {self.qp.ineq_vector.size} rows")
 
 
-@functools.lru_cache(maxsize=16)
-def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
-    """The template of ``(cfg, arx)``, cached on the two values; pass both
-    positionally, as the cache keys a keyword call apart.
-
-    ``laws`` evaluates the laws at the columns of a matrix whose rows stand
-    for the entries of [z; x]: on the identity over z, made sparse block by
-    block, then on the identity over x, whose constraint blocks go straight
-    into G, so neither half is ever dense as a whole.
-    """
+def _horizon_laws(cfg: MpcConfig, arx: ArxParams):
+    """``(laws, nz)``: the laws of the horizon of ``(cfg, arx)`` and the
+    length of z. ``laws(w)`` yields ``(name, block)`` for every law at the
+    columns of w, whose rows stand for the entries of [z; x], in row
+    order. Every law is linear, and each column of a block is computed from
+    the same column of w alone, so the laws can be evaluated on any set of
+    columns of the identity and agree bit for bit."""
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
     nd, ns = nav * n, 2 * N_LAGS + 1
     cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n, 1])
-    nz = int(cuts[-1])
 
     def integrate(step, first, *rates):
         """Forward-Euler stages from ``first``, on the second-to-last axis."""
@@ -274,7 +271,6 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
     chain = hv[N_LAGS:]
 
     def laws(w):
-        """(name, block) for every law at the columns of w, in row order."""
         p0, v0, hv_pos, hv_var, hist_hv, hist_av, mean, var, ref, one, x = np.split(w, cuts)
         acc = x.reshape(nav, n, -1)
         # stages k..k+N+1, the input held at zero after the horizon and each
@@ -301,6 +297,25 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
         yield "cost", np.concatenate((math.sqrt(cfg.q1) * (v[:1, 1:] - np.vstack((ref, ref[-1:]))),
                                       math.sqrt(cfg.q2) * np.diff(v[:, 1:], axis=0)))
 
+    return laws, int(cuts[-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
+    """The template of ``(cfg, arx)``, cached on the two values; pass both
+    positionally, as the cache keys a keyword call apart.
+
+    The laws (see :func:`_horizon_laws`) are evaluated on the identity over
+    z, each block made sparse as it comes, then on the identity over x one
+    AV's N columns at a time: each chunk's constraint blocks go straight
+    into G's nonzeros, and its cost residuals and decode blocks into their
+    columns. G is never dense: at ``n_av=16, N=80`` a dense G would take
+    62.5 MB, its CSR form takes 2.4 MB, and the build's traced peak is
+    84 MB.
+    """
+    n, nav = cfg.horizon, cfg.n_av
+    nd = nav * n
+    laws, nz = _horizon_laws(cfg, arx)
     shapes, z_half = {}, {}
     for name, block in laws(np.eye(nz + nd, nz)):
         shapes[name] = block.shape[:-1]
@@ -309,24 +324,28 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
     rows = dict(zip([*shapes, "q"], map(slice, [0, *ends[:-1]], ends)))
     rows.update(h=slice(0, rows[_CONSTRAINTS[-1]].stop),
                 av=slice(rows["av_vel"].start, rows["av_pos"].stop))
-    g_mat, x_half = np.empty((rows["h"].stop, nd)), {}
-    for name, block in laws(np.eye(nz + nd, nd, -nz)):
-        if name in _CONSTRAINTS:
-            np.negative(block.reshape(-1, nd), out=g_mat[rows[name]])
-        else:
-            x_half[name] = block
-    r_x = x_half["cost"].reshape(-1, nd)
-    av_decode = np.stack((x_half["av_vel"][0, :, :n].T, x_half["av_pos"][0, :, :n].T))
-    # the HV chain reads the trailing AV's velocities alone, so its decode
-    # keeps only that AV's acceleration columns
-    if x_half["hv"][:, :-n].any():
-        raise AssertionError("the HV chain depends on an AV other than the last")
-    hv_decode = np.ascontiguousarray(x_half["hv"][:, -n:])
-    del x_half      # before P, whose product can then reuse the memory
+    r_x = np.empty((math.prod(shapes["cost"]), nd))
+    g_cols = []     # G's columns, one AV's N at a time
+    for j in range(nav):
+        x_half = dict(laws(np.eye(nz + nd, n, -nz - j * n)))
+        g_cols.append(to_csr(-np.concatenate([x_half[name].reshape(-1, n)
+                                              for name in _CONSTRAINTS])))
+        r_x[:, j * n:(j + 1) * n] = x_half["cost"].reshape(-1, n)
+        if j == 0:
+            av_decode = np.stack((x_half["av_vel"][0].T, x_half["av_pos"][0].T))
+        # the HV chain reads the trailing AV's velocities alone, so its decode
+        # keeps only that AV's acceleration columns
+        if j < nav - 1 and x_half["hv"].any():
+            raise AssertionError("the HV chain depends on an AV other than the last")
+    hv_decode = np.ascontiguousarray(x_half["hv"])
+    del x_half
+    g_mat = sparse.hstack(g_cols, format="csr")
+    del g_cols
     p_cost = r_x.T @ r_x
     p_cost *= 2.0
     p_cost.flat[::nd + 1] += 2.0 * cfg.r
     terms = sparse.vstack((*z_half.values(), to_csr(2.0 * (r_x.T @ z_half["cost"]))), format="csr")
+    del r_x, z_half     # before the program's factor, which can then reuse the memory
     zero_frozen = np.zeros(n)
     for arr in (av_decode, hv_decode, zero_frozen, terms.data, terms.indices, terms.indptr):
         arr.flags.writeable = False
@@ -337,7 +356,7 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
 
 @dataclass(frozen=True)
 class CondensedQp:
-    """Dense QP plus the state-dependent vectors needed to decode a plan.
+    """One step's QP plus the state-dependent vectors needed to decode a plan.
 
     ``structure`` is its template, and ``terms`` the step's product of the
     template's affine map with its input vector z: ``sigma`` is a view of
@@ -373,7 +392,7 @@ class CondensedQp:
 
 def condense(template: _QpStructure, state: PlatoonState, v_ref,
              frozen: FrozenGpTrajectory | None = None) -> CondensedQp:
-    """Reduce one horizon to a dense QP over stacked AV accelerations.
+    """Reduce one horizon to a QP over stacked AV accelerations.
 
     With ``frozen`` set, the HV mean chain gains the frozen correction means,
     the position variance accumulates the frozen variances, and the AV-HV
@@ -386,7 +405,8 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
     ``template`` (see :class:`_QpStructure`) is the one source of the
     configuration, the ARX model and the cost and constraint matrices. This
     call checks its inputs, stacks the input vector z (a nominal step's
-    frozen terms are zero) and takes one sparse product, of which q, h,
+    frozen terms are zero) and takes one sparse product, through the CSR
+    kernel that ``ineq_excess`` also calls (``qp.spmv``), of which q, h,
     ``sigma``, the decode offsets and the cost residuals are slices. Only
     the gap bounds, which it subtracts from h, and the cost constant, the
     residuals' squared norm, are computed apart from it.
@@ -404,9 +424,9 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
         raise ValueError(f"frozen trajectory must supply {n} stages")
     hist = state.history
     fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
-    out = st.terms @ np.concatenate((state.av_pos, state.av_vel,
-                                     (state.hv_pos, state.hv_pos_var), hist.hv, hist.av,
-                                     *fz, ref, (1.0,)))
+    out = spmv(st.terms, np.concatenate((state.av_pos, state.av_vel,
+                                         (state.hv_pos, state.hv_pos_var), hist.hv, hist.av,
+                                         *fz, ref, (1.0,))))
     rows = st.rows
     sigma = out[rows["sigma"]]
     bounds = (np.full(n, cfg.gap.delta) if frozen is None

@@ -1,4 +1,4 @@
-"""Dense convex quadratic programming.
+"""Convex quadratic programming with a dense cost and sparse inequalities.
 
 Solves min 0.5 x'Px + q'x subject to G x <= h with a dual active-set
 method (Goldfarb-Idnani): start at the unconstrained minimum, repeatedly
@@ -19,31 +19,39 @@ As in Goldfarb and Idnani's method, the iteration works in the fixed basis
 J = L^-T of the cost factor P = L L^T: with the active rows mapped to
 y = G J, each step solves a system of the active-set size rather than the
 bordered KKT system. Each :class:`QuadraticProgram` owns read-only copies
-of P, G, q and h, and P's J and a CSR copy of G, checked and built once
-with it; :meth:`QuadraticProgram.with_vectors` gives programs that copy
-only q and h and share the rest (the MPC's, one template per
-configuration), so P is factored once per template.
+of P, q and h, P's J, and G in CSR form, its only stored form: dense input
+is converted when the program is built. :meth:`QuadraticProgram.with_vectors`
+gives programs that copy only q and h and share the rest (the MPC's, one
+template per configuration), so P is factored once per template. The MPC's
+G is 2-5% nonzeros: at ``n_av=16, N=80`` (6400 x 1280) its CSR form takes
+2.4 MB, where a dense copy would take 62.5 MB.
 
 Every product of G with x over all its rows, G x - h, goes through
-:meth:`QuadraticProgram.ineq_excess` and so through the CSR copy: the MPC's
-G is about 5% nonzeros, so the violation scan that starts each iteration
-costs a fraction of a dense product (about 28 against 200 us for the
-1600 x 320 G of ``n_av=8, N=40`` on one BLAS thread). It calls scipy's CSR
-kernel directly: ``csr_array @ x`` reaches the same kernel through operator
-dispatch that takes longer than the kernel itself on the 200 x 40 G of
-``n_av=2, N=20`` (about 9.5 against 4.9 us). The rows y of the
-active set, their Gram matrix y y^T and the multipliers live in buffers
-that grow by doubling; an entering row adds one Gram row, a dropped row
-shifts slices, and each solve with y y^T is one LAPACK ``dposv``. G J
-itself is not stored: at 1600 x 320 it would add 4 MB per template. A row
-of G with one nonzero, a simple bound such as the MPC's acceleration box,
-needs no product: its row of G J is that entry times one row of J. The
-program records the column of each such row when it is built
-(``bound_column``, one integer per row), so an entering bound row and the
-bound rows of a hint are gathered from J, and only the other rows are
-multiplied, one n x n product per entering row and one k x n x n product
-for the k other rows of a hint. The product of a one-entry row adds only
-exact zeros, so the gathered row equals it bit for bit.
+:meth:`QuadraticProgram.ineq_excess`, so the violation scan that starts
+each iteration costs a fraction of a dense product (about 28 against
+200 us for the 1600 x 320 G of ``n_av=8, N=40`` on one BLAS thread). It
+calls scipy's CSR kernel directly through :func:`spmv`: ``csr_array @ x``
+reaches the same kernel through operator dispatch that takes longer than
+the kernel itself on the 200 x 40 G of ``n_av=2, N=20`` (about 9.5 against
+4.9 us). The solver densifies a row of G when it enters the active set or
+is hinted, through scipy's ``csr_todense`` and ``csr_row_index`` kernels
+(about 3 us more than gathering them from a dense G, for a paper-scale
+hint of about 8 rows), and keeps the dense rows of the active set beside
+their rows y, so the products with them (G_a x when x is moved back onto
+the active rows, and G_a^T u in the final residual) are the same BLAS
+calls as on a dense G. The rows y of the active set, their Gram matrix
+y y^T, the dense rows and the multipliers live in buffers that grow by
+doubling; an entering row adds one Gram row, a dropped row shifts slices,
+and each solve with y y^T is one LAPACK ``dposv``. G J itself is not
+stored: at 1600 x 320 it would add 4 MB per template. A row of G with one
+nonzero, a simple bound such as the MPC's acceleration box, needs no
+product: its row of G J is that entry times one row of J. The program
+records the column of each such row when it is built (``bound_column``,
+one integer per row), so an entering bound row and the bound rows of a
+hint are gathered from J, and only the other rows are multiplied, one
+n x n product per entering row and one k x n x n product for the k other
+rows of a hint. The product of a one-entry row adds only exact zeros, so
+the gathered row equals it bit for bit.
 
 J is upper triangular (its strictly lower part is exactly zero), and the
 two products a solve starts from, w = -J^T q and x = J w, go through
@@ -54,9 +62,9 @@ objective take P x through ``dsymv`` on P's lower triangle, the one its
 factor is built from; P is symmetric only to within 1e-10, so the upper
 triangle could disagree with the factor. An empty-hint solve at
 ``n_av=8, N=40`` thus reads half of J and half of P (410 KB each)
-instead of all of both, and with the G CSR copy (320 KB) and the MPC's
-step map and decode blocks (190 KB) its data is about 1.3 MB, where the
-dense products needed about 2.3 MB: more than a 2 MB L2 cache. The
+instead of all of both, and with G (320 KB) and the MPC's step map and
+decode blocks (190 KB) its data is about 1.3 MB, where the dense
+products needed about 2.3 MB: more than a 2 MB L2 cache. The
 products inside the iteration (``enter``'s ``npl @ J`` and ``J @ v``,
 and ``J @ ...`` in ``hot_start`` and ``_retighten``) stay on ``@``:
 through ``dtrmv`` their last bits change the verdict of a degenerate
@@ -77,7 +85,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsymv, dtrmv
 from scipy.linalg.lapack import dposv
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_row_index, csr_todense
 
 # An entering row is dependent on the active rows when the part of it
 # outside their span, |d - y^T r|^2, is below this share of |d|^2.
@@ -97,6 +105,16 @@ def to_csr(a: np.ndarray) -> sparse.csr_array:
                             shape=a.shape)
 
 
+def spmv(a: sparse.csr_array, x) -> np.ndarray:
+    """The product ``a @ x`` of a CSR matrix and a vector, through scipy's
+    CSR kernel called directly: the same kernel ``a @ x`` reaches, so the
+    same result bit for bit, without the operator dispatch that takes
+    longer than the kernel on small matrices."""
+    out = np.zeros(a.shape[0])
+    csr_matvec(*a.shape, a.indptr, a.indices, a.data, np.ascontiguousarray(x, dtype=float), out)
+    return out
+
+
 def _feasibility_tol(level) -> float:
     """Violation up to which a row with right-hand side ``level`` holds."""
     return 1e-10 * (1.0 + abs(level))
@@ -104,20 +122,20 @@ def _feasibility_tol(level) -> float:
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Dense QP data: symmetric PSD cost and optional inequalities.
+    """QP data: symmetric PSD cost and optional inequalities.
 
-    Construction checks every input and keeps read-only copies of P, q, G
-    and h, P's factor, a CSR copy of G and the column of each one-entry row
-    of G, so a bad P raises ``ValueError`` here and later edits of the
-    caller's arrays do not reach the program.
+    Construction checks every input and keeps read-only copies of P, q and
+    h, P's factor, G in CSR form (a dense or sparse ``ineq_matrix`` is
+    converted, with sorted column indices and no stored zeros) and the
+    column of each one-entry row of G, so a bad P raises ``ValueError``
+    here and later edits of the caller's arrays do not reach the program.
     """
 
     cost_matrix: np.ndarray
     cost_vector: np.ndarray
-    ineq_matrix: np.ndarray = None
+    ineq_matrix: sparse.csr_array = None
     ineq_vector: np.ndarray = None
     inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)  # J = L^-T
-    ineq_sparse: sparse.csr_array = field(init=False, repr=False, compare=False)  # G as CSR
     # per row of G: the column of its one nonzero, or -1 if it has none or several
     bound_column: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -131,20 +149,24 @@ class QuadraticProgram:
         asym = p - p.T
         if not np.abs(asym, out=asym).max() <= 1e-10:
             raise ValueError("cost matrix must be finite and symmetric")
-        g = np.zeros((0, n)) if self.ineq_matrix is None else np.array(
-            self.ineq_matrix, dtype=float, ndmin=2)
-        g.flags.writeable = False
-        if g.shape[1:] != (n,) or not np.isfinite(g).all():
+        g = np.zeros((0, n)) if self.ineq_matrix is None else self.ineq_matrix
+        if sparse.issparse(g):
+            g = sparse.csr_array(g, dtype=float, copy=True)
+            g.sum_duplicates()      # which sorts the indices too
+            g.eliminate_zeros()
+        else:
+            g = np.atleast_2d(np.asarray(g, dtype=float))
+            if g.shape[1:] == (n,):
+                g = to_csr(g)
+        if g.shape[1:] != (n,) or not np.isfinite(g.data).all():
             raise ValueError(f"ineq_matrix must be finite with {n} columns, got {g.shape}")
+        for a in (g.data, g.indices, g.indptr):
+            a.flags.writeable = False
         object.__setattr__(self, "cost_matrix", p)
         object.__setattr__(self, "ineq_matrix", g)
-        g_csr = to_csr(g)
-        for a in (g_csr.data, g_csr.indices, g_csr.indptr):
-            a.flags.writeable = False
-        object.__setattr__(self, "ineq_sparse", g_csr)
-        single = np.diff(g_csr.indptr) == 1
+        single = np.diff(g.indptr) == 1
         column = np.full(g.shape[0], -1, dtype=np.intp)
-        column[single] = g_csr.indices[g_csr.indptr[:-1][single]]
+        column[single] = g.indices[g.indptr[:-1][single]]
         column.flags.writeable = False
         object.__setattr__(self, "bound_column", column)
         object.__setattr__(self, "inverse_factor", _inverse_factor(p))
@@ -164,7 +186,7 @@ class QuadraticProgram:
 
     def with_vectors(self, cost_vector, ineq_vector) -> QuadraticProgram:
         """This program with q and h replaced by copies; P, its factor and G
-        (dense and CSR) are shared and only the two vectors are checked."""
+        are shared and only the two vectors are checked."""
         # a shallow copy of the fields, without copy.copy's generic protocol
         qp = object.__new__(QuadraticProgram)
         qp.__dict__.update(self.__dict__)
@@ -189,11 +211,8 @@ class QuadraticProgram:
         return float(0.5 * x @ self.cost_matrix @ x + self.cost_vector @ x)
 
     def ineq_excess(self, x) -> np.ndarray:
-        """G x - h through the CSR copy of G; positive entries are violated."""
-        g = self.ineq_sparse
-        out = np.zeros(g.shape[0])
-        csr_matvec(*g.shape, g.indptr, g.indices, g.data,
-                   np.ascontiguousarray(x, dtype=float), out)
+        """G x - h; positive entries are violated."""
+        out = spmv(self.ineq_matrix, x)
         out -= self.ineq_vector
         return out
 
@@ -248,20 +267,24 @@ class _DualActiveSet:
     ``-G[i] @ J`` of the active constraints, so each step solves a system
     of the active-set size instead of the bordered KKT system. For a bound
     row (``bound_column[i] >= 0``) that row is ``-G[i, c] * J[c]``,
-    gathered instead of multiplied, in ``hot_start`` and ``enter``. Those rows
-    ``y``, their Gram matrix ``y y^T`` and the multipliers ``u`` sit in the
-    first ``k`` rows of buffers that are allocated with 16 rows when the
-    first row arrives (a solve that needs none allocates none) and double
-    when full: an entering row writes one Gram row and column (its products
-    with the active rows are the dual step's right-hand side anyway), a
-    dropped row shifts the slices after it, and each solve is one
-    ``dposv``. A row is admitted only if its part outside the active rows'
-    span is not negligible (``_RANK_TOL``), so the kept rows have full row
-    rank and ``y y^T`` stays positive definite.
+    gathered instead of multiplied, in ``hot_start`` and ``enter``. G is
+    stored in CSR form; a row is made dense when it enters or is hinted,
+    and the dense rows ``ga`` of the active set are kept beside ``y`` for
+    the products with G_a. Those rows, their Gram matrix ``y y^T`` and the
+    multipliers ``u`` sit in the first ``k`` rows of buffers that are
+    allocated with 16 rows when the first row arrives (a solve that needs
+    none allocates none) and double when full: an entering row writes one
+    Gram row and column (its products with the active rows are the dual
+    step's right-hand side anyway), a dropped row shifts the slices after
+    it, and each solve is one ``dposv``. A row is admitted only if its part
+    outside the active rows' span is not negligible (``_RANK_TOL``), so the
+    kept rows have full row rank and ``y y^T`` stays positive definite.
     """
 
     def __init__(self, qp: QuadraticProgram):
-        self.g, self.h = qp.ineq_matrix, qp.ineq_vector
+        g = qp.ineq_matrix
+        self.indptr, self.indices, self.data = g.indptr, g.indices, g.data
+        self.h = qp.ineq_vector
         self.j = j = qp.inverse_factor
         self.column = qp.bound_column
         self.n = qp.n
@@ -271,6 +294,7 @@ class _DualActiveSet:
         self._x = None
         self.ids: list[int] = []
         self.k = 0
+        self.ga = np.empty((0, self.n))  # active rows of G, dense
         self.y = np.empty((0, self.n))   # active normals times J
         self.gram = np.empty((0, 0))     # y y^T
         self.u = np.empty(0)             # multipliers
@@ -301,14 +325,23 @@ class _DualActiveSet:
         while cap < k:
             cap *= 2
         m = self.k
-        y, gram, u = np.empty((cap, self.n)), np.empty((cap, cap)), np.empty(cap)
-        y[:m], gram[:m, :m], u[:m] = self.y[:m], self.gram[:m, :m], self.u[:m]
-        self.y, self.gram, self.u = y, gram, u
+        ga, y = np.empty((cap, self.n)), np.empty((cap, self.n))
+        gram, u = np.empty((cap, cap)), np.empty(cap)
+        ga[:m], y[:m], gram[:m, :m], u[:m] = self.ga[:m], self.y[:m], self.gram[:m, :m], self.u[:m]
+        self.ga, self.y, self.gram, self.u = ga, y, gram, u
 
-    def _push(self, cid: int, d, yd, u_new: float) -> None:
-        """Append row ``d`` (``yd`` its products with the active rows)."""
+    def _row(self, i: int) -> np.ndarray:
+        """Row ``i`` of G, dense."""
+        row = np.zeros(self.n)
+        csr_todense(1, self.n, self.indptr[i:i + 2], self.indices, self.data, row)
+        return row
+
+    def _push(self, cid: int, g_row, d, yd, u_new: float) -> None:
+        """Append row ``cid`` of G, ``g_row``, with its row ``d`` of y
+        (``yd`` its products with the active rows)."""
         k = self.k
         self._reserve(k + 1)
+        self.ga[k] = g_row
         self.y[k] = d
         self.gram[k, :k] = self.gram[:k, k] = yd
         self.gram[k, k] = d @ d
@@ -319,6 +352,7 @@ class _DualActiveSet:
     def _drop(self, pos: int) -> None:
         """Remove the active row at position ``pos``."""
         k = self.k
+        self.ga[pos:k - 1] = self.ga[pos + 1:k]
         self.y[pos:k - 1] = self.y[pos + 1:k]
         self.u[pos:k - 1] = self.u[pos + 1:k]
         self.gram[pos:k - 1, :k] = self.gram[pos + 1:k, :k]
@@ -332,7 +366,7 @@ class _DualActiveSet:
         k = self.k
         if k:
             ids = self.ids
-            _, c, info = dposv(self.gram[:k, :k], self.g[ids] @ self.x - self.h[ids])
+            _, c, info = dposv(self.gram[:k, :k], self.ga[:k] @ self.x - self.h[ids])
             if not info:
                 self.x = self.x + self.j @ (c @ self.y[:k])
 
@@ -347,7 +381,7 @@ class _DualActiveSet:
         (a a^T) mu = a w - h_a and x = J (w - a^T mu); ``u`` holds the
         right-hand side until then.
         """
-        g, h = self.g, self.h
+        h = self.h
         ids = list(hint)
         # a previous solution's active rows are sorted, unique and in range
         if ids and not (0 <= ids[0] and ids[-1] < h.size
@@ -357,17 +391,29 @@ class _DualActiveSet:
             idx = np.array(ids, dtype=np.intp)
             k = idx.size
             self._reserve(k)
-            y = self.y[:k]
+            ga, y = self.ga[:k], self.y[:k]
+            # the hinted rows of G, picked out in CSR form and written into
+            # zeroed dense rows by scipy's CSR kernels; on a paper-scale hint
+            # an intp index and np.add.accumulate are several times faster
+            # than an int32 index and np.cumsum
+            indptr = self.indptr
+            ptr = np.zeros(k + 1, dtype=indptr.dtype)
+            np.add.accumulate(indptr[idx + 1] - indptr[idx], out=ptr[1:])
+            sub_indices, sub_data = np.empty(ptr[-1], dtype=self.indices.dtype), np.empty(ptr[-1])
+            csr_row_index(k, idx.astype(indptr.dtype), indptr, self.indices, self.data,
+                          sub_indices, sub_data)
+            ga.fill(0.0)
+            csr_todense(k, self.n, ptr, sub_indices, sub_data, ga)
             cols = self.column[idx]
             dense = cols < 0
             if dense.all():
-                np.matmul(g[idx], self.j, out=y)
+                np.matmul(ga, self.j, out=y)
             else:
                 # a bound row's product is its one entry times a row of J;
                 # the other rows gather J[-1] here and are overwritten below
-                np.multiply(self.j[cols], g[idx, cols][:, None], out=y)
+                np.multiply(self.j[cols], ga[np.arange(k), cols][:, None], out=y)
                 if dense.any():
-                    y[dense] = g[idx[dense]] @ self.j
+                    y[dense] = ga[dense] @ self.j
             self.gram[:k, :k] = y @ y.T
             np.subtract(y @ self.w, h[idx], out=self.u[:k])
             np.negative(y, out=y)
@@ -406,7 +452,8 @@ class _DualActiveSet:
         (an equality written as two opposite rows shows it), so x is moved
         back onto the active rows.
         """
-        npl, level = -self.g[cid], -self.h[cid]
+        g_row = self._row(cid)
+        npl, level = -g_row, -self.h[cid]
         col = self.column[cid]
         d = npl[col] * self.j[col] if col >= 0 else npl @ self.j
         d_norm2 = d @ d
@@ -447,7 +494,7 @@ class _DualActiveSet:
             if not z_zero:
                 self.x = self.x + t * z
                 if t2 <= t1:
-                    self._push(cid, d, yd, u_plus)
+                    self._push(cid, g_row, d, yd, u_plus)
                     return "ok"
                 slack = float(npl @ self.x) - level
             self._drop(block)
@@ -455,7 +502,7 @@ class _DualActiveSet:
 
 def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = None,
              active_hint=None) -> QpSolution:
-    """Solve a dense convex QP with inequality constraints only.
+    """Solve a convex QP with inequality constraints only.
 
     ``active_hint`` (optional row indices; duplicates and indices out of
     range are ignored) seeds the active set: the hinted rows start tight,
@@ -466,7 +513,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
     not add (``most_violated``), never as a silent wrong answer.
     """
     t0 = time.perf_counter()
-    g, h = qp.ineq_matrix, qp.ineq_vector
+    h = qp.ineq_vector
     mi = h.size
     if max_iter is None:
         max_iter = max(200, 10 * (qp.n + mi))
@@ -486,8 +533,9 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         # P.T in Fortran order is P, and its upper triangle there is P's
         # lower one, the triangle the factor was built from
         px = dsymv(1.0, qp.cost_matrix.T, x)
-        # mu is zero outside the active rows, so G^T mu needs only those
-        grad = px + qp.cost_vector + u @ g[act]
+        # mu is zero outside the active rows, so G^T mu needs only their
+        # dense rows, kept in the order of the active set
+        grad = px + qp.cost_vector + u @ state.ga[:state.k]
         res = float(max(np.abs(grad).max(initial=0.0), excess.max(initial=0.0),
                         np.abs(u * excess[act]).max(initial=0.0)))
         if status == "optimal" and res > tol:

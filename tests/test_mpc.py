@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,7 +189,7 @@ def test_gp_qp_with_zero_frozen_equals_nominal():
     gp_qp = _condense(state, cfg, ref, frozen=FrozenGpTrajectory(np.zeros(10), np.zeros(10))).qp
     assert np.max(np.abs(nominal.cost_matrix - gp_qp.cost_matrix)) <= 1e-12
     assert np.max(np.abs(nominal.cost_vector - gp_qp.cost_vector)) <= 1e-12
-    assert np.max(np.abs(nominal.ineq_matrix - gp_qp.ineq_matrix)) <= 1e-12
+    assert np.max(np.abs(nominal.ineq_matrix.toarray() - gp_qp.ineq_matrix.toarray())) <= 1e-12
     assert np.max(np.abs(nominal.ineq_vector - gp_qp.ineq_vector)) <= 1e-12
 
 
@@ -415,7 +416,7 @@ def test_template_marks_its_one_entry_rows_as_bounds(n_av, horizon):
     2 n_av N rows, only the first stage's velocity rows of each AV and
     hv_gap[0] have one nonzero, since they depend on the first input alone."""
     st = mpc._structure(MpcConfig(n_av=n_av, horizon=horizon), ArxParams.default())
-    column, g = st.qp.bound_column, st.qp.ineq_matrix
+    column, g = st.qp.bound_column, st.qp.ineq_matrix.toarray()
     for name, coef in (("acc_max", 1.0), ("acc_min", -1.0)):
         rows = np.arange(st.rows[name].start, st.rows[name].stop)
         np.testing.assert_array_equal(column[rows], rows - rows[0])
@@ -506,6 +507,77 @@ def test_hv_decode_block_reproduces_the_full_x_half(n_av, horizon):
                                    rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_av, horizon", [(2, 20), (8, 40)])
+def test_template_constraints_are_the_dense_laws_in_csr_form(n_av, horizon):
+    """The template builds G one AV's columns at a time, straight into CSR
+    form, and P from the chunks' cost residuals. G holds exactly the
+    nonzeros of the laws evaluated on the whole identity over x at once,
+    bit for bit, row by row with sorted column indices and no stored zeros,
+    and P = 2 R_x'R_x + 2r I is the dense residuals' P, bit for bit."""
+    cfg, arx = MpcConfig(n_av=n_av, horizon=horizon), ArxParams.default()
+    st = mpc._structure(cfg, arx)
+    laws, nz = mpc._horizon_laws(cfg, arx)
+    nd = n_av * horizon
+    blocks = dict(laws(np.eye(nz + nd, nd, -nz)))
+    dense = -np.concatenate([blocks[name].reshape(-1, nd) for name in mpc._CONSTRAINTS])
+    g = st.qp.ineq_matrix
+    assert g.shape == dense.shape
+    rows, cols = np.nonzero(dense)
+    np.testing.assert_array_equal(g.indptr, np.searchsorted(rows, np.arange(dense.shape[0] + 1)))
+    np.testing.assert_array_equal(g.indices, cols)
+    np.testing.assert_array_equal(g.data.view(np.uint64), dense[rows, cols].view(np.uint64))
+    np.testing.assert_array_equal(g.toarray(), dense)
+    r_x = blocks["cost"].reshape(-1, nd)
+    p = r_x.T @ r_x
+    p *= 2.0
+    p.flat[::nd + 1] += 2.0 * cfg.r
+    np.testing.assert_array_equal(st.qp.cost_matrix.view(np.uint64), p.view(np.uint64))
+
+
+def test_large_template_build_never_holds_a_dense_g():
+    """At n_av=16, N=80 a dense G (6400 x 1280) would take 62.5 MB, and a
+    build through one peaks at 218 MB of traced memory and keeps 91 MB.
+    Built one AV's columns at a time, the build peaks at no more than half
+    of that and the template keeps at most 35 MB."""
+    cfg, arx = MpcConfig(n_av=16, horizon=80), ArxParams.default()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        st = mpc._structure.__wrapped__(cfg, arx)      # not the cached template
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert st.qp.ineq_matrix.shape == (6400, 1280)
+    assert (peak - base) / 2**20 <= 109.0
+    assert (kept - base) / 2**20 <= 35.0
+
+
+@pytest.mark.parametrize("gp_mode", [False, True])
+@pytest.mark.parametrize("n_av, horizon", [(2, 20), (8, 40)])
+def test_condense_output_is_the_csr_product_of_the_map(n_av, horizon, gp_mode):
+    """condense takes its product with the template's map through scipy's
+    CSR kernel called directly (``qp.spmv``): every row equals
+    ``terms @ z`` bit for bit, and the hv_gap rows have the gap bounds
+    subtracted from it."""
+    rng = np.random.default_rng(3 * n_av + horizon + gp_mode)
+    cfg = MpcConfig(horizon=horizon, n_av=n_av)
+    for _ in range(3):
+        params, state, frozen, ref = _random_step(rng, n_av, horizon, gp_mode)
+        st = mpc._structure(cfg, params)
+        cd = condense(st, state, ref, frozen)
+        fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
+        hist = state.history
+        z = np.concatenate((state.av_pos, state.av_vel, (state.hv_pos, state.hv_pos_var),
+                            hist.hv, hist.av, *fz, ref, (1.0,)))
+        want = st.terms @ z
+        want[st.rows["hv_gap"]] -= cd.gap_bounds
+        np.testing.assert_array_equal(cd.terms.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_v_ref_rejected_naming_it(bad):
     cfg = MpcConfig(horizon=6)
@@ -540,7 +612,8 @@ def test_structure_shared_per_config_and_arx():
     # the affine map and the decode matrices are shared with the structure,
     # and nothing can write them
     st = default.structure
-    for arr in (default.qp.cost_matrix, default.qp.ineq_matrix, st.terms.data,
+    g = default.qp.ineq_matrix
+    for arr in (default.qp.cost_matrix, g.data, g.indices, g.indptr, st.terms.data,
                 st.terms.indices, st.terms.indptr, st.av_decode, st.hv_decode, st.zero_frozen):
         assert not arr.flags.writeable
     # each step's vectors are its own
@@ -550,7 +623,7 @@ def test_structure_shared_per_config_and_arx():
     other = _condense(state, cfg, ref, arx=other_arx)
     assert other.structure is not default.structure
     assert PlatoonController(cfg, arx=other_arx).structure is other.structure
-    assert not np.array_equal(other.qp.ineq_matrix, default.qp.ineq_matrix)
+    assert not np.array_equal(other.qp.ineq_matrix.toarray(), g.toarray())
     assert not np.array_equal(_hv_offsets(other)[0], _hv_offsets(default)[0])
     heavier = _condense(state, MpcConfig(horizon=6, r=11.0), ref)
     assert heavier.structure is not default.structure
@@ -568,7 +641,7 @@ def test_structure_cache_hit_bit_identical_to_miss():
         cd = _condense(state, cfg, ref, frozen=frozen)
         sol = solve_qp(cd.qp)
         decoded = cd.decode(sol.x)
-        arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix,
+        arrays = [cd.qp.cost_matrix, cd.qp.cost_vector, cd.qp.ineq_matrix.toarray(),
                   cd.qp.ineq_vector, *_hv_offsets(cd), cd.structure.hv_decode,
                   cd.sigma, cd.gap_bounds, np.array([cd.cost_const]),
                   sol.x, *decoded]

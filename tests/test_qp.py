@@ -132,7 +132,7 @@ def test_matches_enumeration_oracle():
         cases.append((qp, distinct))
     bound_active = 0
     for qp, rows in cases:
-        g, h = qp.ineq_matrix, qp.ineq_vector
+        g, h = qp.ineq_matrix.toarray(), qp.ineq_vector
         oracle = enumerate_qp(qp.cost_matrix, qp.cost_vector, g[rows], h[rows])
         assert oracle is not None
         cold = solve_qp(qp, tol=1e-8)
@@ -150,7 +150,7 @@ def _assert_bound_rows_of_y_exact(state, qp):
     """The active bound rows of y equal -(G[ids] @ J) bit for bit."""
     ids = state.ids
     bound = qp.bound_column[ids] >= 0
-    want = -(qp.ineq_matrix[ids] @ qp.inverse_factor)
+    want = -(qp.ineq_matrix.toarray()[ids] @ qp.inverse_factor)
     np.testing.assert_array_equal(state.y[:state.k][bound], want[bound])
     return int(bound.sum())
 
@@ -327,7 +327,8 @@ def test_adversarial_hints_reach_the_cold_optimum():
         act = list(solve_qp(base).active)
         i, j = (act + [r for r in range(base.ineq_vector.size) if r not in act])[:2]
         # a last row that is the sum of rows i and j, tight wherever both are
-        g = np.vstack([base.ineq_matrix, base.ineq_matrix[i] + base.ineq_matrix[j]])
+        g = base.ineq_matrix.toarray()
+        g = np.vstack([g, g[i] + g[j]])
         h = np.append(base.ineq_vector, base.ineq_vector[i] + base.ineq_vector[j])
         qp = QuadraticProgram(cost_matrix=base.cost_matrix, cost_vector=base.cost_vector,
                               ineq_matrix=g, ineq_vector=h)
@@ -356,7 +357,8 @@ def test_hinted_infeasible_program_stays_infeasible():
     rng = np.random.default_rng(19)
     base = _random_feasible_qp(rng, 5, 8)
     # rows 8 and 9 ask for g x <= 0 and g x >= 1 at once
-    g = np.vstack([base.ineq_matrix, base.ineq_matrix[0], -base.ineq_matrix[0]])
+    g = base.ineq_matrix.toarray()
+    g = np.vstack([g, g[0], -g[0]])
     h = np.append(base.ineq_vector, [0.0, -1.0])
     wide = QuadraticProgram(cost_matrix=base.cost_matrix, cost_vector=base.cost_vector,
                             ineq_matrix=g, ineq_vector=h)
@@ -517,8 +519,8 @@ def test_program_keeps_its_own_cost_matrix():
 
 def test_program_keeps_its_own_vectors_and_constraint_matrix():
     """Edits of the caller's q, G and h after construction, and of the
-    vectors passed to with_vectors, reach neither program: G's dense rows
-    keep agreeing with its CSR copy, and both programs solve as built."""
+    vectors passed to with_vectors, reach neither program: G, stored in
+    CSR form only, keeps its entries, and both programs solve as built."""
     q, g, h = np.array([-2.0, -2.0]), np.array([[1.0, 0.0]]), np.array([0.5])
     qp = QuadraticProgram(cost_matrix=2.0 * np.eye(2), cost_vector=q, ineq_matrix=g,
                           ineq_vector=h)
@@ -527,10 +529,10 @@ def test_program_keeps_its_own_vectors_and_constraint_matrix():
     g[0, 0] = 2.0
     q[:] = h[:] = q2[:] = h2[:] = 7.0
     for prog, x in ((qp, [0.5, 1.0]), (shared, [1.0, 1.0])):
-        for name in ("cost_vector", "ineq_matrix", "ineq_vector"):
-            assert not getattr(prog, name).flags.writeable
-        np.testing.assert_array_equal(prog.ineq_matrix, [[1.0, 0.0]])
-        np.testing.assert_array_equal(prog.ineq_sparse.toarray(), prog.ineq_matrix)
+        g_csr = prog.ineq_matrix
+        for a in (prog.cost_vector, prog.ineq_vector, g_csr.data, g_csr.indices, g_csr.indptr):
+            assert not a.flags.writeable
+        np.testing.assert_array_equal(g_csr.toarray(), [[1.0, 0.0]])
         sol = solve_qp(prog)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.x, x, rtol=0, atol=1e-12)
@@ -538,6 +540,35 @@ def test_program_keeps_its_own_vectors_and_constraint_matrix():
     np.testing.assert_array_equal(qp.ineq_vector, [0.5])
     np.testing.assert_array_equal(shared.cost_vector, [-4.0, -2.0])
     np.testing.assert_array_equal(shared.ineq_vector, [1.0])
+
+
+def test_sparse_constraint_matrix_is_copied_in_canonical_form():
+    """A sparse G is copied into read-only CSR form with its duplicates
+    summed, its column indices sorted and its zeros dropped, so its
+    one-entry rows are found, the solve matches the dense G's bit for bit,
+    and later edits of the caller's arrays do not reach it. A non-finite
+    entry is rejected as in dense input."""
+    # row 0 holds 1 + 1 at column 1 and an explicit zero, row 1 is unsorted
+    data, indices = np.array([1.0, 0.0, 1.0, 3.0, -1.0]), np.array([1, 0, 1, 2, 0])
+    g = sparse.csr_array((data, indices, np.array([0, 3, 5])), shape=(2, 3))
+    dense = np.array([[0.0, 2.0, 0.0], [-1.0, 0.0, 3.0]])
+    kw = dict(cost_matrix=2.0 * np.eye(3), cost_vector=[-2.0, -4.0, -2.0], ineq_vector=[1.0, 2.0])
+    qp = QuadraticProgram(ineq_matrix=g, **kw)
+    data[:] = 7.0
+    got = qp.ineq_matrix
+    assert got.has_canonical_format and got.nnz == 3
+    np.testing.assert_array_equal(got.toarray(), dense)
+    for a in (got.data, got.indices, got.indptr):
+        assert not a.flags.writeable
+    np.testing.assert_array_equal(qp.bound_column, [1, -1])
+    want = solve_qp(QuadraticProgram(ineq_matrix=dense, **kw))
+    sol = solve_qp(qp)
+    assert sol.status == want.status == "optimal" and sol.active == want.active == (0,)
+    np.testing.assert_array_equal(sol.x, want.x)
+    np.testing.assert_array_equal(sol.ineq_multipliers, want.ineq_multipliers)
+    with pytest.raises(ValueError, match="ineq_matrix must be finite"):
+        QuadraticProgram(ineq_matrix=sparse.csr_array(np.array([[np.inf, 0.0, 1.0]])),
+                         **dict(kw, ineq_vector=[1.0]))
 
 
 def test_non_psd_cost_matrix_rejected_when_built():
@@ -601,7 +632,7 @@ def test_hinted_residual_matches_full_products(n, m, seed):
 
 def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
     """Programs from two templates taking turns share each template's P, J
-    and G (dense and the read-only CSR copy), and their cold and hinted
+    and G (in its read-only CSR form), and their cold and hinted
     solves match programs built afresh on copies of the same data, bit for
     bit."""
     rng = np.random.default_rng(17)
@@ -619,17 +650,17 @@ def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
         q = rng.normal(size=n) * 2.0
         h = g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
         shared = template.with_vectors(q, h)
-        for name in ("cost_matrix", "inverse_factor", "ineq_matrix", "ineq_sparse"):
+        for name in ("cost_matrix", "inverse_factor", "ineq_matrix"):
             assert getattr(shared, name) is getattr(template, name)
-        g_csr = shared.ineq_sparse
+        g_csr = shared.ineq_matrix
         for a in (g_csr.data, g_csr.indices, g_csr.indptr):
             assert not a.flags.writeable
         np.testing.assert_array_equal(g_csr.toarray(), g)
         fresh = QuadraticProgram(cost_matrix=template.cost_matrix.copy(), cost_vector=q,
                                  ineq_matrix=g.copy(), ineq_vector=h)
-        for name in ("cost_matrix", "cost_vector", "ineq_matrix", "ineq_vector",
-                     "inverse_factor"):
+        for name in ("cost_matrix", "cost_vector", "ineq_vector", "inverse_factor"):
             np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+        np.testing.assert_array_equal(shared.ineq_matrix.toarray(), fresh.ineq_matrix.toarray())
         hint = None if prev is None else prev.active
         for kw in ({}, {"active_hint": hint}):
             a_sol = solve_qp(shared, **kw)
@@ -694,7 +725,7 @@ def _with_dependent_rows(rng, n, m):
     eigenvalues spread over 1e-3..1e3, so J^T G's rows are far from G's
     scale."""
     base = _random_feasible_qp(rng, n, m)
-    g, h = base.ineq_matrix, base.ineq_vector
+    g, h = base.ineq_matrix.toarray(), base.ineq_vector
     p = base.cost_matrix
     if rng.random() < 0.5:
         basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -724,7 +755,7 @@ def test_dependent_and_duplicate_rows_agree_with_linprog():
     for _ in range(150):
         n = int(rng.integers(2, 7))
         qp = _with_dependent_rows(rng, n, int(rng.integers(2, 2 * n + 2)))
-        g, h = qp.ineq_matrix, qp.ineq_vector
+        g, h = qp.ineq_matrix.toarray(), qp.ineq_vector
         lp = linprog(np.zeros(qp.n), A_ub=g, b_ub=h, bounds=[(None, None)] * qp.n,
                      method="highs")
         assert lp.status in (0, 2)
@@ -758,7 +789,7 @@ def test_to_csr_matches_scipy_conversion():
 
 def test_ineq_excess_is_the_csr_product_less_h():
     """ineq_excess calls scipy's private CSR kernel directly: it must equal
-    the public ``ineq_sparse @ x - h`` bit for bit and the dense
+    the public ``ineq_matrix @ x - h`` bit for bit and the dense
     ``G @ x - h`` to rounding, with no rows and with an all-zero row too."""
     rng = np.random.default_rng(67)
     programs = []
@@ -773,11 +804,11 @@ def test_ineq_excess_is_the_csr_product_less_h():
     programs.append(QuadraticProgram(cost_matrix=np.eye(4), cost_vector=np.zeros(4),
                                      ineq_matrix=g, ineq_vector=rng.normal(size=5)))
     for qp in programs:
-        g, h = qp.ineq_matrix, qp.ineq_vector
+        g, h = qp.ineq_matrix.toarray(), qp.ineq_vector
         for x in (rng.normal(size=qp.n), 1e3 * rng.normal(size=qp.n)):
             got = qp.ineq_excess(x)
             assert got.shape == h.shape
-            np.testing.assert_array_equal(got, qp.ineq_sparse @ x - h)
+            np.testing.assert_array_equal(got, qp.ineq_matrix @ x - h)
             scale = np.abs(g) @ np.abs(x) + np.abs(h)
             assert np.all(np.abs(got - (g @ x - h)) <= 1e-14 * scale)
     np.testing.assert_array_equal(programs[-1].ineq_excess(np.ones(4))[2],

@@ -1,10 +1,16 @@
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import ArxParams, N_LAGS, arx_step
+import gpplatoon
 from gpplatoon import mpc
 from gpplatoon import qp as qp_module
 from gpplatoon.mpc import MpcConfig
@@ -327,7 +333,7 @@ def test_nominal_closed_loop_at_n_av_8_horizon_80(monkeypatch):
 
     def recording(qp, **kwargs):
         sol = qp_module.solve_qp(qp, **kwargs)
-        g, mu = qp.ineq_matrix, sol.ineq_multipliers
+        g, mu = qp.ineq_matrix.toarray(), sol.ineq_multipliers
         slack = qp.ineq_vector - g @ sol.x
         grad = qp.cost_matrix @ sol.x + qp.cost_vector + g.T @ mu
         residuals.append(float(max(np.max(np.abs(grad)), np.max(-slack), np.max(-mu),
@@ -341,8 +347,43 @@ def test_nominal_closed_loop_at_n_av_8_horizon_80(monkeypatch):
         res = run_closed_loop(make_scenario("emergency", cfg=cfg, duration=1.0, seed=1),
                               controller="nominal")
     finally:
-        mpc._structure.cache_clear()  # its G alone is 16 MB
+        mpc._structure.cache_clear()  # its P and J alone are 3 MB each
     assert list(res.status) == ["optimal"] * 10
     assert res.iterations[0] >= 50
     assert len(residuals) == 10 and max(residuals) <= 1e-6
     assert min(sizes) > 32
+
+
+def test_nominal_loop_never_loads_the_optimizer():
+    """Only the GP fit uses scipy.optimize (about 15 MB), and it imports it
+    itself: a fresh process that runs a nominal closed loop never loads it,
+    and a fit in that process then loads it and gives the in-process fit's
+    hyperparameters, bit for bit."""
+    from gpplatoon.hv import fit_hv_correction, generate_synthetic_trace
+
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from gpplatoon import sim
+        from gpplatoon.hv import fit_hv_correction, generate_synthetic_trace
+        res = sim.run_closed_loop(sim.make_scenario("emergency", duration=3.0),
+                                  controller="nominal")
+        assert len(res.status) == 30 and set(res.status) == {"optimal"}, res.status
+        loaded = [m for m in sys.modules if m.split(".")[:2] == ["scipy", "optimize"]]
+        assert not loaded, loaded
+        tr = generate_synthetic_trace(lambda t: 12.0 + 6.0 * np.sin(0.15 * t), 60.0, 0.1,
+                                      noise_std=0.01, seed=4)
+        fit = fit_hv_correction([tr], fraction=0.3, seed=3, m=10)
+        assert "scipy.optimize" in sys.modules
+        print(*(float(v).hex() for v in fit.exact.hyper.to_log_vector()))
+    """)
+    src = str(Path(gpplatoon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    tr = generate_synthetic_trace(lambda t: 12.0 + 6.0 * np.sin(0.15 * t), 60.0, 0.1,
+                                  noise_std=0.01, seed=4)
+    fit = fit_hv_correction([tr], fraction=0.3, seed=3, m=10)
+    assert out.stdout.split() == [float(v).hex() for v in fit.exact.hyper.to_log_vector()]
