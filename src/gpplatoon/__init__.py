@@ -9,7 +9,6 @@ from .gp import (
     KernelHyper,
     SparseGpModel,
     build_sparse,
-    kernel_eval,
     log_marginal_likelihood,
     normal_quantile,
     train_exact,
@@ -26,11 +25,7 @@ from .hv import (
     rmse,
 )
 from .dynamics import (
-    AvState,
     GapConstraintParams,
-    av_step,
-    propagate_hv_mean,
-    propagate_hv_variance,
     tightened_min_gap,
 )
 from .qp import QuadraticProgram, QpSolution, solve_qp

@@ -1,4 +1,4 @@
-"""Vehicle kinematics, HV position-belief propagation, and gap tightening."""
+"""Tightening of the AV-HV minimum gap by the HV position uncertainty."""
 
 from __future__ import annotations
 
@@ -8,35 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gp import normal_quantile
-
-
-@dataclass(frozen=True)
-class AvState:
-    """Position and velocity of one AV."""
-
-    p: float
-    v: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.v)):
-            raise ValueError("AV state must be finite")
-
-
-def av_step(state: AvState, acc: float, step: float) -> AvState:
-    """Advance one AV by one sample: position uses the pre-update velocity."""
-    return AvState(p=state.p + step * state.v, v=state.v + step * acc)
-
-
-def propagate_hv_mean(mu: float, v_hv: float, gp_mean: float, step: float) -> float:
-    """One-step update of the HV position mean."""
-    return mu + step * v_hv + step * gp_mean
-
-
-def propagate_hv_variance(sigma: float, gp_var: float, step: float) -> float:
-    """One-step update of the HV position variance; never decreases."""
-    if sigma < 0 or gp_var < 0:
-        raise ValueError(f"variances must be non-negative, got {sigma}, {gp_var}")
-    return sigma + step * step * gp_var
 
 
 @dataclass(frozen=True)

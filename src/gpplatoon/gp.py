@@ -116,19 +116,6 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def kernel_eval(x1, x2, hyper: KernelHyper) -> float:
-    """Squared-exponential ARD kernel between two points."""
-    a = np.atleast_1d(np.asarray(x1, dtype=float))
-    b = np.atleast_1d(np.asarray(x2, dtype=float))
-    if a.shape != b.shape or a.size != hyper.n_dims:
-        raise ValueError(
-            f"dimension mismatch: {a.shape} vs {b.shape} with "
-            f"{hyper.n_dims} length scales"
-        )
-    r2 = np.sum((a - b) ** 2 / hyper.length_scales)
-    return float(hyper.signal_variance * math.exp(-0.5 * r2))
-
-
 def _scale(x: np.ndarray, inv_scale: np.ndarray):
     """Rows of ``x`` times ``inv_scale`` (1/sqrt(length_scales)), and their
     squared norms."""

@@ -1,11 +1,11 @@
 """Closed-loop simulation of the mixed platoon under scripted scenarios.
 
-The HV plant keeps a clean ARX state driven by a correction evaluated at
-the realized lag-1 velocity pair (ground-truth disturbance in truth mode,
-the trained GP mean in paper mode) and realizes velocities with optional
-output noise, so the near-marginal recursion never integrates noise. The
-harness runs either controller against this plant, records trajectories
-and solver diagnostics, and reduces runs to scalar metrics.
+The HV is ``hv.HvPlant``, the driver law that also synthesizes training
+traces: truth mode corrects its ARX state with the ground-truth
+disturbance, paper mode with the trained GP's mean, both at the realized
+lag-1 pair, and output noise is never integrated. The harness runs either
+controller against this plant, records trajectories and solver
+diagnostics, and reduces runs to scalar metrics.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step, default_disturbance
+from .hv import ArxParams, HvPlant, default_disturbance
 from .mpc import MpcConfig, PlatoonController, PlatoonState
 
 
@@ -121,73 +121,6 @@ class ScenarioSpec:
 def make_scenario(name: str, **overrides) -> ScenarioSpec:
     """Preset scenarios mirroring the experimental protocol."""
     return ScenarioSpec(name=name, **{**_scenario(name)[1], **overrides})
-
-
-class HvPlant:
-    """HV simulation model shared by truth and paper plant modes.
-
-    Keeps the clean ARX state alongside realized velocities; the correction
-    is evaluated at the realized lag-1 pair and optional noise is added at
-    the output only.
-    """
-
-    def __init__(self, mode: str, arx: ArxParams, correction, step: float,
-                 noise: bool = False, noise_std: float = 0.05, seed: int = 0,
-                 v0: float = 0.0, v_cap: float | None = None):
-        if mode not in ("truth", "paper"):
-            raise ValueError(f"unknown plant mode {mode!r}")
-        if mode == "paper" and not hasattr(correction, "predict_batch"):
-            raise ValueError("paper mode needs a trained GP model as correction")
-        self.mode = mode
-        self.arx = arx
-        self.correction = correction
-        self.step_size = step
-        self.noise = noise
-        self.noise_std = noise_std
-        self.rng = np.random.default_rng(seed)
-        self.v_cap = v_cap
-        self.clean = np.full(N_LAGS, float(v0))
-        self.v_hat = np.full(N_LAGS, float(v0))
-        self.va = np.full(N_LAGS, float(v0))
-        self.clamped = False
-
-    @property
-    def velocity(self) -> float:
-        return float(self.v_hat[0])
-
-    def history(self, va_current: float) -> VelocityHistory:
-        """Measured velocity history at the current instant."""
-        return VelocityHistory(
-            hv=self.v_hat.copy(),
-            av=np.concatenate([[va_current], self.va[: N_LAGS - 1]]),
-        )
-
-    def advance(self, va_current: float):
-        """One plant step; returns (next realized velocity, position increment).
-
-        ``clamped`` tells afterwards whether this step clamped the velocity
-        to [0, v_cap].
-        """
-        pos_increment = self.step_size * self.v_hat[0]
-        av_lags = np.concatenate([[va_current], self.va[: N_LAGS - 1]])
-        nxt = arx_step(self.arx, self.clean, av_lags)
-        pair = np.array([self.v_hat[0], va_current])
-        if self.mode == "truth":
-            nxt += float(self.correction(pair[0], pair[1]))
-            eps = self.noise_std * self.rng.standard_normal() if self.noise else 0.0
-        else:
-            means, variances = self.correction.predict_batch(pair[None, :])
-            nxt += float(means[0])
-            eps = math.sqrt(max(float(variances[0]), 0.0)) * self.rng.standard_normal() \
-                if self.noise else 0.0
-        self.clean = np.concatenate([[nxt], self.clean[: N_LAGS - 1]])
-        realized = nxt + eps
-        clamped = min(max(realized, 0.0), self.v_cap) if self.v_cap is not None \
-            else max(realized, 0.0)
-        self.clamped = clamped != realized
-        self.v_hat = np.concatenate([[clamped], self.v_hat[: N_LAGS - 1]])
-        self.va = av_lags
-        return clamped, pos_increment
 
 
 @dataclass

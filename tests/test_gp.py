@@ -18,7 +18,6 @@ from gpplatoon.gp import (
     SparseGpModel,
     build_sparse,
     fic_log_marginal_likelihood,
-    kernel_eval,
     log_marginal_likelihood,
     normal_quantile,
     train_exact,
@@ -34,17 +33,22 @@ def _hyper(sv=1.0, ls=(1.0, 1.0), nv=0.1):
 # ---------------------------------------------------------------------------
 
 
+def _kernel(x, y, hyper):
+    """The model's kernel between two points."""
+    return gp_module._kernel_matrix(np.atleast_2d(x), np.atleast_2d(y), hyper)[0, 0]
+
+
 def test_kernel_zero_distance():
     h = _hyper(sv=2.5)
-    assert kernel_eval([3.0, -1.0], [3.0, -1.0], h) == pytest.approx(2.5, abs=1e-15)
+    assert _kernel([3.0, -1.0], [3.0, -1.0], h) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_kernel_hand_values():
     h = _hyper(sv=1.0, ls=(1.0, 1.0))
-    v = kernel_eval([1.0, 1.0], [0.0, 0.0], h)
+    v = _kernel([1.0, 1.0], [0.0, 0.0], h)
     assert v == pytest.approx(math.exp(-1.0), abs=1e-12)
     h2 = _hyper(sv=1.0, ls=(4.0, 1.0))
-    v2 = kernel_eval([2.0, 0.0], [0.0, 0.0], h2)
+    v2 = _kernel([2.0, 0.0], [0.0, 0.0], h2)
     assert v2 == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
@@ -53,15 +57,16 @@ def test_kernel_symmetry():
     h = _hyper(sv=1.7, ls=(0.5, 3.0), nv=0.01)
     for _ in range(20):
         x, y = rng.normal(size=2), rng.normal(size=2)
-        assert kernel_eval(x, y, h) == pytest.approx(kernel_eval(y, x, h), rel=1e-15)
-        assert 0.0 < kernel_eval(x, y, h) <= h.signal_variance
+        assert _kernel(x, y, h) == pytest.approx(_kernel(y, x, h), rel=1e-15)
+        assert 0.0 < _kernel(x, y, h) <= h.signal_variance
 
 
 def test_kernel_dimension_mismatch():
-    with pytest.raises(ValueError):
-        kernel_eval([1.0], [1.0, 2.0], _hyper())
-    with pytest.raises(ValueError):
-        kernel_eval([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], _hyper(ls=(1.0, 1.0)))
+    # the kernel itself broadcasts; the model checks dimensions where data enters
+    for inputs in ([[1.0]], [[1.0, 2.0, 3.0]]):
+        data = Dataset(inputs=np.array(inputs), targets=np.zeros(1))
+        with pytest.raises(ValueError, match="input dims"):
+            GpModel.from_data(data, _hyper())
 
 
 def test_hyper_validation():

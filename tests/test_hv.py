@@ -5,6 +5,7 @@ from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel, normal_quantile
 from gpplatoon.hv import (
     ArxParams,
     DriverTrace,
+    HvPlant,
     VelocityHistory,
     _lag1_pairs,
     arx_step,
@@ -16,11 +17,12 @@ from gpplatoon.hv import (
     corrected_prediction_series,
 )
 from gpplatoon.mpc import MpcConfig
+from oracles import constant_history, dc_gain
 
 
 def test_default_dc_gain_is_unity():
     p = ArxParams.default()
-    assert p.dc_gain == pytest.approx(1.0, abs=0.01)
+    assert dc_gain(p) == pytest.approx(1.0, abs=0.01)
 
 
 def test_arx_params_is_an_immutable_value():
@@ -45,14 +47,14 @@ def test_arx_params_is_an_immutable_value():
 
 
 def test_arx_zero_history():
-    h = VelocityHistory.constant(0.0, 0.0)
+    h = constant_history(0.0, 0.0)
     assert arx_step(ArxParams.default(), h.hv, h.av) == 0.0
 
 
 def test_arx_constant_history_tracks():
     p = ArxParams.default()
     for c in (0.0, 5.0, 20.0, 35.0):
-        h = VelocityHistory.constant(c, c)
+        h = constant_history(c, c)
         assert arx_step(p, h.hv, h.av) == pytest.approx(c, abs=1e-3)
 
 
@@ -254,6 +256,55 @@ def test_synthetic_trace_targets_carry_amplified_output_noise():
     expected = [eps[k] + params.c @ eps[k - 4: k][::-1] for k in range(4, tr.n)]
     data = build_discrepancy_dataset(tr, params)
     np.testing.assert_allclose(data.targets, expected, rtol=0, atol=1e-12)
+
+
+def test_synthetic_trace_steps_the_plant():
+    # past the warm-up, each sample is one HvPlant.advance from the
+    # warm-up's lags, bit for bit
+    prof = lambda t: 10.0 + 3.0 * np.sin(0.3 * t)
+    for sigma in (0.0, 0.05):
+        tr = generate_synthetic_trace(prof, 30.0, 0.1, noise_std=sigma, seed=4)
+        plant = HvPlant("truth", ArxParams.default(), default_disturbance, 0.1,
+                        noise=sigma > 0, noise_std=sigma, seed=4, v0=tr.v_av[0])
+        if sigma > 0:
+            plant.rng.standard_normal(4)     # the warm-up's draws
+        plant.v_hat[:] = tr.v_hv[3::-1]
+        plant.va[:3] = tr.v_av[2::-1]
+        stepped = [plant.advance(tr.v_av[k - 1])[0] for k in range(4, tr.n)]
+        np.testing.assert_array_equal(tr.v_hv[4:], stepped)
+
+
+def test_benchmark_sized_trace_is_pinned():
+    # one of the benchmark's training ramps at its length and noise; the
+    # warm-up is exact, later samples carry the ARX sums' round-off
+    kt = np.array([0, 15, 30, 45, 60, 75, 90, 105, 120], dtype=float)
+    kv = np.array([3, 20, 20, 8, 8, 28, 28, 5, 15], dtype=float)
+    tr = generate_synthetic_trace(lambda t: float(np.interp(t, kt, kv)), 120.0, 0.1,
+                                  noise_std=0.08, seed=0)
+    assert tr.n == 1201
+    pinned = {0: 3.0100584176874716, 3: 3.008392009372243, 4: 2.9582791559121766,
+              5: 3.0336180573169296, 300: 20.535991342175883, 900: 28.43442733737306,
+              1200: 14.14803018573049}
+    for k, v in pinned.items():
+        assert tr.v_hv[k] == pytest.approx(v, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(duration=np.nan), "duration"),
+    (dict(duration=np.inf), "duration"),
+    (dict(duration=0.0), "duration"),
+    (dict(duration=-1.0), "duration"),
+    (dict(step=np.nan), "step"),
+    (dict(step=0.0), "step"),
+    (dict(step=-0.1), "step"),
+    (dict(noise_std=np.nan), "noise_std"),
+    (dict(noise_std=np.inf), "noise_std"),
+    (dict(noise_std=-0.1), "noise_std"),
+])
+def test_synthetic_trace_rejects_bad_inputs(kwargs, name):
+    args = dict(profile=lambda t: 5.0, duration=2.0, step=0.1, noise_std=0.01)
+    with pytest.raises(ValueError, match=name):
+        generate_synthetic_trace(**{**args, **kwargs})
 
 
 def test_noise_free_targets_equal_disturbance(driver_traces):

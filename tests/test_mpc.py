@@ -7,13 +7,7 @@ import pytest
 
 from gpplatoon import mpc
 from gpplatoon import qp as qp_module
-from gpplatoon.dynamics import (
-    AvState,
-    av_step,
-    propagate_hv_mean,
-    propagate_hv_variance,
-    tightened_min_gap,
-)
+from gpplatoon.dynamics import tightened_min_gap
 from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import ArxParams, VelocityHistory, arx_step
 from gpplatoon.mpc import (
@@ -25,6 +19,7 @@ from gpplatoon.mpc import (
     evaluate_gp_along_trajectory,
 )
 from gpplatoon.qp import solve_qp
+from oracles import AvState, av_step, constant_history, propagate_hv_mean, propagate_hv_variance
 
 
 def _state(n_av=2, spacing=12.0, v=0.0, hv_gap=12.0):
@@ -33,7 +28,7 @@ def _state(n_av=2, spacing=12.0, v=0.0, hv_gap=12.0):
         av_pos=pos,
         av_vel=np.full(n_av, float(v)),
         hv_pos=float(pos[-1] - hv_gap),
-        history=VelocityHistory.constant(v, v),
+        history=constant_history(v, v),
     )
 
 
@@ -161,7 +156,7 @@ def test_cost_matches_scalar_laws(n_av, horizon):
     rng = np.random.default_rng(10 * n_av + horizon)
     cfg = MpcConfig(horizon=horizon, n_av=n_av, q1=3.0, q2=7.0, r=11.0)
     state = PlatoonState(av_pos=-12.0 * np.arange(n_av), av_vel=rng.uniform(5.0, 15.0, n_av),
-                         hv_pos=-12.0 * n_av, history=VelocityHistory.constant(9.0, 9.0))
+                         hv_pos=-12.0 * n_av, history=constant_history(9.0, 9.0))
     ref = rng.uniform(5.0, 15.0, horizon)
     ref_ext = np.append(ref, ref[-1])
     frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
@@ -248,7 +243,7 @@ def test_hv_chain_matches_standalone_arx_replay():
         [[0.0], np.cumsum(hv_vel[:-1])]))
     np.testing.assert_allclose(mu, expected_mu, atol=1e-10)
 
-    # with frozen GP terms, decode follows dynamics.py's scalar laws
+    # with frozen GP terms, decode follows the scalar laws in oracles.py
     state = PlatoonState(av_pos=state.av_pos, av_vel=state.av_vel,
                          hv_pos=state.hv_pos, history=hist, hv_pos_var=0.3)
     fz = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, 12), var=rng.uniform(0.0, 0.05, 12))
@@ -297,7 +292,7 @@ def test_solution_satisfies_stage_constraints():
 def _scalar_trajectories(state, cfg, frozen, params, acc):
     """AV positions and velocities (column k is stage k+1, through N+1), HV
     velocities (stages k+1..k+N) and the HV position means and variances
-    (stages k+1..k+N+1) from dynamics.py's scalar laws and an ARX replay."""
+    (stages k+1..k+N+1) from the scalar laws in oracles.py and an ARX replay."""
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
     fz = frozen if frozen is not None else FrozenGpTrajectory(np.zeros(n), np.zeros(n))
     # column k holds stage k+1; the last column only needs a position
@@ -489,7 +484,7 @@ def test_hv_decode_block_reproduces_the_full_x_half(n_av, horizon):
     assert st.hv_decode.shape == (2 * horizon + 1, horizon)
     params, nd = ArxParams.default(), n_av * horizon
     state = PlatoonState(av_pos=np.zeros(n_av), av_vel=np.zeros(n_av), hv_pos=0.0,
-                         history=VelocityHistory.constant(0.0, 0.0))
+                         history=constant_history(0.0, 0.0))
 
     def hv_trajectories(x):
         _, _, hv_vel, mu, _ = _scalar_trajectories(state, cfg, None, params,
@@ -839,4 +834,4 @@ def test_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="hv_pos_var"):
             PlatoonState(av_pos=[0.0], av_vel=[0.0], hv_pos=-12.0,
-                         history=VelocityHistory.constant(0.0, 0.0), hv_pos_var=bad)
+                         history=constant_history(0.0, 0.0), hv_pos_var=bad)

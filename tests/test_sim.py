@@ -128,6 +128,42 @@ def test_plant_velocity_clamped_at_zero():
         assert plant.clamped == (v == 0.0)
 
 
+def test_plant_reads_do_not_alias_its_lags():
+    # advance shifts the lag arrays in place; what was read before must not move
+    plant = HvPlant(mode="truth", arx=ArxParams.default(), correction=lambda vh, va: 0.01,
+                    step=0.1, noise=True, noise_std=0.05, seed=3, v0=6.0)
+    plant.advance(6.5)
+    hist = plant.history(7.0)
+    kept = (hist.hv.copy(), hist.av.copy())
+    outs = [plant.advance(7.0 + 0.1 * k) for k in range(6)]
+    np.testing.assert_array_equal(hist.hv, kept[0])
+    np.testing.assert_array_equal(hist.av, kept[1])
+    # the new history holds the outputs, newest first
+    np.testing.assert_array_equal(plant.history(8.0).hv, [v for v, _ in outs[:-5:-1]])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(step=np.nan), "step"),
+    (dict(step=0.0), "step"),
+    (dict(step=-0.1), "step"),
+    (dict(noise_std=np.nan), "noise_std"),
+    (dict(noise_std=np.inf), "noise_std"),
+    (dict(noise_std=-0.1), "noise_std"),
+    (dict(v0=np.nan), "v0"),
+    (dict(v0=np.inf), "v0"),
+    (dict(v0=-1.0), "v0"),
+    (dict(v_cap=np.nan), "v_cap"),
+    (dict(v_cap=np.inf), "v_cap"),
+    (dict(v_cap=0.0), "v_cap"),
+    (dict(v_cap=-5.0), "v_cap"),
+])
+def test_plant_rejects_bad_inputs(kwargs, name):
+    args = dict(mode="truth", arx=ArxParams.default(), correction=lambda vh, va: 0.0,
+                step=0.1, noise=True, noise_std=0.05, v0=5.0, v_cap=37.0)
+    with pytest.raises(ValueError, match=name):
+        HvPlant(**{**args, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # closed loop
 # ---------------------------------------------------------------------------
