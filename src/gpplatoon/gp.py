@@ -5,16 +5,19 @@ the log marginal likelihood), a fully-independent-conditional (FIC) sparse
 approximation whose prediction cost depends only on the number of inducing
 inputs, and the standard-normal quantile used for probabilistic constraint
 tightening.
+
+Every kernel matrix is :func:`_se_kernel` on the stack of squared
+coordinate differences from :func:`_sq_diffs`, and every Cholesky factor
+and triangular solve is a direct LAPACK call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dger, dsyrk
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dpstrf, dtrtri, dtrtrs
 from scipy.special import ndtri
 
@@ -116,31 +119,44 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _scale(x: np.ndarray, inv_scale: np.ndarray):
-    """Rows of ``x`` times ``inv_scale`` (1/sqrt(length_scales)), and their
-    squared norms."""
-    s = x * inv_scale
-    return s, np.add.reduce(s * s, 1)
+def _sq_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack D of squared coordinate differences between row sets
+    ``a`` (n,d) and ``b`` (m,d): D_j = (a_j - b_j')^2, one (n, m) slice per
+    dimension j. A difference keeps its digits where |a|^2 + |b|^2 - 2 a.b
+    cancels."""
+    # contiguous per dimension: broadcasting over the strided a.T is 4x slower
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    sqd = at[:, :, None] - bt[:, None, :]
+    sqd *= sqd
+    return sqd
 
 
-def _cross_kernel(sa2, na_col, sb, nb, signal_variance: float) -> np.ndarray:
-    """Kernel between scaled row sets a (n,d) and b (m,d), from
-    |a - b|^2 = |a|^2 + |b|^2 - 2 a.b, given ``sa2`` = 2a, ``na_col`` = |a|^2
-    as an (n, 1) column, ``sb`` = b and ``nb`` = |b|^2."""
-    r2 = na_col + nb
-    r2 -= sa2 @ sb.T
-    np.maximum(r2, 0.0, out=r2)
-    r2 *= -0.5
-    np.exp(r2, out=r2)
-    r2 *= signal_variance
-    return r2
+def _se_kernel(sqd: np.ndarray, hyper: KernelHyper, out: np.ndarray | None = None) -> np.ndarray:
+    """signal_variance exp(sum_d -0.5 D_d / length_scale_d) from the stack
+    ``sqd`` of :func:`_sq_diffs`, one product over d, into the C-ordered
+    ``out`` if given."""
+    d, n, m = sqd.shape
+    out = np.empty((n, m)) if out is None else out
+    np.dot((-0.5 / hyper.length_scales)[None, :], sqd.reshape(d, -1), out=out.reshape(1, -1))
+    np.exp(out, out=out)
+    out *= hyper.signal_variance
+    return out
 
 
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, hyper: KernelHyper) -> np.ndarray:
     """Kernel cross-covariance between row sets ``a`` (n,d) and ``b`` (m,d)."""
-    inv = 1.0 / np.sqrt(hyper.length_scales)
-    sa, na = _scale(a, inv)
-    return _cross_kernel(2.0 * sa, na[:, None], *_scale(b, inv), hyper.signal_variance)
+    return _se_kernel(_sq_diffs(a, b), hyper)
+
+
+def _query_rows(xs, n_dims: int) -> np.ndarray:
+    """Query rows ``xs`` as an (m, n_dims) matrix; a single row may be a
+    vector. Raises ``ValueError`` for another width or a non-finite entry."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != n_dims:
+        raise ValueError(f"query rows must have {n_dims} columns, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise ValueError("query rows must be finite")
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +191,19 @@ def _factorize(c: np.ndarray, y: np.ndarray, hyper: KernelHyper):
         raise _ill_conditioned(hyper)
     alpha, _ = dpotrs(chol, y, lower=1)
     return chol, alpha, logdet
+
+
+def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^-1 b for a finite, Fortran-ordered lower factor L, by LAPACK dtrtrs.
+
+    Skips the input validation of ``scipy.linalg.solve_triangular``, which
+    costs more than a 20 x 20 solve; callers pass a finite ``b``.
+    """
+    x, info = dtrtrs(chol, b, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 # Order of the diagonal blocks that _invert_lower hands to dtrtri.
@@ -219,27 +248,13 @@ class _LmlWorkspace:
     (Fortran order, so LAPACK factors and inverts it in place)."""
 
     def __init__(self, inputs: np.ndarray):
-        # contiguous per dimension: broadcasting over the strided x.T is 4x slower
-        xt = np.ascontiguousarray(inputs.T)
-        self.sqd = xt[:, :, None] - xt[:, None, :]
-        self.sqd *= self.sqd
-        # D_d does not see a shift; centring keeps the O(n) form of
-        # alpha' (K * D_d) alpha from cancelling
+        self.sqd = _sq_diffs(inputs, inputs)
+        # D_d does not see a shift; centring keeps the low-rank path's O(n)
+        # form of alpha' (K * D_d) alpha from cancelling
         self.centred = inputs - inputs.mean(axis=0)
         n = inputs.shape[0]
         self.k = np.empty((n, n))
         self.c = np.empty((n, n), order="F")
-
-
-def _kernel_into(ws: _LmlWorkspace, hyper: KernelHyper) -> np.ndarray:
-    """K = signal_variance exp(sum_d -0.5 D_d / length_scale_d) into the
-    workspace's C-ordered buffer: one product over d."""
-    k = ws.k
-    np.dot((-0.5 / hyper.length_scales)[None, :], ws.sqd.reshape(hyper.n_dims, -1),
-           out=k.reshape(1, -1))
-    np.exp(k, out=k)
-    k *= hyper.signal_variance
-    return k
 
 
 # The low-rank path needs n signal_variance <= this times the noise.
@@ -301,7 +316,7 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
     """
     n = data.n
     ws = workspace if workspace is not None else _LmlWorkspace(data.inputs)
-    k = _kernel_into(ws, hyper)
+    k = _se_kernel(ws.sqd, hyper, out=ws.k)
     sv, s = hyper.signal_variance, hyper.noise_variance + JITTER
     if n * sv <= _LOW_RANK_CONDITION * s:
         factor, piv, rank, _ = dpstrf(k.T, tol=np.finfo(float).eps * min(sv, s),
@@ -311,7 +326,7 @@ def log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
             raise _ill_conditioned(hyper)
         if 3 * rank <= n:
             return _low_rank_lml(ws, data.targets, hyper, factor[:, :rank], piv - 1)
-        _kernel_into(ws, hyper)  # dpstrf overwrote K
+        _se_kernel(ws.sqd, hyper, out=ws.k)  # dpstrf overwrote K
     return _dense_lml(ws, data.targets, hyper)
 
 
@@ -337,8 +352,12 @@ def _low_rank_lml(ws: _LmlWorkspace, y: np.ndarray, hyper: KernelHyper,
     The trace has no cancellation (each of its terms is an eigenvalue
     ratio below 1). With x_d the centred inputs, D_d = x_d^2 1' + 1 x_d^2'
     - 2 x_d x_d' gives sum(C^-1 * K * D_d) = 2 (x_d^2)' c
-    - 2 x_d'(C^-1 * K) x_d, and the alpha alpha' parts take the dense
-    path's O(n) forms with K alpha and K (alpha * x_d) as V (V' alpha) and
+    - 2 x_d'(C^-1 * K) x_d and
+
+        alpha' (K * D_d) alpha = 2 (alpha x_d^2)' K alpha
+                                 - 2 (alpha x_d)' K (alpha x_d)
+
+    with K alpha and K (alpha * x_d) as V (V' alpha) and
     V (V' (alpha * x_d)). Nothing n x n is touched after ``dpstrf``.
     """
     n, r = v.shape
@@ -389,28 +408,32 @@ def _dense_lml(ws: _LmlWorkspace, y: np.ndarray, hyper: KernelHyper):
        in about half its time (2.4 ms against 4.4 ms).
 
     The noise-variance term is O(n): tr(M) = alpha' alpha - tr(C^-1). The
-    signal-variance term sum(M * K) = alpha' K alpha - sum(C^-1 * K) takes
-    its second part as 2 sum(U * K) - tr(U * K), from the product U * K
-    formed below. The O(n) form from C^-1 K = I - s C^-1,
-    alpha' K alpha - n + s tr(C^-1), is not used: it cancels terms of order
-    n down to the result, which at log noise 30 (an L-BFGS-B trial point at
-    the bound) is about 1e-13, and it came out 28% off there.
+    other terms pair M with the symmetric K and K * D_d, so the upper
+    triangle U of C^-1 suffices: with W = (U - 0.5 alpha alpha') * K,
+    formed in place by a rank-one update (``dger``) of U and one product
+    with K,
 
-    With x_d the centred inputs, the alpha alpha' part of a length-scale
-    term is O(n) given K alpha and K (alpha * x_d), one product of K with
-    d + 1 columns:
+        sum(M * K * D_d) = -2 sum(W * D_d)          (D_d has a zero diagonal)
+        sum(M * K)       = signal_variance tr(C^-1) - 2 sum(W)
 
-        alpha' (K * D_d) alpha = 2 (alpha x_d^2)' K alpha
-                                 - 2 (alpha x_d)' K (alpha x_d)
+    the second because K's diagonal is signal_variance. So
 
-    and its C^-1 part pairs C^-1 with the symmetric, zero-diagonal K * D_d,
-    so the upper triangle U of C^-1 suffices:
-    sum(C^-1 * K * D_d) = 2 sum((U * K) * D_d). Forming U * K, its sum and
-    its one product with the D_d stack are, with K itself, the only n x n
-    passes outside LAPACK and BLAS.
+        d/d log signal_variance = 0.5 signal_variance tr(C^-1) - sum(W)
+        d/d log length_scale_d  = -0.5 sum(W * D_d) / length_scale_d
+
+    and the length-scale terms are one product of W with the D_d stack.
+    Two O(n) shortcuts are not used, because each cancels terms far larger
+    than its result: alpha' K alpha - n + s tr(C^-1) for sum(M * K) (from
+    C^-1 K = I - s C^-1) came out 28% off at log noise 30, an L-BFGS-B
+    trial point at the bound where that term is about 1e-13; and the
+    centred-input form of alpha' (K * D_d) alpha that :func:`_low_rank_lml`
+    uses is 1.8e-9 off at length scales of a two-hundredth of the
+    benchmark inputs' span and noise 1e-3, where this form is 5e-14 off.
+    Forming W, its sum and its product with the D_d stack are, with K
+    itself, the only n x n passes outside LAPACK and BLAS.
     """
     n, d = y.size, hyper.n_dims
-    sqd, k, c = ws.sqd, ws.k, ws.c
+    k, c = ws.k, ws.c
     # c.T is C-ordered, so this is a contiguous copy
     c.T[...] = k
     _, alpha, logdet = _factorize(c, y, hyper)
@@ -421,30 +444,34 @@ def _dense_lml(ws: _LmlWorkspace, y: np.ndarray, hyper: KernelHyper):
     dlauum(c, lower=1, overwrite_c=1)
     trace_cinv = float(c.trace())
 
-    x = ws.centred
-    ax = alpha[:, None] * x
-    kv = k @ np.column_stack([alpha, ax])
-    k_alpha = kv[:, 0]
-    quad = 2.0 * ((ax * x).T @ k_alpha - np.add.reduce(ax * kv[:, 1:], 0))
     # C^-1 fills the lower triangle of a Fortran-ordered array, so its
-    # transpose is U in the C order of k
-    u = c.T
-    u *= k
+    # transpose is U in the C order of k; alpha alpha' is symmetric
+    dger(-0.5, alpha, alpha, a=c, overwrite_a=1)
+    w = c.T
+    w *= k
     grad = np.empty(d + 2)
-    grad[0] = 0.5 * (float(alpha @ k_alpha) - 2.0 * float(u.sum()) + float(u.trace()))
-    grad[1:-1] = 0.25 * (quad - 2.0 * (sqd.reshape(d, -1) @ u.ravel())) / hyper.length_scales
+    grad[0] = 0.5 * hyper.signal_variance * trace_cinv - float(w.sum())
+    grad[1:-1] = -0.5 * (ws.sqd.reshape(d, -1) @ w.ravel()) / hyper.length_scales
     grad[-1] = 0.5 * hyper.noise_variance * (float(alpha @ alpha) - trace_cinv)
     return value, grad
 
 
 @dataclass(frozen=True)
 class GpModel:
-    """Exact GP conditioned on a dataset, with cached factorization."""
+    """Exact GP conditioned on a dataset, with cached factorization.
+
+    Construction checks that the factor and ``alpha`` are finite, because
+    :meth:`predict_batch` solves with them unchecked."""
 
     dataset: Dataset
     hyper: KernelHyper
     chol_factor: np.ndarray
     alpha: np.ndarray
+
+    def __post_init__(self):
+        for name in ("chol_factor", "alpha"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @classmethod
     def from_data(cls, data: Dataset, hyper: KernelHyper):
@@ -453,17 +480,19 @@ class GpModel:
                 f"dataset has {data.n_dims} input dims but hyper has {hyper.n_dims}"
             )
         # K's transpose is Fortran-ordered, so it is factored in place; K is
-        # symmetric to rounding, and dpotrf reads only one triangle
+        # the likelihood's K, exactly symmetric
         k = _kernel_matrix(data.inputs, data.inputs, hyper)
         chol, alpha, _ = _factorize(k.T, data.targets, hyper)
         return cls(dataset=data, hyper=hyper, chol_factor=chol, alpha=alpha)
 
     def predict_batch(self, xs):
-        """Posterior means and variances at query rows ``xs`` (m, d)."""
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        """Posterior means and variances at query rows ``xs`` (m, d).
+
+        Raises ``ValueError`` if a query row is not finite or not d wide."""
+        xs = _query_rows(xs, self.hyper.n_dims)
         kx = _kernel_matrix(self.dataset.inputs, xs, self.hyper)
         means = kx.T @ self.alpha
-        v = solve_triangular(self.chol_factor, kx, lower=True)
+        v = _lower_solve(self.chol_factor, kx)
         variances = self.hyper.signal_variance - np.sum(v * v, axis=0)
         return means, np.maximum(variances, 0.0)
 
@@ -541,20 +570,24 @@ def _fic_factors(data: Dataset, hyper: KernelHyper, inducing: np.ndarray):
     """
     kzz = _kernel_matrix(inducing, inducing, hyper)
     kzz[np.diag_indices_from(kzz)] += JITTER
-    try:
-        chol_zz = cholesky(kzz, lower=True)
-    except np.linalg.LinAlgError:
-        raise IllConditionedKernelError(
-            "inducing-point kernel matrix not positive definite"
-        ) from None
-    kzx = _kernel_matrix(inducing, data.inputs, hyper)
-    v = solve_triangular(chol_zz, kzx, lower=True)
+    chol_zz = _fic_cholesky(kzz, "inducing-point kernel matrix")
+    v = _lower_solve(chol_zz, _kernel_matrix(inducing, data.inputs, hyper))
     resid = hyper.signal_variance - np.sum(v * v, axis=0)
     lam = np.maximum(resid, 0.0) + hyper.noise_variance + JITTER
     m = inducing.shape[0]
     cap = np.eye(m) + (v / lam) @ v.T
-    chol_cap = cholesky(cap, lower=True)
-    return chol_zz, v, lam, chol_cap
+    return chol_zz, v, lam, _fic_cholesky(cap, "FIC capacitance matrix")
+
+
+def _fic_cholesky(a: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of ``a``, read from its lower triangle, by
+    ``dpotrf``, with the upper triangle zero. A nonzero ``info`` or a
+    non-finite diagonal (a NaN or inf entry in row i reaches the factor's
+    pivot i) raises ``IllConditionedKernelError`` naming ``name``."""
+    chol, info = dpotrf(a, lower=1)
+    if info or not np.isfinite(chol.diagonal()).all():
+        raise IllConditionedKernelError(f"{name} not positive definite")
+    return chol
 
 
 def fic_log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
@@ -563,25 +596,12 @@ def fic_log_marginal_likelihood(data: Dataset, hyper: KernelHyper,
     chol_zz, v, lam, chol_cap = _fic_factors(data, hyper, inducing)
     y = data.targets
     w = v @ (y / lam)
-    t = solve_triangular(chol_cap, w, lower=True)
+    t = _lower_solve(chol_cap, w)
     quad = float(y @ (y / lam)) - float(t @ t)
     logdet = float(np.sum(np.log(lam))) + 2.0 * float(
         np.sum(np.log(np.diag(chol_cap)))
     )
     return -0.5 * quad - 0.5 * logdet - 0.5 * data.n * math.log(2.0 * math.pi)
-
-
-def _lower_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^-1 b for a finite, Fortran-ordered lower factor L, by LAPACK dtrtrs.
-
-    Skips the input validation of ``scipy.linalg.solve_triangular``, which
-    costs more than a 20 x 20 solve; callers check that ``b`` is finite.
-    """
-    x, info = dtrtrs(chol, b, lower=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -605,9 +625,7 @@ class SparseGpModel:
     d = ``hyper.n_dims``, (m, m) factors and m weights, and that the
     factors and weights are finite. It keeps read-only copies of the four,
     which the caller's later edits do not reach, the factors
-    Fortran-ordered so LAPACK solves with them without a copy, and caches
-    the length-scale-scaled inducing inputs and their squared norms, so a
-    prediction forms only the query-dependent part of the kernel.
+    Fortran-ordered so LAPACK solves with them without a copy.
     """
 
     inducing: np.ndarray
@@ -615,9 +633,6 @@ class SparseGpModel:
     chol_inducing: np.ndarray
     chol_cap: np.ndarray
     mean_weights: np.ndarray
-    _inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
-    _inducing_twice: np.ndarray = field(init=False, repr=False, compare=False)
-    _inducing_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         inducing = np.array(self.inducing, dtype=float)
@@ -641,35 +656,28 @@ class SparseGpModel:
         if not np.isfinite(weights).all():
             raise ValueError("mean_weights must be finite")
         object.__setattr__(self, "mean_weights", weights)
-        inv = 1.0 / np.sqrt(self.hyper.length_scales)
-        scaled, sq_norms = _scale(self.inducing, inv)
-        object.__setattr__(self, "_inv_scale", inv)
-        object.__setattr__(self, "_inducing_twice", 2.0 * scaled)
-        object.__setattr__(self, "_inducing_sq_norms", sq_norms[:, None])
 
     @classmethod
     def from_inducing(cls, data: Dataset, hyper: KernelHyper, inducing: np.ndarray):
         inducing = np.atleast_2d(np.asarray(inducing, dtype=float))
         chol_zz, v, lam, chol_cap = _fic_factors(data, hyper, inducing)
         w = v @ (data.targets / lam)
-        mean_weights = cho_solve((chol_cap, True), w)
+        mean_weights, _ = dpotrs(chol_cap, w, lower=1)
         return cls(inducing=inducing, hyper=hyper, chol_inducing=chol_zz,
                    chol_cap=chol_cap, mean_weights=mean_weights)
 
     def predict_batch(self, xs):
         """Posterior means and variances at query rows ``xs`` (m, d).
 
-        Raises ``ValueError`` if a query or the kernel at the queries is
-        not finite (a query so large that its squared distance overflows,
-        or non-finite inducing inputs), and ``LinAlgError`` if a stored
-        factor is singular.
+        Raises ``ValueError`` if a query row is not finite or not d wide,
+        or if the kernel at the queries is not finite (non-finite inducing
+        inputs, which construction does not check; a finite query so far
+        away that a squared difference overflows gets the prior), and
+        ``LinAlgError`` if a stored factor is singular.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if not np.isfinite(xs).all():
-            raise ValueError("query rows must be finite")
+        xs = _query_rows(xs, self.hyper.n_dims)
         sv = self.hyper.signal_variance
-        kz = _cross_kernel(self._inducing_twice, self._inducing_sq_norms,
-                           *_scale(xs, self._inv_scale), sv)
+        kz = _kernel_matrix(self.inducing, xs, self.hyper)
         if not np.isfinite(kz).all():
             raise ValueError("kernel at the query rows must be finite")
         u = _lower_solve(self.chol_inducing, kz)

@@ -225,9 +225,9 @@ def test_lml_matches_reference_along_a_benchmark_sized_fit(control_fit):
     fitted_at_bound = KernelHyper(fitted.signal_variance, fitted.length_scales, math.exp(30.0))
     # K at at_bound has numerical rank 183 > n/3, so that point is dense, as
     # is short, with length scales of a two-hundredth of each input's span
-    # (at noise 1e-3 instead of 1e-2 the dense path's length-scale gradient
-    # is 3.7e-9 off on one BLAS thread, above the bound below)
-    short = KernelHyper(1.0, (np.ptp(data.inputs, axis=0) / 200.0) ** 2, 1e-2)
+    # and noise 1e-3, where a length-scale gradient that forms
+    # alpha' (K * D_d) alpha from the centred inputs is 1.8e-9 off
+    short = KernelHyper(1.0, (np.ptp(data.inputs, axis=0) / 200.0) ** 2, 1e-3)
     for hyper, path in ((start, "low_rank"), (at_bound, "dense"), (fitted, "low_rank"),
                         (fitted_at_bound, "low_rank"), (short, "dense")):
         with _counting_paths() as paths:
@@ -300,6 +300,30 @@ def test_lml_takes_the_dense_path_where_the_low_rank_one_does_not_hold(noise, wa
     ref_value, ref_grad = _lml_reference(data, hyper)
     assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
     assert np.all(np.abs(grad - ref_grad) <= 1e-9 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize("noise", [1e-2, 1e-4])
+def test_model_kernel_is_the_likelihoods_kernel(noise, monkeypatch):
+    # short length scales on inputs near 20 m/s, where |a|^2 + |b|^2 - 2 a.b
+    # on scaled inputs is up to 4e-12 off the difference form: the model must
+    # be factored from the very K whose likelihood a fit maximises. At noise
+    # 1e-2 dpstrf runs and the dense path re-forms K; at 1e-4 the dense path
+    # runs first
+    rng = np.random.default_rng(17)
+    x = 20.0 + 1.5 * rng.normal(size=(200, 2))
+    data = Dataset(inputs=x, targets=np.sin(x[:, 0]))
+    hyper = KernelHyper(1.0, np.array([0.05, 0.08]), noise)
+    seen = []
+    dense = gp_module._dense_lml
+
+    def spy(ws, y, h):
+        seen.append(ws.k.copy())
+        return dense(ws, y, h)
+
+    monkeypatch.setattr(gp_module, "_dense_lml", spy)
+    log_marginal_likelihood(data, hyper)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(gp_module._kernel_matrix(x, x, hyper), seen[0])
 
 
 def test_train_on_the_low_rank_path_matches_a_dense_fit(control_fit, monkeypatch):
@@ -778,21 +802,44 @@ def test_sparse_predict_rejects_non_finite_queries():
 
 
 def test_sparse_predict_rejects_non_finite_kernel():
-    """A finite query far from the data reverts to the prior, one whose
-    squared distance overflows raises, and so do non-finite inducing
-    inputs, which construction does not check."""
+    """A finite query far from the data reverts to the prior, also one whose
+    squared differences overflow; non-finite inducing inputs, which
+    construction does not check, raise."""
     rng = np.random.default_rng(49)
     sparse = build_sparse(_random_model(rng, n=20), m=5, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        (mean,), (var,) = sparse.predict_batch([1e200, -1e200])
-        assert mean == 0.0
-        assert var == sparse.hyper.signal_variance
-        with pytest.raises(ValueError, match="kernel at the query rows must be finite"):
-            sparse.predict_batch([1e308, 1e308])
+        for far in ([1e200, -1e200], [1e308, 1e308]):
+            (mean,), (var,) = sparse.predict_batch(far)
+            assert mean == 0.0
+            assert var == sparse.hyper.signal_variance
         inducing = sparse.inducing.copy()
         inducing[1, 0] = np.nan
         with pytest.raises(ValueError, match="kernel at the query rows must be finite"):
             dataclasses.replace(sparse, inducing=inducing).predict_batch([0.5, 0.5])
+
+
+def test_predict_rejects_query_rows_of_another_width_or_non_finite():
+    # a one-column query on a two-input model must not broadcast to [8, 8];
+    # the sparse model's non-finite queries are checked above
+    rng = np.random.default_rng(59)
+    exact = _random_model(rng, n=20)
+    sparse = build_sparse(exact, m=5, seed=0)
+    for model in (exact, sparse):
+        for bad in ([[8.0]], [8.0], [8.0, 8.0, 8.0], np.ones((2, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="query rows must have 2 columns"):
+                model.predict_batch(bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="query rows must be finite"):
+            exact.predict_batch([[0.5, 0.5], [0.5, bad]])
+
+
+def test_exact_model_rejects_non_finite_factor_or_weights():
+    model = _random_model(np.random.default_rng(57), n=10)
+    for name in ("chol_factor", "alpha"):
+        bad = getattr(model, name).copy()
+        bad[1] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            dataclasses.replace(model, **{name: bad})
 
 
 def test_sparse_model_rejects_bad_stored_factors():
