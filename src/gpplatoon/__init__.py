@@ -10,7 +10,6 @@ from .gp import (
     SparseGpModel,
     build_sparse,
     log_marginal_likelihood,
-    normal_quantile,
     train_exact,
 )
 from .hv import (

@@ -3,8 +3,7 @@
 Provides exact GP regression (analytic-gradient hyperparameter training on
 the log marginal likelihood), a fully-independent-conditional (FIC) sparse
 approximation whose prediction cost depends only on the number of inducing
-inputs, and the standard-normal quantile used for probabilistic constraint
-tightening.
+inputs.
 
 Every kernel matrix is :func:`_se_kernel` on the stack of squared
 coordinate differences from :func:`_sq_diffs`, and every Cholesky factor
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dger, dsyrk
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dpstrf, dtrtri, dtrtrs
-from scipy.special import ndtri
 
 # Added to kernel diagonals before factorization; below all test tolerances.
 JITTER = 1e-10
@@ -748,15 +746,3 @@ def build_sparse(model: GpModel, m: int = 20, seed: int = 0) -> SparseGpModel:
     if not 1 <= m <= data.n:
         raise ValueError(f"inducing count m={m} must satisfy 1 <= m <= n={data.n}")
     return SparseGpModel.from_inducing(data, model.hyper, _kmeans(data.inputs, m, seed=seed))
-
-
-# ---------------------------------------------------------------------------
-# standard-normal quantile
-# ---------------------------------------------------------------------------
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (SciPy's ``ndtri``)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    return float(ndtri(p))
-

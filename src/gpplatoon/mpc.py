@@ -57,8 +57,7 @@ class MpcConfig:
     acc_max: float = 4.0
     av_gap: float = 10.0
     gap: GapConstraintParams = field(
-        default_factory=lambda: GapConstraintParams(delta=10.0, delta_ext=0.0,
-                                                    p_def=0.95))
+        default_factory=lambda: GapConstraintParams(delta=10.0, p_def=0.95))
     n_av: int = 2
 
     def __post_init__(self):
@@ -85,13 +84,13 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class PlatoonState:
-    """Measured platoon state: AV kinematics plus the HV belief."""
+    """Measured platoon state: AV kinematics, the HV position and the
+    velocity history of the HV and the trailing AV."""
 
     av_pos: np.ndarray
     av_vel: np.ndarray
     hv_pos: float
     history: VelocityHistory
-    hv_pos_var: float = 0.0
 
     def __post_init__(self):
         p = np.atleast_1d(np.asarray(self.av_pos, dtype=float))
@@ -103,8 +102,6 @@ class PlatoonState:
         for name, value in (("av_pos", p), ("av_vel", v), ("hv_pos", self.hv_pos)):
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        if not (np.isfinite(self.hv_pos_var) and self.hv_pos_var >= 0):
-            raise ValueError("hv_pos_var must be finite and non-negative")
 
     @property
     def n_av(self) -> int:
@@ -133,7 +130,11 @@ class FrozenGpTrajectory:
 
 @dataclass(frozen=True)
 class MpcSolution:
-    """Optimal plan with predicted trajectories and solver diagnostics."""
+    """One step's plan with its predicted trajectories and solver diagnostics.
+
+    On a fallback the plan is maximum braking, ``cost`` is NaN and
+    ``active`` is empty.
+    """
 
     acc: np.ndarray             # (n_av, N)
     av_vel: np.ndarray          # (n_av, N), stages k+1..k+N
@@ -142,7 +143,6 @@ class MpcSolution:
     hv_pos_mean: np.ndarray     # (N,), stages k+1..k+N
     hv_pos_var: np.ndarray      # (N,), constrained stages k+2..k+N+1
     gap_bounds: np.ndarray      # (N,), AV-HV bounds at stages k+2..k+N+1
-    stage_pairs: np.ndarray     # (N, 2), GP anchor pairs of this solve
     status: str
     iterations: int
     solve_time: float
@@ -152,27 +152,16 @@ class MpcSolution:
     violated: str = ""          # on a fallback, the row the braking plan violates most
 
 
-def evaluate_gp_along_trajectory(gp, prev, horizon: int) -> FrozenGpTrajectory:
-    """Freeze GP terms along the previous solution (one batch prediction).
+def evaluate_gp_along_trajectory(gp, pairs) -> FrozenGpTrajectory:
+    """Freeze GP terms at one solve's query pairs (one batch prediction).
 
-    ``prev`` is the previous :class:`MpcSolution`; at the first control step
-    a :class:`PlatoonState` is accepted and its measured current pair is
-    replicated across the horizon. Stage i is evaluated at the previous
-    solution's stage i+1 pair (receding-horizon shift) with the last pair
-    repeated. The frozen variances carry the model's learned noise variance
-    on top of the latent GP variance, so the propagated position uncertainty
-    covers realized one-step velocity scatter, not just correction-function
+    ``pairs`` (N, 2) holds one (HV velocity, trailing-AV velocity) pair per
+    stage; :class:`PlatoonController` keeps them from step to step. The
+    frozen variances carry the model's learned noise variance on top of the
+    latent GP variance, so the propagated position uncertainty covers
+    realized one-step velocity scatter, not just correction-function
     uncertainty.
     """
-    if isinstance(prev, MpcSolution):
-        pairs = np.concatenate((prev.stage_pairs[1:], prev.stage_pairs[-1:]))
-        if pairs.shape[0] != horizon:
-            raise ValueError("previous solution horizon does not match")
-    elif isinstance(prev, PlatoonState):
-        current = np.array([prev.history.hv[0], prev.history.av[0]])
-        pairs = np.tile(current, (horizon, 1))
-    else:
-        raise TypeError("prev must be an MpcSolution or a PlatoonState")
     mean, var = gp.predict_batch(pairs)
     return FrozenGpTrajectory(mean=mean, var=var + gp.hyper.noise_variance)
 
@@ -188,10 +177,10 @@ class _QpStructure:
     The decision vector x stacks AV accelerations block by block (AV j holds
     entries j*N..j*N+N-1), and a step's input is one vector
 
-        z = [p0 (n_av), v0 (n_av), hv_pos, hv_pos_var, history.hv (4),
-             history.av (4), frozen mean (N), frozen var (N), v_ref (N), 1]
+        z = [p0 (n_av), v0 (n_av), hv_pos, history.hv (4), history.av (4),
+             frozen mean (N), frozen var (N), v_ref (N), 1]
 
-    (75 entries at ``n_av=2, N=20``, 147 at ``n_av=8, N=40``; a nominal
+    (74 entries at ``n_av=2, N=20``, 146 at ``n_av=8, N=40``; a nominal
     step's frozen terms are ``zero_frozen``). Every law of the horizon is
     linear in w = [z; x] and written once, as a named block of rows, in
     ``_structure``'s ``laws``: the constraints of ``_CONSTRAINTS``, each
@@ -247,7 +236,7 @@ def _horizon_laws(cfg: MpcConfig, arx: ArxParams):
     columns of the identity and agree bit for bit."""
     n, nav, t = cfg.horizon, cfg.n_av, cfg.step
     nd, ns = nav * n, 2 * N_LAGS + 1
-    cuts = np.cumsum([nav, nav, 1, 1, N_LAGS, N_LAGS, n, n, n, 1])
+    cuts = np.cumsum([nav, nav, 1, N_LAGS, N_LAGS, n, n, n, 1])
 
     def integrate(step, first, *rates):
         """Forward-Euler stages from ``first``, on the second-to-last axis."""
@@ -271,7 +260,7 @@ def _horizon_laws(cfg: MpcConfig, arx: ArxParams):
     chain = hv[N_LAGS:]
 
     def laws(w):
-        p0, v0, hv_pos, hv_var, hist_hv, hist_av, mean, var, ref, one, x = np.split(w, cuts)
+        p0, v0, hv_pos, hist_hv, hist_av, mean, var, ref, one, x = np.split(w, cuts)
         acc = x.reshape(nav, n, -1)
         # stages k..k+N+1, the input held at zero after the horizon and each
         # position taken from the velocity before the update
@@ -292,7 +281,8 @@ def _horizon_laws(cfg: MpcConfig, arx: ArxParams):
         yield "av_vel", vel
         yield "av_pos", p[:, 1:-1]
         yield "hv", np.vstack((hv_vel, mu))
-        yield "sigma", integrate(t * t, hv_var, var, var[-1:])[2:]    # stages k+2..k+N+1
+        # variances of stages k+2..k+N+1, from zero at the measured stage k
+        yield "sigma", integrate(t * t, 0 * var[:1], var, var[-1:])[2:]
         # leader tracking and follower velocity matching through stage k+N+1
         yield "cost", np.concatenate((math.sqrt(cfg.q1) * (v[:1, 1:] - np.vstack((ref, ref[-1:]))),
                                       math.sqrt(cfg.q2) * np.diff(v[:, 1:], axis=0)))
@@ -424,9 +414,8 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
         raise ValueError(f"frozen trajectory must supply {n} stages")
     hist = state.history
     fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
-    out = spmv(st.terms, np.concatenate((state.av_pos, state.av_vel,
-                                         (state.hv_pos, state.hv_pos_var), hist.hv, hist.av,
-                                         *fz, ref, (1.0,))))
+    out = spmv(st.terms, np.concatenate((state.av_pos, state.av_vel, (state.hv_pos,),
+                                         hist.hv, hist.av, *fz, ref, (1.0,))))
     rows = st.rows
     sigma = out[rows["sigma"]]
     bounds = (np.full(n, cfg.gap.delta) if frozen is None
@@ -441,12 +430,13 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
 class PlatoonController:
     """Stateful receding-horizon controller (nominal or GP mode).
 
-    One instance is single-threaded: it keeps the previous solution for the
-    frozen GP evaluation and reuses its active set to warm-start the next
-    solve. The shared sparse GP model is only read. The template of
-    ``(cfg, arx)``, the default ARX model if ``arx`` is None, is looked up
-    once, at construction (built there if no controller of an equal
-    configuration came before), and every step condenses through it.
+    One instance is single-threaded. It keeps the previous solution, whose
+    active set warm-starts the next solve, and in GP mode the GP query pairs
+    of the next solve (``gp_pairs``), taken from the last optimal plan. The
+    shared sparse GP model is only read. The template of ``(cfg, arx)``,
+    the default ARX model if ``arx`` is None, is looked up once, at
+    construction (built there if no controller of an equal configuration
+    came before), and every step condenses through it.
     """
 
     def __init__(self, cfg: MpcConfig, mode: str = "nominal", gp_model=None,
@@ -461,21 +451,26 @@ class PlatoonController:
         self.structure = _structure(cfg, arx or ArxParams.default())
         self.solver_tol = solver_tol
         self.prev_solution: MpcSolution | None = None
-        self.gp_batch_evals = 0
-        self.fallback_count = 0
+        self.gp_pairs: np.ndarray | None = None
 
     def step(self, state: PlatoonState, v_ref):
         """One control step: returns (first-stage accelerations, solution).
 
-        A failed solve is a fallback: the plan is maximum braking for every
-        AV, and the next step starts without a previous plan.
+        In GP mode the GP terms are frozen at ``gp_pairs``, or at the
+        measured current pair on every stage when there is no previous
+        plan. An optimal step sets the next solve's pairs: the measured
+        current pair, then this plan's (HV velocity, trailing-AV velocity)
+        pairs of stages k+1..k+N-2, the last repeated. A failed solve is a
+        fallback: the plan is maximum braking for every AV, and the next
+        step starts without a previous plan.
         """
         cfg = self.cfg
+        n = cfg.horizon
         frozen = None
         if self.mode == "gp":
-            prev = self.prev_solution if self.prev_solution is not None else state
-            self.gp_batch_evals += 1
-            frozen = evaluate_gp_along_trajectory(self.gp_model, prev, cfg.horizon)
+            current = (state.history.hv[0], state.history.av[0])
+            pairs = self.gp_pairs if self.gp_pairs is not None else np.tile(current, (n, 1))
+            frozen = evaluate_gp_along_trajectory(self.gp_model, pairs)
         cd = condense(self.structure, state, v_ref, frozen)
         hint = self.prev_solution.active if self.prev_solution is not None else None
         res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=hint)
@@ -483,7 +478,6 @@ class PlatoonController:
         x = np.full(cd.qp.n, cfg.acc_min) if fallback else res.x
         violated = ""
         if fallback:
-            self.fallback_count += 1
             # the solver names the row it could not add (often an acceleration
             # bound); the braking plan names the constraint given up
             excess = cd.qp.ineq_excess(x)
@@ -493,23 +487,19 @@ class PlatoonController:
         acc, av_vel, av_pos, hv_vel, mu = cd.decode(x)
         sol = MpcSolution(acc=acc, av_vel=av_vel, av_pos=av_pos, hv_vel=hv_vel,
                           hv_pos_mean=mu, hv_pos_var=cd.sigma, gap_bounds=cd.gap_bounds,
-                          stage_pairs=_stage_pairs(state, hv_vel, av_vel[-1], cfg.horizon),
                           status=res.status, iterations=res.iterations,
                           solve_time=res.solve_time,
                           cost=np.nan if fallback else res.objective + cd.cost_const,
                           active=() if fallback else res.active, fallback=fallback,
                           violated=violated)
         self.prev_solution = None if fallback else sol
+        if self.mode == "gp" and not fallback:
+            pairs = np.empty((n, 2))
+            pairs[0] = current
+            pairs[1:-1, 0] = hv_vel[:n - 2]
+            pairs[1:-1, 1] = av_vel[-1, :n - 2]
+            pairs[-1] = pairs[-2]
+            self.gp_pairs = pairs
+        else:
+            self.gp_pairs = None
         return acc[:, 0].copy(), sol
-
-
-def _stage_pairs(state: PlatoonState, hv_vel, av_vel_last, horizon: int) -> np.ndarray:
-    """GP anchor pairs of one solve: lag-1 and current measured pairs, then
-    planned pairs through stage N-2."""
-    pairs = np.empty((horizon, 2))
-    pairs[0] = (state.history.hv[1], state.history.av[1])
-    pairs[1] = (state.history.hv[0], state.history.av[0])
-    if horizon > 2:
-        pairs[2:, 0] = hv_vel[: horizon - 2]
-        pairs[2:, 1] = av_vel_last[: horizon - 2]
-    return pairs

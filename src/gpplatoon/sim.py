@@ -66,6 +66,10 @@ _SCENARIOS = {
 }
 
 
+# Initial spacing of adjacent vehicles, as a multiple of the AV gap.
+SPACING_FACTOR = 1.2
+
+
 def _scenario(name: str):
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; expected one of {tuple(_SCENARIOS)}")
@@ -78,7 +82,6 @@ class ScenarioSpec:
 
     name: str
     duration: float = 20.0
-    spacing_factor: float = 1.2
     cfg: MpcConfig = field(default_factory=MpcConfig)
     plant_mode: str = "truth"  # "truth" | "paper"
     noise: bool = False
@@ -86,20 +89,19 @@ class ScenarioSpec:
     plant_noise_std: float = 0.0005
 
     def __post_init__(self):
+        _scenario(self.name)    # raises for an unknown name
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
                 or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and positive, got {self.duration!r}")
-        if not math.isfinite(self.spacing_factor):
-            raise ValueError(f"spacing_factor must be finite, got {self.spacing_factor!r}")
         if not (math.isfinite(self.plant_noise_std) and self.plant_noise_std >= 0):
             raise ValueError("plant_noise_std must be finite and non-negative, "
                              f"got {self.plant_noise_std!r}")
         steps = self.duration / self.step
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integral number of steps")
-        if self.spacing_factor * self.cfg.av_gap <= self.cfg.gap.delta:
+        if SPACING_FACTOR * self.cfg.av_gap <= self.cfg.gap.delta:
             raise ValueError("initial spacing must exceed the HV gap bound")
         if self.plant_mode not in ("truth", "paper"):
             raise ValueError(f"unknown plant mode {self.plant_mode!r}")
@@ -139,8 +141,6 @@ class SimResult:
     gap_bound: np.ndarray
     sigma_terminal: np.ndarray
     events: list
-    controller: str
-    gp_batch_evals: int
 
     @property
     def n_av(self) -> int:
@@ -194,7 +194,7 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
     """Simulate one scenario under the chosen control policy.
 
     All vehicles start at rest; the leader sits at 0 with each follower and
-    the HV placed ``spacing_factor * av_gap`` behind its predecessor.
+    the HV placed ``SPACING_FACTOR * av_gap`` behind its predecessor.
     Controller fallbacks are recorded as events, never aborts: a step's
     event is ``fallback:<status>`` with ``:<row>`` appended when the braking
     plan violates a row (``fallback:infeasible:hv_gap[9]``). Steps where
@@ -215,7 +215,7 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
     )
 
     nav = cfg.n_av
-    spacing = spec.spacing_factor * cfg.av_gap
+    spacing = SPACING_FACTOR * cfg.av_gap
     av_pos = -spacing * np.arange(nav, dtype=float)
     av_vel = np.zeros(nav)
     hv_pos = float(av_pos[-1] - spacing)
@@ -227,8 +227,7 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
         av_acc=np.empty((nav, steps)), hv_pos=np.empty(steps),
         hv_vel=np.empty(steps), solve_time=np.empty(steps), status=[],
         iterations=np.empty(steps, dtype=int), gap_bound=np.empty(steps),
-        sigma_terminal=np.empty(steps), events=[], controller=controller,
-        gp_batch_evals=0,
+        sigma_terminal=np.empty(steps), events=[],
     )
 
     horizon_offsets = (np.arange(cfg.horizon) + 1) * spec.step
@@ -264,7 +263,6 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
             rec.events.append((k, "av_velocity_clamped"))
         av_vel = clipped
 
-    rec.gp_batch_evals = ctrl.gp_batch_evals
     return rec
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gpplatoon.dynamics import GapConstraintParams, tightened_min_gap
-from gpplatoon.gp import normal_quantile
 from oracles import AvState, av_step, propagate_hv_mean, propagate_hv_variance
 
 
@@ -72,18 +72,18 @@ def test_propagate_variance_rejects_negative():
 
 
 def test_tightened_gap_no_uncertainty():
-    g = GapConstraintParams(delta=10.0, delta_ext=1.5, p_def=0.95)
-    assert tightened_min_gap(g, 0.0) == pytest.approx(11.5, abs=1e-12)
+    g = GapConstraintParams(delta=11.5, p_def=0.95)
+    assert tightened_min_gap(g, 0.0) == 11.5
 
 
 def test_tightened_gap_median_probability():
-    g = GapConstraintParams(delta=10.0, delta_ext=0.0, p_def=0.5)
+    g = GapConstraintParams(delta=10.0, p_def=0.5)
     for sigma in (0.0, 0.3, 7.0):
         assert tightened_min_gap(g, sigma) == pytest.approx(10.0, abs=1e-9)
 
 
 def test_tightened_gap_hand_value():
-    g = GapConstraintParams(delta=10.0, delta_ext=0.0, p_def=0.95)
+    g = GapConstraintParams(delta=10.0, p_def=0.95)
     assert tightened_min_gap(g, 0.25) == pytest.approx(10.8224268, abs=1e-6)
 
 
@@ -99,36 +99,36 @@ def test_tightened_gap_monotone():
 
 
 def test_tightened_gap_vectorized_matches_scalar():
-    g = GapConstraintParams(delta=10.0, delta_ext=0.5, p_def=0.9)
+    g = GapConstraintParams(delta=10.5, p_def=0.9)
     sigmas = np.linspace(0.0, 4.0, 13)
     bounds = tightened_min_gap(g, sigmas)
     assert isinstance(bounds, np.ndarray) and bounds.shape == sigmas.shape
     np.testing.assert_array_equal(bounds, [tightened_min_gap(g, float(s)) for s in sigmas])
     assert type(tightened_min_gap(g, 0.25)) is float
     assert type(tightened_min_gap(g, np.float64(0.25))) is float
-    # every entry is checked, not only the first
-    with pytest.raises(ValueError):
-        tightened_min_gap(g, np.array([0.0, 0.1, -1e-9]))
-    with pytest.raises(ValueError):
-        tightened_min_gap(g, -0.5)
+    # every entry is checked, not only the first, and a NaN or infinite
+    # variance is rejected like a negative one
+    for bad in (-1e-9, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            tightened_min_gap(g, np.array([0.0, 0.1, bad]))
+        with pytest.raises(ValueError, match="sigma"):
+            tightened_min_gap(g, bad)
 
 
 def test_half_space_reduction_identity():
-    # tightening a single half-space on [-1, 1] . [p_av, p_hv + delta] <= -delta_ext
+    # tightening a single half-space on [-1, 1] . [p_av, p_hv + delta] <= 0
     # with the block-diagonal position covariance reproduces the scalar bound
     rng = np.random.default_rng(8)
     for _ in range(100):
         delta = rng.uniform(1.0, 20.0)
-        delta_ext = rng.uniform(0.0, 5.0)
         p_def = rng.uniform(0.5, 0.999)
         sigma = rng.uniform(0.0, 9.0)
         h = np.array([-1.0, 1.0])
         cov = np.array([[0.0, 0.0], [0.0, sigma]])
-        b = -delta_ext
-        tightened_rhs = b - normal_quantile(p_def) * np.sqrt(h @ cov @ h)
+        tightened_rhs = -ndtri(p_def) * np.sqrt(h @ cov @ h)
         # h.x <= rhs with x = (p_av, p_hv + delta)  <=>  p_av - p_hv >= delta - rhs
         implied_bound = delta - tightened_rhs
-        g = GapConstraintParams(delta=delta, delta_ext=delta_ext, p_def=p_def)
+        g = GapConstraintParams(delta=delta, p_def=p_def)
         assert implied_bound == pytest.approx(tightened_min_gap(g, sigma), abs=1e-12)
 
 
@@ -136,12 +136,9 @@ def test_gap_params_validation():
     with pytest.raises(ValueError):
         GapConstraintParams(delta=0.0)
     with pytest.raises(ValueError):
-        GapConstraintParams(delta=10.0, delta_ext=-1.0)
-    with pytest.raises(ValueError):
         GapConstraintParams(delta=10.0, p_def=1.0)
-    for name, kwargs in (("delta", dict(delta=np.inf)),
-                         ("delta_ext", dict(delta=10.0, delta_ext=np.nan)),
-                         ("delta_ext", dict(delta=10.0, delta_ext=np.inf))):
+    for name, kwargs in (("delta", dict(delta=np.inf)), ("delta", dict(delta=np.nan)),
+                         ("p_def", dict(delta=10.0, p_def=np.nan))):
         with pytest.raises(ValueError, match=name):
             GapConstraintParams(**kwargs)
 
@@ -149,9 +146,8 @@ def test_gap_params_validation():
 def test_tightened_gap_matches_scalar_formula():
     sigmas = np.linspace(0.0, 9.0, 17)
     for p_def in (0.5, 0.8, 0.95, 0.999):
-        g = GapConstraintParams(delta=10.0, delta_ext=0.7, p_def=p_def)
-        assert g.quantile == normal_quantile(p_def)
-        expected = g.delta + g.delta_ext + normal_quantile(p_def) * np.sqrt(sigmas)
+        g = GapConstraintParams(delta=10.7, p_def=p_def)
+        assert g.quantile == ndtri(p_def)
+        expected = g.delta + ndtri(p_def) * np.sqrt(sigmas)
         np.testing.assert_array_equal(tightened_min_gap(g, sigmas), expected)
-        assert tightened_min_gap(g, 2.5) == float(
-            g.delta + g.delta_ext + normal_quantile(p_def) * np.sqrt(2.5))
+        assert tightened_min_gap(g, 2.5) == float(g.delta + ndtri(p_def) * np.sqrt(2.5))

@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from gpplatoon import gp as gp_module
 from gpplatoon import hv as hv_module
+from gpplatoon.dynamics import GapConstraintParams
 from gpplatoon.gp import (
     Dataset,
     GpModel,
@@ -19,7 +20,6 @@ from gpplatoon.gp import (
     build_sparse,
     fic_log_marginal_likelihood,
     log_marginal_likelihood,
-    normal_quantile,
     train_exact,
 )
 
@@ -683,17 +683,21 @@ def test_sparse_default_inducing_count_is_20():
 
 
 # ---------------------------------------------------------------------------
-# normal quantile
+# the standard-normal quantile of the gap's confidence level p_def
 # ---------------------------------------------------------------------------
 
 
+def _gap_quantile(p):
+    return GapConstraintParams(delta=10.0, p_def=p).quantile
+
+
 def test_quantile_median_is_zero():
-    assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
+    assert _gap_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quantile_reference_values():
-    assert normal_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-8)
-    assert normal_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-8)
+    assert _gap_quantile(0.95) == pytest.approx(1.6448536269514722, abs=1e-8)
+    assert _gap_quantile(0.975) == pytest.approx(1.9599639845400545, abs=1e-8)
 
 
 def test_quantile_against_scipy_oracle():
@@ -702,13 +706,13 @@ def test_quantile_against_scipy_oracle():
         np.linspace(0.001, 0.999, 199),
     ])
     for p in ps:
-        assert abs(normal_quantile(float(p)) - norm.ppf(p)) <= 1e-8
+        assert abs(_gap_quantile(float(p)) - norm.ppf(p)) <= 1e-8
 
 
 def test_quantile_domain_errors():
-    for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            normal_quantile(p)
+    for p in (0.0, 1.0, -0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="p_def"):
+            _gap_quantile(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel, normal_quantile
+from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
 from gpplatoon.hv import (
     ArxParams,
     DriverTrace,
@@ -388,15 +388,16 @@ def test_sparse_matches_exact_on_heldout(driver_traces, hv_fit):
 ])
 def test_one_step_sigma_covers_heldout_residuals(request, driver_traces, fit_name,
                                                  traces_name):
-    # the controller tightens the HV gap by normal_quantile(p_def) times the
-    # one-step sigma it freezes: sqrt(latent variance + noise variance)
+    # the controller tightens the HV gap by the standard-normal quantile of
+    # p_def times the one-step sigma it freezes: sqrt(latent variance + noise
+    # variance)
     fit = request.getfixturevalue(fit_name)
     data = [build_discrepancy_dataset(tr, ArxParams.default())
             for tr in driver_traces[traces_name]]
     targets = np.concatenate([d.targets for d in data])
     means, variances = fit.sparse.predict_batch(np.vstack([d.inputs for d in data]))
     sigma = np.sqrt(variances + fit.sparse.hyper.noise_variance)
-    p = MpcConfig().gap.p_def
-    n = targets.size
-    covered = np.mean(targets - means <= normal_quantile(p) * sigma)
+    gap = MpcConfig().gap
+    p, n = gap.p_def, targets.size
+    covered = np.mean(targets - means <= gap.quantile * sigma)
     assert covered >= p - 3.0 * np.sqrt(p * (1.0 - p) / n)

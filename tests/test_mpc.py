@@ -53,47 +53,80 @@ def _tiny_sparse_gp(targets=None, nv=1e-6):
     return SparseGpModel.from_inducing(Dataset(inputs=inputs, targets=targets), h, inputs)
 
 
+class _RecordingGp:
+    """A sparse GP that keeps a copy of every batch of query pairs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hyper = inner.hyper
+        self.queries = []
+
+    def predict_batch(self, xs):
+        self.queries.append(np.array(xs, copy=True))
+        return self.inner.predict_batch(xs)
+
+
+# distinct lags, so the GP query pairs show which vehicle and lag they hold
+_LAGGED = VelocityHistory(hv=np.array([9.0, 8.0, 7.0, 6.0]), av=np.array([10.0, 9.0, 8.0, 7.0]))
+
+
+def _lagged_state():
+    return PlatoonState(av_pos=np.array([0.0, -12.0]), av_vel=np.array([10.0, 10.0]),
+                        hv_pos=-24.0, history=_LAGGED)
+
+
 # ---------------------------------------------------------------------------
 # frozen GP trajectories
 # ---------------------------------------------------------------------------
 
 
 def test_frozen_from_state_replicates_measured_pair():
-    gp = _tiny_sparse_gp()
-    state = _state(v=10.0)
-    fz = evaluate_gp_along_trajectory(gp, state, horizon=6)
-    (mean,), (var,) = gp.predict_batch(np.array([10.0, 10.0]))
-    np.testing.assert_allclose(fz.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(fz.var, var + gp.hyper.noise_variance, atol=1e-12)
+    # with no previous plan, a GP step freezes every stage at the measured
+    # current (HV, trailing AV) pair, the newest entry of the history
+    gp = _RecordingGp(_tiny_sparse_gp(nv=0.01))
+    cfg = MpcConfig(horizon=6)
+    ctrl = PlatoonController(cfg, mode="gp", gp_model=gp)
+    assert ctrl.gp_pairs is None
+    _, sol = ctrl.step(_lagged_state(), np.full(6, 10.0))
+    assert sol.status == "optimal"
+    np.testing.assert_array_equal(gp.queries[0], np.tile([9.0, 10.0], (6, 1)))
+    (_, ), (var, ) = gp.inner.predict_batch(np.array([[9.0, 10.0]]))
+    # constrained stages k+2..k+N+1 accumulate j+2 equal terms
+    expected = cfg.step ** 2 * (var + 0.01) * np.arange(2, 8)
+    np.testing.assert_allclose(sol.hv_pos_var, expected, rtol=1e-12, atol=0)
 
 
 def test_frozen_zero_posterior_gp():
     gp = _tiny_sparse_gp(targets=np.zeros(4))
-    state = _state(v=10.0)
-    fz = evaluate_gp_along_trajectory(gp, state, horizon=5)
+    fz = evaluate_gp_along_trajectory(gp, np.tile([10.0, 10.0], (5, 1)))
     np.testing.assert_allclose(fz.mean, 0.0, atol=1e-9)
     assert np.all(fz.var >= 0.0)
 
 
 def test_frozen_shift_property():
-    gp = _tiny_sparse_gp(targets=np.array([0.1, -0.2, 0.3, 0.0]))
+    # an optimal GP step keeps the next solve's pairs, and the next step
+    # freezes its GP terms there, in one batch prediction
+    gp = _RecordingGp(_tiny_sparse_gp(targets=np.array([0.1, -0.2, 0.3, 0.0])))
     n = 5
-    cfg = MpcConfig(horizon=n)
+    ctrl = PlatoonController(MpcConfig(horizon=n), mode="gp", gp_model=gp)
     state = _state(v=8.0)
-    ctrl = PlatoonController(cfg, mode="gp", gp_model=gp)
     _, sol = ctrl.step(state, np.full(n, 8.0))
-    fz = evaluate_gp_along_trajectory(gp, sol, horizon=n)
-    shifted = np.vstack([sol.stage_pairs[1:], sol.stage_pairs[-1:]])
-    mean, var = gp.predict_batch(shifted)
-    np.testing.assert_allclose(fz.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(fz.var, var + gp.hyper.noise_variance, atol=1e-12)
+    assert sol.status == "optimal"
+    pairs = ctrl.gp_pairs.copy()
+    _, sol = ctrl.step(state, np.full(n, 8.0))
+    assert len(gp.queries) == 2
+    np.testing.assert_array_equal(gp.queries[1], pairs)
+    fz = evaluate_gp_along_trajectory(gp.inner, pairs)
+    mean, var = gp.inner.predict_batch(pairs)
+    np.testing.assert_array_equal(fz.mean, mean)
+    np.testing.assert_array_equal(fz.var, var + gp.hyper.noise_variance)
 
 
 def test_frozen_includes_noise_variance_by_default():
     gp = _tiny_sparse_gp(nv=0.04)
-    state = _state(v=10.0)
-    with_noise = evaluate_gp_along_trajectory(gp, state, horizon=4)
-    _, latent = gp.predict_batch(np.tile([10.0, 10.0], (4, 1)))
+    pairs = np.tile([10.0, 10.0], (4, 1))
+    with_noise = evaluate_gp_along_trajectory(gp, pairs)
+    _, latent = gp.predict_batch(pairs)
     np.testing.assert_allclose(with_noise.var, latent + 0.04, atol=1e-12)
 
 
@@ -177,15 +210,21 @@ def test_cost_matches_scalar_laws(n_av, horizon):
 
 
 def test_gp_qp_with_zero_frozen_equals_nominal():
-    cfg = MpcConfig(horizon=10)
-    state = _state(v=5.0)
-    ref = np.linspace(5.0, 8.0, 10)
-    nominal = _condense(state, cfg, ref).qp
-    gp_qp = _condense(state, cfg, ref, frozen=FrozenGpTrajectory(np.zeros(10), np.zeros(10))).qp
-    assert np.max(np.abs(nominal.cost_matrix - gp_qp.cost_matrix)) <= 1e-12
-    assert np.max(np.abs(nominal.cost_vector - gp_qp.cost_vector)) <= 1e-12
-    assert np.max(np.abs(nominal.ineq_matrix.toarray() - gp_qp.ineq_matrix.toarray())) <= 1e-12
-    assert np.max(np.abs(nominal.ineq_vector - gp_qp.ineq_vector)) <= 1e-12
+    # at zero frozen terms the GP branch gives the nominal program bit for
+    # bit, at a small shape and at the benchmark's large_nominal shape
+    for n_av, horizon in ((2, 10), (8, 40)):
+        cfg = MpcConfig(horizon=horizon, n_av=n_av)
+        state = _state(n_av=n_av, v=5.0)
+        ref = np.linspace(5.0, 8.0, horizon)
+        nominal = _condense(state, cfg, ref)
+        zero = FrozenGpTrajectory(np.zeros(horizon), np.zeros(horizon))
+        gp = _condense(state, cfg, ref, frozen=zero)
+        assert gp.qp.cost_matrix is nominal.qp.cost_matrix
+        assert gp.qp.ineq_matrix is nominal.qp.ineq_matrix
+        for got, want in ((gp.qp.cost_vector, nominal.qp.cost_vector),
+                          (gp.qp.ineq_vector, nominal.qp.ineq_vector),
+                          (gp.gap_bounds, nominal.gap_bounds)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_gp_qp_bound_telescopes_frozen_variance():
@@ -244,8 +283,6 @@ def test_hv_chain_matches_standalone_arx_replay():
     np.testing.assert_allclose(mu, expected_mu, atol=1e-10)
 
     # with frozen GP terms, decode follows the scalar laws in oracles.py
-    state = PlatoonState(av_pos=state.av_pos, av_vel=state.av_vel,
-                         hv_pos=state.hv_pos, history=hist, hv_pos_var=0.3)
     fz = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, 12), var=rng.uniform(0.0, 0.05, 12))
     cd = _condense(state, cfg, np.full(12, 10.0), frozen=fz, arx=params)
     acc, av_vel, av_pos, hv_vel_fz, mu = cd.decode(x)
@@ -259,7 +296,7 @@ def test_hv_chain_matches_standalone_arx_replay():
     # mean stage k+1 from the measured velocity, then the chain; the
     # variance of the constrained stages k+2..k+N+1 repeats the last term
     mu_ref = propagate_hv_mean(state.hv_pos, hist.hv[0], fz.mean[0], cfg.step)
-    sigma_ref = propagate_hv_variance(state.hv_pos_var, fz.var[0], cfg.step)
+    sigma_ref = propagate_hv_variance(0.0, fz.var[0], cfg.step)
     for k in range(12):
         assert mu_ref == pytest.approx(mu[k], abs=1e-10)
         sigma_ref = propagate_hv_variance(sigma_ref, fz.var[min(k + 1, 11)], cfg.step)
@@ -313,7 +350,8 @@ def _scalar_trajectories(state, cfg, frozen, params, acc):
         hv_vel.append(arx_step(params, hv_lags, av_lags))
         hv_seq.append(hv_vel[-1])
     mu = [propagate_hv_mean(state.hv_pos, hist.hv[0], fz.mean[0], t)]
-    sig = [propagate_hv_variance(state.hv_pos_var, fz.var[0], t)]
+    # the measured HV position has no variance
+    sig = [propagate_hv_variance(0.0, fz.var[0], t)]
     for s in range(1, n + 1):
         mu.append(propagate_hv_mean(mu[-1], hv_vel[s - 1], fz.mean[min(s, n - 1)], t))
         sig.append(propagate_hv_variance(sig[-1], fz.var[min(s, n - 1)], t))
@@ -347,7 +385,7 @@ def _random_step(rng, n_av, horizon, gp_mode):
     hist = VelocityHistory(hv=rng.uniform(8.0, 10.0, 4), av=rng.uniform(8.0, 10.0, 4))
     state = PlatoonState(av_pos=-12.0 * np.arange(n_av) + rng.uniform(-1.0, 1.0, n_av),
                          av_vel=rng.uniform(8.0, 12.0, n_av), hv_pos=-12.0 * n_av - 3.0,
-                         history=hist, hv_pos_var=0.2 if gp_mode else 0.0)
+                         history=hist)
     frozen = None
     if gp_mode:
         frozen = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
@@ -566,8 +604,8 @@ def test_condense_output_is_the_csr_product_of_the_map(n_av, horizon, gp_mode):
         cd = condense(st, state, ref, frozen)
         fz = (st.zero_frozen, st.zero_frozen) if frozen is None else (frozen.mean, frozen.var)
         hist = state.history
-        z = np.concatenate((state.av_pos, state.av_vel, (state.hv_pos, state.hv_pos_var),
-                            hist.hv, hist.av, *fz, ref, (1.0,)))
+        z = np.concatenate((state.av_pos, state.av_vel, (state.hv_pos,), hist.hv, hist.av,
+                            *fz, ref, (1.0,)))
         want = st.terms @ z
         want[st.rows["hv_gap"]] -= cd.gap_bounds
         np.testing.assert_array_equal(cd.terms.view(np.uint64), want.view(np.uint64))
@@ -630,7 +668,7 @@ def test_structure_cache_hit_bit_identical_to_miss():
     cfg = MpcConfig(horizon=9, n_av=3)
     state = _state(n_av=3, v=7.0)
     ref = np.linspace(7.0, 9.0, 9)
-    frozen = evaluate_gp_along_trajectory(gp, state, cfg.horizon)
+    frozen = evaluate_gp_along_trajectory(gp, np.tile([7.0, 7.0], (cfg.horizon, 1)))
 
     def snapshot():
         cd = _condense(state, cfg, ref, frozen=frozen)
@@ -701,26 +739,14 @@ def test_rest_platoon_commands_zero():
 
 
 def test_one_gp_batch_eval_per_step():
-    class CountingGp:
-        def __init__(self, inner):
-            self.inner = inner
-            self.batch_calls = 0
-            self.hyper = inner.hyper
-
-        def predict_batch(self, xs):
-            self.batch_calls += 1
-            return self.inner.predict_batch(xs)
-
-    gp = CountingGp(_tiny_sparse_gp(targets=np.array([0.05, 0.0, -0.05, 0.1]),
-                                    nv=0.01))
+    gp = _RecordingGp(_tiny_sparse_gp(targets=np.array([0.05, 0.0, -0.05, 0.1]), nv=0.01))
     cfg = MpcConfig(horizon=8)
     ctrl = PlatoonController(cfg, mode="gp", gp_model=gp)
     state = _state(v=5.0)
     for k in range(6):
         _, sol = ctrl.step(state, np.full(8, 5.0))
         assert sol.status == "optimal"
-        assert gp.batch_calls == k + 1
-        assert ctrl.gp_batch_evals == k + 1
+        assert len(gp.queries) == k + 1
 
 
 def test_gp_bounds_dominate_nominal():
@@ -771,8 +797,7 @@ def test_warm_start_descent_property():
 
 def test_infeasible_state_falls_back_to_max_braking():
     cfg = MpcConfig(horizon=10)
-    # HV far inside the required gap; distinct speeds and lags, so the
-    # stage pairs show which AV and which lags they were taken from
+    # HV far inside the required gap
     state = PlatoonState(av_pos=np.array([0.0, -12.0]), av_vel=np.array([11.0, 10.0]),
                          hv_pos=-14.0,
                          history=VelocityHistory(hv=np.array([9.0, 8.5, 8.0, 7.5]),
@@ -782,7 +807,6 @@ def test_infeasible_state_falls_back_to_max_braking():
     assert sol.fallback
     assert sol.status in ("infeasible", "max_iter")
     np.testing.assert_allclose(acc0, cfg.acc_min, atol=0)
-    assert ctrl.fallback_count == 1
     assert ctrl.prev_solution is None
     # the fallback's trajectories are the braking plan's, decoded as a solution's
     cd = _condense(state, cfg, np.full(10, 10.0))
@@ -793,26 +817,35 @@ def test_infeasible_state_falls_back_to_max_braking():
     np.testing.assert_array_equal(sol.hv_pos_var, cd.sigma)
     np.testing.assert_array_equal(sol.gap_bounds, cd.gap_bounds)
     assert np.isnan(sol.cost) and sol.active == ()
-    hist = state.history
-    np.testing.assert_array_equal(sol.stage_pairs[:2], [[hist.hv[1], hist.av[1]],
-                                                        [hist.hv[0], hist.av[0]]])
-    np.testing.assert_array_equal(sol.stage_pairs[2:, 0], sol.hv_vel[:8])
-    np.testing.assert_array_equal(sol.stage_pairs[2:, 1], sol.av_vel[-1, :8])
+    # a GP controller drops its pairs on a fallback, so its next step
+    # freezes the GP terms at the measured current pair again
+    gp = _RecordingGp(_tiny_sparse_gp(nv=0.01))
+    gpc = PlatoonController(cfg, mode="gp", gp_model=gp)
+    _, sol = gpc.step(_state(v=10.0), np.full(10, 10.0))
+    assert sol.status == "optimal" and gpc.gp_pairs is not None
+    _, sol = gpc.step(state, np.full(10, 10.0))
+    assert sol.fallback and gpc.gp_pairs is None and gpc.prev_solution is None
+    gpc.step(state, np.full(10, 10.0))
+    np.testing.assert_array_equal(gp.queries[-1], np.tile([9.0, 10.0], (10, 1)))
 
 
 def test_stage_pairs_layout():
-    cfg = MpcConfig(horizon=6)
-    hist = VelocityHistory(hv=np.array([9.0, 8.0, 7.0, 6.0]),
-                           av=np.array([10.0, 9.0, 8.0, 7.0]))
-    state = PlatoonState(av_pos=np.array([0.0, -12.0]),
-                         av_vel=np.array([10.0, 10.0]),
-                         hv_pos=-24.0, history=hist)
-    ctrl = PlatoonController(cfg, mode="nominal")
-    _, sol = ctrl.step(state, np.full(6, 10.0))
-    np.testing.assert_array_equal(sol.stage_pairs[0], [8.0, 9.0])
-    np.testing.assert_array_equal(sol.stage_pairs[1], [9.0, 10.0])
-    np.testing.assert_allclose(sol.stage_pairs[2:, 0], sol.hv_vel[:4], atol=0)
-    np.testing.assert_allclose(sol.stage_pairs[2:, 1], sol.av_vel[-1][:4], atol=0)
+    # the next solve's GP query pairs: the measured current pair, then the
+    # plan's (HV velocity, trailing-AV velocity) pairs of stages k+1..k+N-2,
+    # the last repeated; a nominal controller keeps none
+    for n in (6, 2):
+        nominal = PlatoonController(MpcConfig(horizon=n), mode="nominal")
+        nominal.step(_lagged_state(), np.full(n, 10.0))
+        assert nominal.gp_pairs is None
+        ctrl = PlatoonController(MpcConfig(horizon=n), mode="gp", gp_model=_tiny_sparse_gp())
+        _, sol = ctrl.step(_lagged_state(), np.full(n, 10.0))
+        assert sol.status == "optimal"
+        pairs = ctrl.gp_pairs
+        assert pairs.shape == (n, 2)
+        np.testing.assert_array_equal(pairs[0], [9.0, 10.0])
+        np.testing.assert_array_equal(pairs[1:-1, 0], sol.hv_vel[:n - 2])
+        np.testing.assert_array_equal(pairs[1:-1, 1], sol.av_vel[-1, :n - 2])
+        np.testing.assert_array_equal(pairs[-1], pairs[-2])
 
 
 def test_config_validation():
@@ -831,7 +864,3 @@ def test_config_validation():
         with pytest.raises(ValueError, match=name):
             MpcConfig(**{name: value})
     assert MpcConfig(horizon=np.int64(5), n_av=np.int64(3)).horizon == 5
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="hv_pos_var"):
-            PlatoonState(av_pos=[0.0], av_vel=[0.0], hv_pos=-12.0,
-                         history=constant_history(0.0, 0.0), hv_pos_var=bad)

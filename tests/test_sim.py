@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gpplatoon.gp import Dataset, KernelHyper, SparseGpModel
-from gpplatoon.hv import ArxParams, N_LAGS, arx_step
+from gpplatoon.hv import ArxParams, N_LAGS, arx_step, default_disturbance
 import gpplatoon
 from gpplatoon import mpc
 from gpplatoon import qp as qp_module
@@ -236,9 +236,81 @@ def test_realtime_nominal_run_solves_every_step_within_bounds():
 
 
 def test_gp_run_counts_one_batch_per_step(control_fit):
-    spec = make_scenario("rest", duration=2.0)
-    result = run_closed_loop(spec, controller="gp", gp_model=control_fit.sparse)
-    assert result.gp_batch_evals == result.time.size
+    class CountingGp:
+        def __init__(self, inner):
+            self.inner, self.hyper, self.calls = inner, inner.hyper, 0
+
+        def predict_batch(self, xs):
+            self.calls += 1
+            return self.inner.predict_batch(xs)
+
+    gp = CountingGp(control_fit.sparse)
+    result = run_closed_loop(make_scenario("rest", duration=2.0), controller="gp", gp_model=gp)
+    assert gp.calls == result.time.size
+
+
+def _pinned_gp():
+    """A sparse GP at fixed hyperparameters, so no optimizer runs: the
+    ground-truth disturbance on a 6 x 6 grid of velocity pairs, with every
+    second grid point an inducing input."""
+    v = np.linspace(0.0, 35.0, 6)
+    inputs = np.stack(np.meshgrid(v, v), axis=-1).reshape(-1, 2)
+    h = KernelHyper(signal_variance=1e-2, length_scales=np.array([5.0, 5.0]),
+                    noise_variance=0.05)
+    data = Dataset(inputs=inputs, targets=default_disturbance(inputs[:, 0], inputs[:, 1]))
+    return SparseGpModel.from_inducing(data, h, inputs[::2])
+
+
+# Samples of 10 s of the emergency scenario with plant noise (seed 3),
+# recorded at commit 3ab33c4: at steps 10, 50 and 99, the positions and
+# velocities of the leader and the trailing AV, the trailing AV's applied
+# acceleration, the HV's position and velocity, the gap bound and the
+# terminal position variance. Runs on one BLAS thread and on the default
+# threads differ from each other by up to 1.4e-12.
+PINNED_STEPS = (10, 50, 99)
+PINNED_TOL = 1e-9
+PINNED = {
+    "nominal-2x20": ("nominal", MpcConfig(), [], [
+        [1.799999999999996, -10.848241216224467, 3.999999999999991, 2.708202385576328,
+         3.100908161507939, -23.981594623150983, 0.14198023885919334, 10.0, 0.0],
+        [48.9999999999999, 27.37846589574379, 19.999999999999957, 17.201265733523897,
+         3.775243576387047, -2.4684612655632, 14.894057211725476, 10.0, 0.0],
+        [184.34028230166146, 149.27403913422893, 32.33027280808286, 30.863551991097662,
+         2.1131699838379765, 130.9357617396673, 35.425493906723055, 10.0, 0.0],
+    ]),
+    "nominal-8x40": ("nominal", MpcConfig(n_av=8, horizon=40),
+                     [(1, "hv_velocity_clamped"), (3, "hv_velocity_clamped")], [
+        [1.80000000000001, -83.88917854397467, 4.000000000000021, 0.2807396809776991,
+         0.3860981144226106, -95.99843154212535, 0.014393178383630068, 10.0, 0.0],
+        [49.00000000000008, -77.80009227083812, 20.000000000000014, 3.340208275730885,
+         1.1194784556843578, -93.12427686035696, 2.290306560357079, 10.0, 0.0],
+        [177.8821974260351, -46.562286940041396, 29.502137681279383, 9.748699227836582,
+         1.3748930666347512, -63.953122895693426, 10.046766245432693, 10.0, 0.0],
+    ]),
+    "gp-2x20": ("gp", MpcConfig(), [], [
+        [1.799999999999996, -10.848241216224467, 3.999999999999991, 2.708202385576328,
+         3.100908161507939, -23.981594623150983, 0.14198023885919334, 10.183713375931948,
+         0.012474611873346295],
+        [48.9999999999999, 27.37846589574379, 19.999999999999957, 17.201265733523897,
+         3.775243576387047, -2.4684612655632, 14.894057211725476, 10.184516549621907,
+         0.01258392543384847],
+        [184.34566241516646, 149.29172164253404, 32.35022742160749, 30.923855614250076,
+         2.171134379430482, 130.9357909627171, 35.42608325777248, 10.184634359448395,
+         0.012599999692230721],
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED))
+def test_short_loop_matches_pinned_samples(case):
+    controller, cfg, events, samples = PINNED[case]
+    spec = make_scenario("emergency", duration=10.0, noise=True, seed=3, cfg=cfg)
+    r = run_closed_loop(spec, controller=controller, gp_model=_pinned_gp())
+    assert r.status == ["optimal"] * 100
+    assert r.events == events
+    got = [[r.av_pos[0, k], r.av_pos[-1, k], r.av_vel[0, k], r.av_vel[-1, k], r.av_acc[-1, k],
+            r.hv_pos[k], r.hv_vel[k], r.gap_bound[k], r.sigma_terminal[k]] for k in PINNED_STEPS]
+    np.testing.assert_allclose(got, samples, rtol=0, atol=PINNED_TOL)
 
 
 def test_single_step_distance():
@@ -253,8 +325,7 @@ def test_single_step_distance():
                     av_acc=np.zeros((1, 2)), hv_pos=np.array([-12.0, -11.9]),
                     hv_vel=np.ones(2), solve_time=np.zeros(2), status=["optimal"] * 2,
                     iterations=np.ones(2, dtype=int), gap_bound=np.full(2, 10.0),
-                    sigma_terminal=np.zeros(2), events=[], controller="nominal",
-                    gp_batch_evals=0)
+                    sigma_terminal=np.zeros(2), events=[])
     metrics = compute_metrics(res)
     assert metrics.traveled[0] == pytest.approx(0.1, abs=1e-12)
 
@@ -295,17 +366,18 @@ def test_result_csv_layout(tmp_path):
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        ScenarioSpec(name="x", duration=1.05)
-    with pytest.raises(ValueError):
-        make_scenario("nope")
-    with pytest.raises(ValueError):
-        ScenarioSpec(name="x", duration=1.0, spacing_factor=0.9)
+    with pytest.raises(ValueError, match="integral number of steps"):
+        ScenarioSpec(name="rest", duration=1.05)
+    for build in (lambda: make_scenario("nope"), lambda: ScenarioSpec(name="nonexistent")):
+        with pytest.raises(ValueError, match="unknown scenario"):
+            build()
+    # the vehicles start 1.2 av_gap apart, which must exceed the HV gap bound
+    with pytest.raises(ValueError, match="initial spacing"):
+        ScenarioSpec(name="rest", duration=1.0, cfg=MpcConfig(av_gap=8.0))
 
 
 @pytest.mark.parametrize("name, value", [
     ("duration", -1.0), ("duration", 0.0), ("duration", np.nan), ("duration", np.inf),
-    ("spacing_factor", np.nan), ("spacing_factor", np.inf),
     ("plant_noise_std", np.nan), ("plant_noise_std", np.inf), ("plant_noise_std", -0.1),
     ("seed", -1), ("seed", 1.5)])
 def test_scenario_rejects_bad_number(name, value):
@@ -317,7 +389,7 @@ def test_scenario_profile_follows_its_name():
     assert make_scenario("emergency").profile() is emergency_brake_profile
     assert make_scenario("realtime").profile() is realtime_brake_profile
     with pytest.raises(ValueError, match="emergency"):
-        ScenarioSpec(name="x").profile()
+        ScenarioSpec(name="x")
 
 
 def test_realtime_preset_uses_its_sample_time():
