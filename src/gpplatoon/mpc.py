@@ -20,8 +20,10 @@ constant part, the position variances, the decode offsets, the cost
 residuals and, through the residuals' x-half, the cost vector q. This is
 the multi-parametric form of condensed MPC (Bemporad et al. 2002). The HV
 chain is :func:`gpplatoon.hv.arx_step` applied to linear maps. P and G sit
-in one :class:`~gpplatoon.qp.QuadraticProgram`, which checks them and
-factors P once. A control step takes one product
+in one :class:`~gpplatoon.qp.QuadraticProgram`, which checks them, with
+P's factor built once: by Cholesky for small horizons, and above
+``KRONECKER_CROSSOVER`` variables from P's Kronecker structure, so large
+templates never form an n x n factor. A control step takes one product
 with the map, subtracts the gap bounds from h and computes the cost
 constant; it decodes one plan, the QP's solution or maximum braking when
 the solve fails, with two more products.
@@ -39,7 +41,7 @@ from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
-from .qp import QuadraticProgram, solve_qp, spmv, to_csr
+from .qp import KroneckerFactor, QuadraticProgram, solve_qp, spmv, to_csr
 
 
 @dataclass(frozen=True)
@@ -198,6 +200,11 @@ class _QpStructure:
     x-half is zero outside that AV's N columns; ``hv_decode`` is those
     columns, (2N+1, N), and the build checks that the rest are zero.
     ``qp`` is the template program: P, its factor and G, with zero vectors.
+    The factor is a Cholesky :class:`~gpplatoon.qp.TriangularFactor` up to
+    ``KRONECKER_CROSSOVER`` variables and a
+    :class:`~gpplatoon.qp.KroneckerFactor` built from ``cfg`` above it
+    (see :func:`_kronecker_factor`); P itself is kept either way, for
+    :meth:`~gpplatoon.qp.QuadraticProgram.objective` and residual checks.
     Every array is read-only and shared by all the :class:`CondensedQp`
     built from the same ``(cfg, arx)``.
     """
@@ -290,6 +297,31 @@ def _horizon_laws(cfg: MpcConfig, arx: ArxParams):
     return laws, int(cuts[-1])
 
 
+# Templates with more decision variables than this factor their cost matrix
+# through its Kronecker structure (see _kronecker_factor), the others by
+# Cholesky. Below it, the Python overhead of the Kronecker factor's small
+# products costs more than one small dense product. Measured in the closed
+# loop (nominal, 10 s of emergency with plant noise, seed 1, one BLAS
+# thread, 2-core Xeon), as the ratio of the medians of 4-6 alternating runs'
+# step-time p50, Kronecker over Cholesky: 2x20 1.10, 4x20 1.08, 6x20 1.04,
+# 4x40 1.04, 8x20 1.02, 5x40 0.96, 10x20 0.95, 6x40 0.82, 12x20 0.90 and
+# 8x40 0.73, with the same statuses and iteration counts at every size.
+KRONECKER_CROSSOVER = 160
+
+
+def _kronecker_factor(cfg: MpcConfig) -> KroneckerFactor:
+    """The factor of P = 2 (D^T D) (x) (t^2 M^T M) + 2r I, built from ``cfg``
+    alone. The cost residuals are D (x) (t M) applied to x: D (n_av x n_av)
+    has the leader's row sqrt(q1) e_0 and the rows sqrt(q2) (e_j - e_(j-1))
+    of adjacent AVs, and M ((N+1) x N) maps accelerations to the velocity
+    increments of stages k+1..k+N+1, the last held."""
+    nav, n = cfg.n_av, cfg.horizon
+    d = math.sqrt(cfg.q2) * (np.eye(nav) - np.eye(nav, k=-1))
+    d[0, 0] = math.sqrt(cfg.q1)
+    m = cfg.step * np.tri(n + 1, n)
+    return KroneckerFactor(2.0 * (d.T @ d), m.T @ m, 2.0 * cfg.r)
+
+
 @functools.lru_cache(maxsize=16)
 def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
     """The template of ``(cfg, arx)``, cached on the two values; pass both
@@ -301,7 +333,13 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
     into G's nonzeros, and its cost residuals and decode blocks into their
     columns. G is never dense: at ``n_av=16, N=80`` a dense G would take
     62.5 MB, its CSR form takes 2.4 MB, and the build's traced peak is
-    84 MB.
+    47 MB.
+
+    Above ``KRONECKER_CROSSOVER`` variables P's factor comes from ``cfg``
+    alone, and the build checks it against the laws: on three probe
+    vectors its P v must equal 2 R_x'(R_x v) + 2r v to 1e-12 relative, or
+    it raises ``AssertionError``, so a cost law the Kronecker form does not
+    model fails here instead of solving another program.
     """
     n, nav = cfg.horizon, cfg.n_av
     nd = nav * n
@@ -334,12 +372,20 @@ def _structure(cfg: MpcConfig, arx: ArxParams) -> _QpStructure:
     p_cost = r_x.T @ r_x
     p_cost *= 2.0
     p_cost.flat[::nd + 1] += 2.0 * cfg.r
+    factor = None
+    if nd > KRONECKER_CROSSOVER:
+        factor = _kronecker_factor(cfg)
+        probe = np.random.default_rng(0).standard_normal((nd, 3))
+        want = 2.0 * (r_x.T @ (r_x @ probe)) + 2.0 * cfg.r * probe
+        got = np.column_stack([factor.cost(v) for v in probe.T])
+        if not np.abs(got - want).max() <= 1e-12 * np.abs(want).max():
+            raise AssertionError("the cost matrix is not the Kronecker form of its laws")
     terms = sparse.vstack((*z_half.values(), to_csr(2.0 * (r_x.T @ z_half["cost"]))), format="csr")
     del r_x, z_half     # before the program's factor, which can then reuse the memory
     zero_frozen = np.zeros(n)
     for arr in (av_decode, hv_decode, zero_frozen, terms.data, terms.indices, terms.indptr):
         arr.flags.writeable = False
-    qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]))
+    qp = QuadraticProgram(p_cost, np.zeros(nd), g_mat, np.zeros(g_mat.shape[0]), factor)
     return _QpStructure(cfg=cfg, qp=qp, terms=terms, zero_frozen=zero_frozen, rows=rows,
                         shapes=shapes, av_decode=av_decode, hv_decode=hv_decode)
 

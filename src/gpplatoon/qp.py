@@ -15,16 +15,31 @@ the row with the most negative multiplier is dropped until none is
 negative, and the dual iteration goes on from that dual-feasible point.
 If the hint was the optimal active set, the solve is one linear system.
 
-As in Goldfarb and Idnani's method, the iteration works in the fixed basis
-J = L^-T of the cost factor P = L L^T: with the active rows mapped to
-y = G J, each step solves a system of the active-set size rather than the
-bordered KKT system. Each :class:`QuadraticProgram` owns read-only copies
-of P, q and h, P's J, and G in CSR form, its only stored form: dense input
-is converted when the program is built. :meth:`QuadraticProgram.with_vectors`
-gives programs that copy only q and h and share the rest (the MPC's, one
-template per configuration), so P is factored once per template. The MPC's
-G is 2-5% nonzeros: at ``n_av=16, N=80`` (6400 x 1280) its CSR form takes
-2.4 MB, where a dense copy would take 62.5 MB.
+As in Goldfarb and Idnani's method, the iteration works in a fixed basis
+J with J J^T = P^-1: with the active rows mapped to y = G J, each step
+solves a system of the active-set size rather than the bordered KKT
+system. J need not be triangular. Each :class:`QuadraticProgram` owns
+read-only copies of P, q and h, a factor of P that applies J, and G in CSR
+form, its only stored form: dense input is converted when the program is
+built. :meth:`QuadraticProgram.with_vectors` gives programs that copy only
+q and h and share the rest (the MPC's, one template per configuration), so
+P is factored once per template. The MPC's G is 2-5% nonzeros: at
+``n_av=16, N=80`` (6400 x 1280) its CSR form takes 2.4 MB, where a dense
+copy would take 62.5 MB.
+
+The factor is all the solver reads of J and P. It provides w = -J^T q and
+x = J w (``start_w``, ``start_x``), J v (``mul``), v^T J for one row or the
+k rows of a (k, n) array (``lmul``), row c of J or the rows of an index
+array (``rows``), and P x (``cost``). There are two:
+
+- :class:`TriangularFactor`, the default, built by Cholesky: J = L^-T for
+  P = L L^T, an n x n upper triangular array;
+- :class:`KroneckerFactor`, for P = A (x) B + c I (the MPC's cost above a
+  size; see ``mpc.KRONECKER_CROSSOVER``): J = (U (x) V) diag(scale) from
+  the eigenvectors of A and B, applied as two small matrix products on x
+  reshaped to a matrix, so no n x n J is formed or read. At
+  ``n_av=32, N=80`` one J v takes about 15 us against 2.2 ms for the
+  triangular J.
 
 Every product of G with x over all its rows, G x - h, goes through
 :meth:`QuadraticProgram.ineq_excess`, so the violation scan that starts
@@ -48,29 +63,27 @@ nonzero, a simple bound such as the MPC's acceleration box, needs no
 product: its row of G J is that entry times one row of J. The program
 records the column of each such row when it is built (``bound_column``,
 one integer per row), so an entering bound row and the bound rows of a
-hint are gathered from J, and only the other rows are multiplied, one
-n x n product per entering row and one k x n x n product for the k other
-rows of a hint. The product of a one-entry row adds only exact zeros, so
-the gathered row equals it bit for bit.
+hint are gathered from J (``rows``), and only the other rows are
+multiplied (``lmul``): with the triangular factor, one n x n product per
+entering row and one k x n x n product for the k other rows of a hint.
+There the product of a one-entry row adds only exact zeros, so the
+gathered row equals it bit for bit.
 
-J is upper triangular (its strictly lower part is exactly zero), and the
-two products a solve starts from, w = -J^T q and x = J w, go through
-BLAS ``dtrmv`` on the Fortran-ordered view ``J.T``, which reads one
-triangle in place; x = J w is formed only if read, since a hot start
-that keeps a hinted row sets x itself. The reported residual and
-objective take P x through ``dsymv`` on P's lower triangle, the one its
-factor is built from; P is symmetric only to within 1e-10, so the upper
-triangle could disagree with the factor. An empty-hint solve at
-``n_av=8, N=40`` thus reads half of J and half of P (410 KB each)
-instead of all of both, and with G (320 KB) and the MPC's step map and
-decode blocks (190 KB) its data is about 1.3 MB, where the dense
-products needed about 2.3 MB: more than a 2 MB L2 cache. The
-products inside the iteration (``enter``'s ``npl @ J`` and ``J @ v``,
-and ``J @ ...`` in ``hot_start`` and ``_retighten``) stay on ``@``:
-through ``dtrmv`` their last bits change the verdict of a degenerate
-program (an equality written as two opposite rows) on one BLAS thread,
-for a gain in the slow steps of a few percent at most. ``J`` itself is
-formed with ``solve_triangular``, for the same reason.
+The triangular factor's J is upper triangular (its strictly lower part is
+exactly zero), and its two start products go through BLAS ``dtrmv`` on
+the Fortran-ordered view ``J.T``, which reads one triangle in place; x =
+J w is formed only if read, since a hot start that keeps a hinted row sets
+x itself. Its P x, for the reported residual and objective, goes through
+``dsymv`` on P's lower triangle, the one the factor is built from; P is
+symmetric only to within 1e-10, so the upper triangle could disagree with
+the factor. An empty-hint solve at ``n_av=8, N=40`` thus reads half of J
+and half of P (410 KB each) instead of all of both. The products inside
+the iteration (``mul`` and ``lmul`` in ``enter``, ``hot_start`` and
+``_retighten``) stay on ``@``: through ``dtrmv`` their last bits change
+the verdict of a degenerate program (an equality written as two opposite
+rows) on one BLAS thread, for a gain in the slow steps of a few percent at
+most. ``J`` itself is formed with ``solve_triangular``, for the same
+reason.
 """
 
 from __future__ import annotations
@@ -129,13 +142,17 @@ class QuadraticProgram:
     converted, with sorted column indices and no stored zeros) and the
     column of each one-entry row of G, so a bad P raises ``ValueError``
     here and later edits of the caller's arrays do not reach the program.
+    Without a ``factor`` P gets a :class:`TriangularFactor`; a given one
+    (such as the MPC's :class:`KroneckerFactor`) is checked for its size
+    only, and its caller vouches that it factors P.
     """
 
     cost_matrix: np.ndarray
     cost_vector: np.ndarray
     ineq_matrix: sparse.csr_array = None
     ineq_vector: np.ndarray = None
-    inverse_factor: np.ndarray = field(init=False, repr=False, compare=False)  # J = L^-T
+    # J with J J^T = P^-1: a TriangularFactor of P unless one is given
+    factor: TriangularFactor | KroneckerFactor = field(default=None, repr=False, compare=False)
     # per row of G: the column of its one nonzero, or -1 if it has none or several
     bound_column: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -169,7 +186,10 @@ class QuadraticProgram:
         column[single] = g.indices[g.indptr[:-1][single]]
         column.flags.writeable = False
         object.__setattr__(self, "bound_column", column)
-        object.__setattr__(self, "inverse_factor", _inverse_factor(p))
+        if self.factor is None:
+            object.__setattr__(self, "factor", TriangularFactor(p))
+        elif self.factor.n != n:
+            raise ValueError(f"factor is of size {self.factor.n}, the cost matrix of {n}")
         self._set_vectors(self.cost_vector,
                           np.zeros(0) if self.ineq_vector is None else self.ineq_vector)
 
@@ -260,10 +280,129 @@ def _inverse_factor(p: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
 
 
+class TriangularFactor:
+    """J = L^-T of the Cholesky factor P = L L^T (with jitter if P is only
+    PSD): upper triangular, its strictly lower part exactly zero.
+
+    The start products go through BLAS ``dtrmv`` on the Fortran-ordered
+    view ``J.T``, which reads one triangle in place, and P x through
+    ``dsymv`` on P's lower triangle, the one the factor is built from. The
+    products inside the iteration stay on ``@`` (see the module docstring).
+    """
+
+    def __init__(self, p: np.ndarray):
+        self.p = p
+        self.j = _inverse_factor(p)
+        self.j.flags.writeable = False
+        self.n = p.shape[0]
+
+    def start_w(self, q: np.ndarray) -> np.ndarray:
+        """w = -J^T q."""
+        return dtrmv(self.j.T, -q, lower=1, overwrite_x=1)
+
+    def start_x(self, w: np.ndarray) -> np.ndarray:
+        """x = J w, the unconstrained minimiser from ``start_w``'s w."""
+        return dtrmv(self.j.T, w, lower=1, trans=1)
+
+    def mul(self, v: np.ndarray) -> np.ndarray:
+        """J v."""
+        return self.j @ v
+
+    def lmul(self, v: np.ndarray, out=None) -> np.ndarray:
+        """v^T J for one row v, or the rows of a (k, n) ``v``."""
+        return np.matmul(v, self.j, out=out)
+
+    def rows(self, cols) -> np.ndarray:
+        """Row ``cols`` of J, or the rows of an index array."""
+        return self.j[cols]
+
+    def cost(self, x: np.ndarray) -> np.ndarray:
+        """P x."""
+        # P.T in Fortran order is P, and its upper triangle there is P's
+        # lower one, the triangle the factor was built from
+        return dsymv(1.0, self.p.T, x)
+
+
+class KroneckerFactor:
+    """A factor J J^T = P^-1 of P = A (x) B + c I, for symmetric PSD A
+    (m x m) and B (N x N) and c > 0, that never forms an n x n matrix.
+
+    With A = U diag(a) U^T and B = V diag(b) V^T (two small ``eigh``), P =
+    (U (x) V) diag(a_i b_k + c) (U (x) V)^T, so J = (U (x) V) diag(scale)
+    with ``scale`` (m, N) = (a_i b_k + c)^-1/2 (Lynch, Rice and Thomas
+    1964). J is not triangular; Goldfarb and Idnani's iteration needs only
+    J J^T = P^-1. Every product works on a vector reshaped to X (m, N) in
+    row-major order, where (U (x) V) x is U X V^T: two small matrix products
+    in place of one n x n product, so an n x n J is never formed or read.
+    Row i*N + k of J is the outer product of U[i] and V[k], times ``scale``.
+    P x is A X B + c X, from A and B themselves rather than from the
+    eigendecomposition.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, shift: float):
+        ea, u = np.linalg.eigh(a)
+        eb, v = np.linalg.eigh(b)
+        lam = np.multiply.outer(ea, eb)
+        lam += shift
+        if not lam.min() > 0:
+            raise ValueError("Kronecker cost matrix is not positive definite")
+        self.a, self.b = np.array(a, dtype=float), np.array(b, dtype=float)
+        self.shift = float(shift)
+        self.u, self.v = u, v
+        self.scale = lam ** -0.5
+        # U[i, a] scale[a, b], so row i*N + k of J is u_scaled[i] * V[k]
+        self.u_scaled = u[:, :, None] * self.scale
+        self.shape = lam.shape
+        self.n = lam.size
+        for arr in (self.a, self.b, u, v, self.scale, self.u_scaled):
+            arr.flags.writeable = False
+
+    def start_w(self, q: np.ndarray) -> np.ndarray:
+        w = self.lmul(q)
+        return np.negative(w, out=w)
+
+    def start_x(self, w: np.ndarray) -> np.ndarray:
+        return self.mul(w)
+
+    def mul(self, v: np.ndarray) -> np.ndarray:
+        """J v = vec(U (scale * V_) V^T), V_ the (m, N) reshape of v."""
+        return (self.u @ ((self.scale * v.reshape(self.shape)) @ self.v.T)).ravel()
+
+    def lmul(self, v: np.ndarray, out=None) -> np.ndarray:
+        """v^T J = scale * vec(U^T V_ V) for one row v; for k rows, one
+        (k m, N) product with V, then k products with U^T."""
+        m, nn = self.shape
+        if v.ndim == 1:
+            res = self.u.T @ (v.reshape(m, nn) @ self.v)
+        else:
+            k = v.shape[0]
+            res = np.matmul(self.u.T, (v.reshape(k * m, nn) @ self.v).reshape(k, m, nn),
+                            out=None if out is None else out.reshape(k, m, nn))
+        res *= self.scale
+        return res.reshape(v.shape)
+
+    def rows(self, cols) -> np.ndarray:
+        if np.ndim(cols) == 0:
+            i, k = divmod(int(cols), self.shape[1])
+            return (self.u_scaled[i] * self.v[k]).ravel()
+        i, k = np.divmod(cols, self.shape[1])
+        res = self.u_scaled.take(i, axis=0)
+        res *= self.v.take(k, axis=0)[:, None, :]
+        return res.reshape(-1, self.n)
+
+    def cost(self, x: np.ndarray) -> np.ndarray:
+        """P x = vec(A X B + c X)."""
+        xm = x.reshape(self.shape)
+        px = self.a @ (xm @ self.b)
+        px += self.shift * xm
+        return px.ravel()
+
+
 class _DualActiveSet:
     """Goldfarb-Idnani iteration state for rows -G x >= -h.
 
-    Works in the fixed basis J = L^-T of the cost factor: it keeps the rows
+    Works in the fixed basis J of the program's factor (J J^T = P^-1),
+    which it applies only through the factor's products: it keeps the rows
     ``-G[i] @ J`` of the active constraints, so each step solves a system
     of the active-set size instead of the bordered KKT system. For a bound
     row (``bound_column[i] >= 0``) that row is ``-G[i, c] * J[c]``,
@@ -285,12 +424,11 @@ class _DualActiveSet:
         g = qp.ineq_matrix
         self.indptr, self.indices, self.data = g.indptr, g.indices, g.data
         self.h = qp.ineq_vector
-        self.j = j = qp.inverse_factor
+        self.factor = factor = qp.factor
         self.column = qp.bound_column
         self.n = qp.n
-        # J is upper triangular, so J.T is its lower triangle in Fortran order,
-        # which BLAS reads in place: w = -J^T q here, and x = J w when read
-        self.w = dtrmv(j.T, -qp.cost_vector, lower=1, overwrite_x=1)
+        # w = -J^T q here, and x = J w when read
+        self.w = factor.start_w(qp.cost_vector)
         self._x = None
         self.ids: list[int] = []
         self.k = 0
@@ -309,7 +447,7 @@ class _DualActiveSet:
         ``__dict__``, which made cold solves 3-5% slower on CPython 3.11.)"""
         x = self._x
         if x is None:
-            self._x = x = dtrmv(self.j.T, self.w, lower=1, trans=1)
+            self._x = x = self.factor.start_x(self.w)
         return x
 
     @x.setter
@@ -368,7 +506,7 @@ class _DualActiveSet:
             ids = self.ids
             _, c, info = dposv(self.gram[:k, :k], self.ga[:k] @ self.x - self.h[ids])
             if not info:
-                self.x = self.x + self.j @ (c @ self.y[:k])
+                self.x = self.x + self.factor.mul(c @ self.y[:k])
 
     def hot_start(self, hint) -> None:
         """Make the hinted rows tight, dropping the row with the most negative
@@ -407,13 +545,13 @@ class _DualActiveSet:
             cols = self.column[idx]
             dense = cols < 0
             if dense.all():
-                np.matmul(ga, self.j, out=y)
+                self.factor.lmul(ga, out=y)
             else:
                 # a bound row's product is its one entry times a row of J;
                 # the other rows gather J[-1] here and are overwritten below
-                np.multiply(self.j[cols], ga[np.arange(k), cols][:, None], out=y)
+                np.multiply(self.factor.rows(cols), ga[np.arange(k), cols][:, None], out=y)
                 if dense.any():
-                    y[dense] = ga[dense] @ self.j
+                    y[dense] = self.factor.lmul(ga[dense])
             self.gram[:k, :k] = y @ y.T
             np.subtract(y @ self.w, h[idx], out=self.u[:k])
             np.negative(y, out=y)
@@ -435,7 +573,7 @@ class _DualActiveSet:
             if mu[drop] >= -1e-9:
                 break
             self._drop(drop)
-        self.x = self.j @ (self.w + mu @ self.y[:k])
+        self.x = self.factor.mul(self.w + mu @ self.y[:k])
         self.u[:k] = np.maximum(mu, 0.0)
 
     def enter(self, cid: int, max_iter: int) -> str:
@@ -455,7 +593,7 @@ class _DualActiveSet:
         g_row = self._row(cid)
         npl, level = -g_row, -self.h[cid]
         col = self.column[cid]
-        d = npl[col] * self.j[col] if col >= 0 else npl @ self.j
+        d = npl[col] * self.factor.rows(col) if col >= 0 else self.factor.lmul(npl)
         d_norm2 = d @ d
         slack = float(npl @ self.x) - level
         u_plus = 0.0
@@ -477,7 +615,7 @@ class _DualActiveSet:
                 t1 = ratio[block]
             else:
                 r, v = yd, d
-            z = self.j @ v
+            z = self.factor.mul(v)
             z_zero = v @ v <= _RANK_TOL * d_norm2
             t2 = np.inf if z_zero else -slack / float(z @ npl)
             t = min(t1, t2)
@@ -530,9 +668,7 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         u = np.maximum(state.u[:state.k], 0.0)
         mu = np.zeros(mi)
         mu[act] = u
-        # P.T in Fortran order is P, and its upper triangle there is P's
-        # lower one, the triangle the factor was built from
-        px = dsymv(1.0, qp.cost_matrix.T, x)
+        px = qp.factor.cost(x)
         # mu is zero outside the active rows, so G^T mu needs only their
         # dense rows, kept in the order of the active set
         grad = px + qp.cost_vector + u @ state.ga[:state.k]

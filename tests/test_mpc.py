@@ -19,6 +19,7 @@ from gpplatoon.mpc import (
     evaluate_gp_along_trajectory,
 )
 from gpplatoon.qp import solve_qp
+from gpplatoon.sim import make_scenario, run_closed_loop
 from oracles import AvState, av_step, constant_history, propagate_hv_mean, propagate_hv_variance
 
 
@@ -571,7 +572,9 @@ def test_large_template_build_never_holds_a_dense_g():
     """At n_av=16, N=80 a dense G (6400 x 1280) would take 62.5 MB, and a
     build through one peaks at 218 MB of traced memory and keeps 91 MB.
     Built one AV's columns at a time, the build peaks at no more than half
-    of that and the template keeps at most 35 MB."""
+    of that. The template keeps 16.0 MB, mostly P (12.5 MB): its Kronecker
+    factor forms no n x n J, so the bound, 2 MB above that, fails if one
+    (another 12.5 MB) is kept again."""
     cfg, arx = MpcConfig(n_av=16, horizon=80), ArxParams.default()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -586,7 +589,8 @@ def test_large_template_build_never_holds_a_dense_g():
             tracemalloc.stop()
     assert st.qp.ineq_matrix.shape == (6400, 1280)
     assert (peak - base) / 2**20 <= 109.0
-    assert (kept - base) / 2**20 <= 35.0
+    assert isinstance(st.qp.factor, qp_module.KroneckerFactor)
+    assert (kept - base) / 2**20 <= 18.0
 
 
 @pytest.mark.parametrize("gp_mode", [False, True])
@@ -711,6 +715,179 @@ def test_alternating_configs_factor_each_cost_matrix_once(monkeypatch):
         _, sol = ctrl.step(state, np.full(ctrl.cfg.horizon, 6.0))
         assert sol.status == "optimal"
     assert shapes == [(16, 16), (18, 18)]
+
+
+def test_configs_above_the_crossover_build_one_kronecker_factor_each(monkeypatch):
+    """Two controllers above the crossover, stepped in turn, build their
+    Kronecker factor once each, with their templates, and never factor a
+    dense P."""
+    chol, kron = [], []
+    factor, kronecker = qp_module._chol_or_jitter, mpc._kronecker_factor
+
+    def counting_chol(p):
+        chol.append(p.shape)
+        return factor(p)
+
+    def counting_kron(cfg):
+        kron.append(cfg.horizon)
+        return kronecker(cfg)
+
+    monkeypatch.setattr(qp_module, "_chol_or_jitter", counting_chol)
+    monkeypatch.setattr(mpc, "_kronecker_factor", counting_kron)
+    mpc._structure.cache_clear()
+    horizons = [mpc.KRONECKER_CROSSOVER // 4 + 1, mpc.KRONECKER_CROSSOVER // 4 + 2]
+    ctrls = [PlatoonController(MpcConfig(n_av=4, horizon=h), mode="nominal") for h in horizons]
+    state = _state(n_av=4, v=5.0)
+    for k in range(10):
+        ctrl = ctrls[k % 2]
+        assert isinstance(ctrl.structure.qp.factor, qp_module.KroneckerFactor)
+        _, sol = ctrl.step(state, np.full(ctrl.cfg.horizon, 6.0))
+        assert sol.status == "optimal"
+    assert kron == horizons and chol == []
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker factor of the cost matrix
+# ---------------------------------------------------------------------------
+
+# (n_av, N, q1, q2, r, step), the last the benchmark's large_nominal shape
+KRON_CONFIGS = [(1, 5, 5.0, 5.0, 10.0, 0.1), (2, 20, 1.0, 30.0, 0.5, 0.05),
+                (3, 7, 50.0, 0.2, 3.0, 0.25), (5, 30, 5.0, 5.0, 0.01, 0.1),
+                (8, 40, 5.0, 5.0, 10.0, 0.1)]
+
+
+def _law_cost_matrix(cfg):
+    """P = 2 R_x'R_x + 2r I from the cost residuals of the horizon's laws,
+    evaluated on the whole identity over x."""
+    laws, nz = mpc._horizon_laws(cfg, ArxParams.default())
+    nd = cfg.n_av * cfg.horizon
+    r_x = dict(laws(np.eye(nz + nd, nd, -nz)))["cost"].reshape(-1, nd)
+    return 2.0 * (r_x.T @ r_x) + 2.0 * cfg.r * np.eye(nd)
+
+
+def _dense_j(f):
+    """The factor's J, formed: (U (x) V) diag(scale)."""
+    return np.kron(f.u, f.v) * f.scale.ravel()
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+@pytest.mark.parametrize("n_av, horizon, q1, q2, r, step", KRON_CONFIGS)
+def test_kronecker_factor_inverts_the_law_cost_matrix(n_av, horizon, q1, q2, r, step):
+    cfg = MpcConfig(n_av=n_av, horizon=horizon, q1=q1, q2=q2, r=r, step=step)
+    f = mpc._kronecker_factor(cfg)
+    j = _dense_j(f)
+    np.testing.assert_allclose(_law_cost_matrix(cfg) @ j @ j.T, np.eye(f.n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_av, horizon, q1, q2, r, step", KRON_CONFIGS)
+def test_kronecker_factor_products_match_the_formed_j(n_av, horizon, q1, q2, r, step):
+    """mul, lmul (one row and k rows, into a buffer too), rows (one and
+    several) and the start products agree with the formed J to 1e-13,
+    relative to each result's size."""
+    cfg = MpcConfig(n_av=n_av, horizon=horizon, q1=q1, q2=q2, r=r, step=step)
+    f = mpc._kronecker_factor(cfg)
+    j, n = _dense_j(f), f.n
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        assert _rel_err(f.mul(v), j @ v) <= 1e-13
+        assert _rel_err(f.lmul(v), v @ j) <= 1e-13
+        w = f.start_w(v)
+        assert _rel_err(w, -(v @ j)) <= 1e-13
+        assert _rel_err(f.start_x(w), j @ w) <= 1e-13
+        for k in (1, 5):
+            rows = rng.standard_normal((k, n))
+            assert _rel_err(f.lmul(rows), rows @ j) <= 1e-13
+            out = np.empty((k + 2, n))
+            f.lmul(rows, out=out[:k])
+            assert _rel_err(out[:k], rows @ j) <= 1e-13
+        cols = rng.integers(0, n, 6)
+        assert _rel_err(f.rows(cols), j[cols]) <= 1e-13
+        for c in (cols[0], int(cols[1]), 0, n - 1):
+            assert _rel_err(f.rows(c), j[c]) <= 1e-13
+
+
+@pytest.mark.parametrize("n_av, horizon", [(4, 41), (8, 40), (5, 33)])
+def test_kronecker_cost_product_matches_the_template_cost_matrix(n_av, horizon):
+    st = mpc._structure(MpcConfig(n_av=n_av, horizon=horizon), ArxParams.default())
+    assert isinstance(st.qp.factor, qp_module.KroneckerFactor)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        x = rng.uniform(-4.0, 4.0, st.qp.n)
+        assert _rel_err(st.qp.factor.cost(x), st.qp.cost_matrix @ x) <= 1e-13
+
+
+def test_crossover_keeps_paper_scale_on_the_triangular_factor():
+    # the paper's n_av=2, N=20 (40 variables) stays on the Cholesky factor
+    assert 40 <= mpc.KRONECKER_CROSSOVER < 320
+    for n_av, horizon in ((2, 20), (8, 40)):
+        st = mpc._structure(MpcConfig(n_av=n_av, horizon=horizon), ArxParams.default())
+        kind = (qp_module.KroneckerFactor if n_av * horizon > mpc.KRONECKER_CROSSOVER
+                else qp_module.TriangularFactor)
+        assert type(st.qp.factor) is kind
+
+
+def test_build_rejects_a_cost_law_that_is_not_the_kronecker_form(monkeypatch):
+    """A template above the crossover checks its Kronecker P against the
+    cost residuals of its laws: a cost law the factor does not model (here
+    one stage's residuals scaled) raises instead of solving another QP."""
+    laws_of = mpc._horizon_laws
+
+    def changed(cfg, arx):
+        laws, nz = laws_of(cfg, arx)
+
+        def perturbed(w):
+            for name, block in laws(w):
+                if name == "cost":
+                    block = block.copy()
+                    block[:, 3] *= 1.001
+                yield name, block
+
+        return perturbed, nz
+
+    monkeypatch.setattr(mpc, "_horizon_laws", changed)
+    cfg = MpcConfig(n_av=4, horizon=mpc.KRONECKER_CROSSOVER // 4 + 1)
+    with pytest.raises(AssertionError, match="Kronecker"):
+        mpc._structure.__wrapped__(cfg, ArxParams.default())
+    # below the crossover the same law builds a Cholesky-factored template
+    small = mpc._structure.__wrapped__(MpcConfig(n_av=2, horizon=10), ArxParams.default())
+    assert isinstance(small.qp.factor, qp_module.TriangularFactor)
+
+
+@pytest.mark.parametrize("n_av, horizon", [(8, 40), (16, 40)])
+def test_kronecker_and_triangular_factors_solve_alike(n_av, horizon, monkeypatch):
+    """At closed-loop states of 8x40 and 16x40, the Kronecker-factored
+    program and the same program factored by Cholesky reach the same
+    status, iteration count and active set, cold and hinted, and their
+    solutions agree to 1e-9 relative."""
+    recorded = []
+
+    def recording(qp, **kwargs):
+        recorded.append((qp, kwargs.get("active_hint")))
+        return qp_module.solve_qp(qp, **kwargs)
+
+    monkeypatch.setattr(mpc, "solve_qp", recording)
+    cfg = MpcConfig(n_av=n_av, horizon=horizon)
+    run_closed_loop(make_scenario("emergency", cfg=cfg, duration=2.0, seed=1, noise=True),
+                    controller="nominal")
+    template = mpc._structure(cfg, ArxParams.default()).qp
+    assert isinstance(template.factor, qp_module.KroneckerFactor)
+    dense = qp_module.QuadraticProgram(template.cost_matrix, template.cost_vector,
+                                       template.ineq_matrix, template.ineq_vector)
+    assert isinstance(dense.factor, qp_module.TriangularFactor)
+    compared = 0
+    for qp, hint in recorded[::4]:
+        other = dense.with_vectors(qp.cost_vector, qp.ineq_vector)
+        for h in {None, hint}:
+            a, b = solve_qp(qp, active_hint=h), solve_qp(other, active_hint=h)
+            assert a.status == b.status == "optimal"
+            assert a.iterations == b.iterations and a.active == b.active
+            assert _rel_err(a.x, b.x) <= 1e-9
+            compared += 1
+    assert compared >= 8
 
 
 def test_fallback_names_violated_row():

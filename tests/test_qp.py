@@ -5,7 +5,14 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
-from gpplatoon.qp import QuadraticProgram, _DualActiveSet, solve_qp, to_csr
+from gpplatoon.qp import (
+    KroneckerFactor,
+    QuadraticProgram,
+    TriangularFactor,
+    _DualActiveSet,
+    solve_qp,
+    to_csr,
+)
 
 
 def enumerate_qp(p, q, g, h, tol=1e-9):
@@ -150,7 +157,7 @@ def _assert_bound_rows_of_y_exact(state, qp):
     """The active bound rows of y equal -(G[ids] @ J) bit for bit."""
     ids = state.ids
     bound = qp.bound_column[ids] >= 0
-    want = -(qp.ineq_matrix.toarray()[ids] @ qp.inverse_factor)
+    want = -(qp.ineq_matrix.toarray()[ids] @ qp.factor.j)
     np.testing.assert_array_equal(state.y[:state.k][bound], want[bound])
     return int(bound.sum())
 
@@ -197,11 +204,11 @@ def test_inverse_factor_is_exactly_upper_triangular():
     rng = np.random.default_rng(41)
     definite = [_random_feasible_qp(rng, n, 3) for n in (1, 2, 7, 40, 120)]
     for qp in definite + [_psd_jitter_program(rng, n) for n in (4, 30)]:
-        j = qp.inverse_factor
+        j = qp.factor.j
         assert np.all(np.tril(j, -1) == 0.0)
         assert np.all(np.diag(j) > 0.0)
     for qp in definite:
-        j = qp.inverse_factor
+        j = qp.factor.j
         np.testing.assert_allclose(j @ j.T @ qp.cost_matrix, np.eye(qp.n), rtol=0, atol=1e-12)
 
 
@@ -217,7 +224,7 @@ def test_triangular_and_symmetric_kernels_match_dense_products():
     rng = np.random.default_rng(43)
     jitter = _psd_jitter_program(rng, 12)
     for qp in [jitter] + [_random_feasible_qp(rng, n, m) for n, m in ((3, 2), (20, 30), (160, 200))]:
-        j, p, q, g = qp.inverse_factor, qp.cost_matrix, qp.cost_vector, qp.ineq_matrix
+        j, p, q, g = qp.factor.j, qp.cost_matrix, qp.cost_vector, qp.ineq_matrix
         state = _DualActiveSet(qp)
         assert _rel_err(state.w, -(q @ j)) <= 1e-13
         assert _rel_err(state.x, j @ state.w) <= 1e-13
@@ -576,6 +583,27 @@ def test_non_psd_cost_matrix_rejected_when_built():
         QuadraticProgram(cost_matrix=np.diag([1.0, -1.0]), cost_vector=np.zeros(2))
 
 
+def test_given_factor_is_kept_and_checked_for_its_size():
+    """A program keeps the factor it is given instead of factoring P, and
+    rejects one of another size, as it rejects a Kronecker cost that is
+    not positive definite."""
+    a, b = np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 3.0, 5.0])
+    p = np.kron(a, b) + 0.5 * np.eye(6)
+    factor = KroneckerFactor(a, b, 0.5)
+    qp = QuadraticProgram(p, np.ones(6), np.eye(6), np.full(6, -0.1), factor)
+    assert qp.factor is factor
+    sol = solve_qp(qp)
+    dense = solve_qp(QuadraticProgram(p, np.ones(6), np.eye(6), np.full(6, -0.1)))
+    assert sol.status == dense.status == "optimal"
+    np.testing.assert_allclose(sol.x, dense.x, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="size"):
+        QuadraticProgram(np.eye(5), np.zeros(5), factor=factor)
+    with pytest.raises(ValueError, match="size"):
+        QuadraticProgram(np.eye(5), np.zeros(5), factor=TriangularFactor(np.eye(4)))
+    with pytest.raises(ValueError, match="positive definite"):
+        KroneckerFactor(a, -b, 0.5)
+
+
 @pytest.mark.parametrize("field, via", [
     ("cost_vector", "constructor"), ("ineq_matrix", "constructor"),
     ("ineq_vector", "constructor"), ("cost_vector", "with_vectors"),
@@ -650,7 +678,7 @@ def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
         q = rng.normal(size=n) * 2.0
         h = g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, size=m)
         shared = template.with_vectors(q, h)
-        for name in ("cost_matrix", "inverse_factor", "ineq_matrix"):
+        for name in ("cost_matrix", "factor", "ineq_matrix"):
             assert getattr(shared, name) is getattr(template, name)
         g_csr = shared.ineq_matrix
         for a in (g_csr.data, g_csr.indices, g_csr.indptr):
@@ -658,8 +686,9 @@ def test_with_vectors_shares_the_factor_and_matches_fresh_programs():
         np.testing.assert_array_equal(g_csr.toarray(), g)
         fresh = QuadraticProgram(cost_matrix=template.cost_matrix.copy(), cost_vector=q,
                                  ineq_matrix=g.copy(), ineq_vector=h)
-        for name in ("cost_matrix", "cost_vector", "ineq_vector", "inverse_factor"):
+        for name in ("cost_matrix", "cost_vector", "ineq_vector"):
             np.testing.assert_array_equal(getattr(shared, name), getattr(fresh, name))
+        np.testing.assert_array_equal(shared.factor.j, fresh.factor.j)
         np.testing.assert_array_equal(shared.ineq_matrix.toarray(), fresh.ineq_matrix.toarray())
         hint = None if prev is None else prev.active
         for kw in ({}, {"active_hint": hint}):
