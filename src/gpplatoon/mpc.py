@@ -41,7 +41,7 @@ from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
-from .qp import KroneckerFactor, QuadraticProgram, solve_qp, spmv, to_csr
+from .qp import KroneckerFactor, QuadraticProgram, check_tol, solve_qp, spmv, to_csr
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,10 @@ class FrozenGpTrajectory:
 class MpcSolution:
     """One step's plan with its predicted trajectories and solver diagnostics.
 
-    On a fallback the plan is maximum braking, ``cost`` is NaN and
-    ``active`` is empty.
+    ``active`` is the QP solution's: on an optimal step the solver's
+    :class:`~gpplatoon.qp.ActiveRows` token, which the controller passes as
+    the next solve's hint. On a fallback the plan is maximum braking,
+    ``cost`` is NaN and ``active`` is empty.
     """
 
     acc: np.ndarray             # (n_av, N)
@@ -476,13 +478,17 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
 class PlatoonController:
     """Stateful receding-horizon controller (nominal or GP mode).
 
-    One instance is single-threaded. It keeps the previous solution, whose
-    active set warm-starts the next solve, and in GP mode the GP query pairs
-    of the next solve (``gp_pairs``), taken from the last optimal plan. The
-    shared sparse GP model is only read. The template of ``(cfg, arx)``,
-    the default ARX model if ``arx`` is None, is looked up once, at
-    construction (built there if no controller of an equal configuration
-    came before), and every step condenses through it.
+    One instance is single-threaded. It keeps the previous optimal
+    solution, whose active set warm-starts the next solve: its ``active`` is
+    the solver's :class:`~gpplatoon.qp.ActiveRows` token, so unless another
+    solve of the same template came in between, the next solve resumes from
+    the previous one's active rows in place. In GP mode it also keeps the GP
+    query pairs of the next solve (``gp_pairs``), taken from the last
+    optimal plan. The shared sparse GP model is only read. The template of
+    ``(cfg, arx)``, the default ARX model if ``arx`` is None, is looked up
+    once, at construction (built there if no controller of an equal
+    configuration came before), and every step condenses through it.
+    ``solver_tol`` must be finite and positive (``ValueError``).
     """
 
     def __init__(self, cfg: MpcConfig, mode: str = "nominal", gp_model=None,
@@ -491,11 +497,11 @@ class PlatoonController:
             raise ValueError(f"unknown controller mode {mode!r}")
         if mode == "gp" and gp_model is None:
             raise ValueError("gp mode requires a trained sparse GP model")
+        self.solver_tol = check_tol(solver_tol)
         self.cfg = cfg
         self.mode = mode
         self.gp_model = gp_model
         self.structure = _structure(cfg, arx or ArxParams.default())
-        self.solver_tol = solver_tol
         self.prev_solution: MpcSolution | None = None
         self.gp_pairs: np.ndarray | None = None
 

@@ -14,6 +14,18 @@ online active-set QP, Ferreau et al. 2008): the hinted rows are made tight,
 the row with the most negative multiplier is dropped until none is
 negative, and the dual iteration goes on from that dual-feasible point.
 If the hint was the optimal active set, the solve is one linear system.
+The hint the MPC passes is the previous solve's ``active``, an
+:class:`ActiveRows` token that also carries the solver state that solve
+ended in. The active rows' part of that state (their dense rows of G,
+their rows y = -G J and the Gram matrix y y^T) depends only on the
+template and the rows, so a solve of the next program of the same
+template resumes from those buffers in place: it forms only w = -J^T q
+and the multipliers' right-hand side before the drop loop, where a hint
+given by index gathers the rows from G, multiplies them by J and forms
+y y^T anew. As with Goldfarb and Idnani's iteration itself, any
+linearly independent set of rows is a valid start, so the state may come
+from a solve with other vectors; the rows it holds were admitted by the
+rank test when they entered.
 
 As in Goldfarb and Idnani's method, the iteration works in a fixed basis
 J with J J^T = P^-1: with the active rows mapped to y = G J, each step
@@ -49,9 +61,10 @@ calls scipy's CSR kernel directly through :func:`spmv`: ``csr_array @ x``
 reaches the same kernel through operator dispatch that takes longer than
 the kernel itself on the 200 x 40 G of ``n_av=2, N=20`` (about 9.5 against
 4.9 us). The solver densifies a row of G when it enters the active set or
-is hinted, through scipy's ``csr_todense`` and ``csr_row_index`` kernels
-(about 3 us more than gathering them from a dense G, for a paper-scale
-hint of about 8 rows), and keeps the dense rows of the active set beside
+is hinted by index, through scipy's ``csr_todense`` and ``csr_row_index``
+kernels (about 3 us more than gathering them from a dense G, for a
+paper-scale hint of about 8 rows; a resumed token densifies none), and
+keeps the dense rows of the active set beside
 their rows y, so the products with them (G_a x when x is moved back onto
 the active rows, and G_a^T u in the final residual) are the same BLAS
 calls as on a dense G. The rows y of the active set, their Gram matrix
@@ -89,6 +102,7 @@ reason.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -128,6 +142,11 @@ def spmv(a: sparse.csr_array, x) -> np.ndarray:
     return out
 
 
+def _objective(x, px, q) -> float:
+    """0.5 x'Px + q'x from P x."""
+    return float(0.5 * x @ px + q @ x)
+
+
 def _feasibility_tol(level) -> float:
     """Violation up to which a row with right-hand side ``level`` holds."""
     return 1e-10 * (1.0 + abs(level))
@@ -155,6 +174,9 @@ class QuadraticProgram:
     factor: TriangularFactor | KroneckerFactor = field(default=None, repr=False, compare=False)
     # per row of G: the column of its one nonzero, or -1 if it has none or several
     bound_column: np.ndarray = field(init=False, repr=False, compare=False)
+    # [number of solves of this template so far], one list that with_vectors
+    # shares: an ActiveRows token is current until the template's next solve
+    solves: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.array(self.cost_matrix, dtype=float, ndmin=2)
@@ -186,6 +208,7 @@ class QuadraticProgram:
         column[single] = g.indices[g.indptr[:-1][single]]
         column.flags.writeable = False
         object.__setattr__(self, "bound_column", column)
+        object.__setattr__(self, "solves", [0])
         if self.factor is None:
             object.__setattr__(self, "factor", TriangularFactor(p))
         elif self.factor.n != n:
@@ -227,8 +250,9 @@ class QuadraticProgram:
         return self.cost_matrix.shape[0]
 
     def objective(self, x) -> float:
+        """0.5 x'Px + q'x, with P x from the factor, as ``solve_qp`` reports it."""
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.cost_matrix @ x + self.cost_vector @ x)
+        return _objective(x, self.factor.cost(x), self.cost_vector)
 
     def ineq_excess(self, x) -> np.ndarray:
         """G x - h; positive entries are violated."""
@@ -243,7 +267,14 @@ class QuadraticProgram:
 
 @dataclass
 class QpSolution:
-    """Primal solution with multipliers and solver diagnostics."""
+    """Primal solution with multipliers and solver diagnostics.
+
+    ``active`` holds the sorted active rows. For an optimal solve it is an
+    :class:`ActiveRows` token, which passed as the next solve's
+    ``active_hint`` hands on the solver state; the buffers are the
+    workspace's, not the solution's, and the next solve of the template
+    makes the token stale. Any other status gives a plain tuple.
+    """
 
     x: np.ndarray
     status: str  # "optimal" | "infeasible" | "max_iter"
@@ -418,24 +449,35 @@ class _DualActiveSet:
     it, and each solve is one ``dposv``. A row is admitted only if its part
     outside the active rows' span is not negligible (``_RANK_TOL``), so the
     kept rows have full row rank and ``y y^T`` stays positive definite.
+
+    The state is a workspace: an optimal solve issues it in its
+    :class:`ActiveRows` token, and the solve that passes the token while it
+    is current takes it over (``resume``), rows and buffers in place. Its
+    buffers belong to one solve at a time, so solves of one template that
+    run at once must pass different tokens; the per-program vectors (h, w,
+    x) are set by ``_load``.
     """
 
     def __init__(self, qp: QuadraticProgram):
         g = qp.ineq_matrix
         self.indptr, self.indices, self.data = g.indptr, g.indices, g.data
-        self.h = qp.ineq_vector
-        self.factor = factor = qp.factor
+        self.factor = qp.factor
         self.column = qp.bound_column
         self.n = qp.n
-        # w = -J^T q here, and x = J w when read
-        self.w = factor.start_w(qp.cost_vector)
-        self._x = None
+        self.solves = qp.solves  # the template's, which identifies it
         self.ids: list[int] = []
         self.k = 0
         self.ga = np.empty((0, self.n))  # active rows of G, dense
         self.y = np.empty((0, self.n))   # active normals times J
         self.gram = np.empty((0, 0))     # y y^T
         self.u = np.empty(0)             # multipliers
+        self._load(qp)
+
+    def _load(self, qp: QuadraticProgram) -> None:
+        """Take up the vectors of ``qp``: w = -J^T q here, x = J w when read."""
+        self.h = qp.ineq_vector
+        self.w = self.factor.start_w(qp.cost_vector)
+        self._x = None
         self.iterations = 0
 
     @property
@@ -509,11 +551,12 @@ class _DualActiveSet:
                 self.x = self.x + self.factor.mul(c @ self.y[:k])
 
     def hot_start(self, hint) -> None:
-        """Make the hinted rows tight, dropping the row with the most negative
-        multiplier until none is negative. A hinted row that depends on the
-        rows before it (its Cholesky pivot of y y^T is negligible) is dropped
-        first, so the kept rows have full rank and are tight at the new x.
-        Each active set tried counts as an iteration, an empty one too.
+        """Make the hinted rows, given by index, tight, dropping the row with
+        the most negative multiplier until none is negative. A hinted row that
+        depends on the rows before it (its Cholesky pivot of y y^T is
+        negligible) is dropped first, so the kept rows have full rank and are
+        tight at the new x. Each active set tried counts as an iteration, an
+        empty one too.
 
         With P^-1 = J J^T and a = G_a J = -y, the multipliers solve
         (a a^T) mu = a w - h_a and x = J (w - a^T mu); ``u`` holds the
@@ -556,6 +599,26 @@ class _DualActiveSet:
             np.subtract(y @ self.w, h[idx], out=self.u[:k])
             np.negative(y, out=y)
             self.ids, self.k = idx.tolist(), k
+        self._settle()
+
+    def resume(self, qp: QuadraticProgram) -> None:
+        """Hot start on ``qp``, a program of this state's template, from the
+        active rows the last solve through this state ended with. Their rows
+        of G and y and the Gram matrix depend only on the template and the
+        rows, so they are kept in place; only w and the right-hand side u =
+        -y w - h_a are formed before ``hot_start``'s drop loop."""
+        self._load(qp)
+        k = self.k
+        if k:
+            u = np.matmul(self.y[:k], self.w, out=self.u[:k])
+            u += self.h[self.ids]
+            np.negative(u, out=u)
+        self._settle()
+
+    def _settle(self) -> None:
+        """From the tight rows in the buffers, with ``u`` holding the
+        multipliers' right-hand side: drop rows until every multiplier is
+        non-negative, then set x and the multipliers."""
         while True:
             self.iterations += 1
             k = self.k
@@ -638,27 +701,84 @@ class _DualActiveSet:
             self._drop(block)
 
 
+class ActiveRows(tuple):
+    """The sorted active rows of an optimal solve: a tuple, which also
+    carries the solver state the solve ended in (its workspace) and the
+    number of solves of its template by then (``stamp``).
+
+    Passed back as ``active_hint`` to the next solve of the same template
+    (a program that shares the ``factor`` and ``ineq_matrix`` objects, as
+    ``with_vectors`` makes them), it hands that workspace on: the solve
+    resumes from its buffers in place instead of rebuilding the rows from
+    their indices, and the workspace is then that solve's. The token is
+    stale once the template has been solved again, by any hint or none, and
+    a stale token, a token passed to a program of another template and a
+    copy of the rows (``tuple(rows)``, ``rows + (i,)``) are read as row
+    indices alone. A token passed twice is thus resumed by its first use
+    only. A failed solve issues a plain tuple.
+    """
+
+    def __new__(cls, rows=(), state: _DualActiveSet | None = None, stamp: int = -1):
+        self = super().__new__(cls, rows)
+        self.state, self.stamp = state, stamp
+        return self
+
+    def workspace(self, qp: QuadraticProgram) -> _DualActiveSet | None:
+        """The carried state if ``qp`` is of its template and no solve of
+        that template came after this token's."""
+        state = self.state
+        if state is not None and state.solves is qp.solves and qp.solves[0] == self.stamp:
+            return state
+        return None
+
+
+def check_tol(tol) -> float:
+    """``tol`` as a float; raises ``ValueError`` unless finite and positive
+    (a NaN tolerance would accept any residual, and one of zero or below
+    none)."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"solver tolerance must be finite and positive, got {tol}")
+    return tol
+
+
 def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = None,
              active_hint=None) -> QpSolution:
     """Solve a convex QP with inequality constraints only.
 
-    ``active_hint`` (optional row indices; duplicates and indices out of
-    range are ignored) seeds the active set: the hinted rows start tight,
-    minus those whose multipliers come out negative, and the dual iteration
-    adds what is still violated. Each active set that start tries counts as
-    an iteration, so ``iterations == 1`` means the hint was the optimal
-    active set. Infeasibility is reported with the row the dual step could
-    not add (``most_violated``), never as a silent wrong answer.
+    ``active_hint`` seeds the active set. It is either row indices
+    (duplicates and indices out of range are ignored) or the ``active`` of
+    an earlier optimal solve, an :class:`ActiveRows`: if that solve was the
+    last solve of this program's template, this one resumes from the
+    workspace the token carries (see :class:`ActiveRows`), and otherwise it
+    takes the token's row indices. Either way the hinted rows start
+    tight, minus those whose multipliers come out negative, and the dual
+    iteration adds what is still violated. Each active set that start tries
+    counts as an iteration, so ``iterations == 1`` means the hint was the
+    optimal active set. Infeasibility is reported with the row the dual step
+    could not add (``most_violated``), never as a silent wrong answer.
+    ``tol`` must be finite and positive, ``max_iter`` None or a positive
+    integer; otherwise ``ValueError``.
     """
     t0 = time.perf_counter()
+    tol = check_tol(tol)
     h = qp.ineq_vector
     mi = h.size
     if max_iter is None:
         max_iter = max(200, 10 * (qp.n + mi))
+    elif isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) \
+            or max_iter < 1:
+        raise ValueError(f"max_iter must be None or a positive integer, got {max_iter!r}")
 
-    state = _DualActiveSet(qp)
-    if active_hint is not None:
-        state.hot_start(active_hint)
+    state = active_hint.workspace(qp) if isinstance(active_hint, ActiveRows) else None
+    qp.solves[0] += 1
+    stamp = qp.solves[0]
+    if state is not None:
+        state.resume(qp)
+    else:
+        state = _DualActiveSet(qp)
+        if active_hint is not None:
+            state.hot_start(active_hint)
 
     def finish(status, excess=None, most=None):
         x = state.x
@@ -679,9 +799,12 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         if status == "max_iter" and mi:
             worst = int(excess.argmax())
             most = worst if excess[worst] > 0 else None
+        active = sorted(state.ids)
+        # only an optimal solve hands its workspace on
+        active = ActiveRows(active, state, stamp) if status == "optimal" else tuple(active)
         return QpSolution(x=x, status=status, iterations=max(state.iterations, 1),
-                          ineq_multipliers=mu, active=tuple(sorted(state.ids)), kkt_residual=res,
-                          objective=float(0.5 * x @ px + qp.cost_vector @ x),
+                          ineq_multipliers=mu, active=active, kkt_residual=res,
+                          objective=_objective(x, px, qp.cost_vector),
                           most_violated=most, solve_time=time.perf_counter() - t0)
 
     while True:

@@ -890,6 +890,58 @@ def test_kronecker_and_triangular_factors_solve_alike(n_av, horizon, monkeypatch
     assert compared >= 8
 
 
+@pytest.mark.parametrize("n_av, horizon, factor", [(2, 20, qp_module.TriangularFactor),
+                                                    (8, 40, qp_module.KroneckerFactor)])
+def test_resumed_solves_match_their_rows_given_by_index(n_av, horizon, factor, monkeypatch):
+    """At the closed-loop states of 2x20 (triangular factor) and 8x40
+    (Kronecker factor), each solve that resumes the previous solve's
+    workspace and a solve from the same active rows as a plain tuple reach
+    the same status, iteration count and active set, and their solutions
+    agree to 1e-9 relative."""
+    recorded = []
+
+    def recording(qp, **kwargs):
+        hint = kwargs.get("active_hint")
+        resumes = isinstance(hint, qp_module.ActiveRows) and hint.workspace(qp) is not None
+        res = qp_module.solve_qp(qp, **kwargs)
+        recorded.append((qp, kwargs, resumes, res))
+        return res
+
+    monkeypatch.setattr(mpc, "solve_qp", recording)
+    cfg = MpcConfig(n_av=n_av, horizon=horizon)
+    run_closed_loop(make_scenario("emergency", cfg=cfg, duration=3.0, seed=1, noise=True),
+                    controller="nominal")
+    assert isinstance(mpc._structure(cfg, ArxParams.default()).qp.factor, factor)
+    resumed = [r for r in recorded if r[2]]
+    assert len(resumed) == len(recorded) - 1
+    for qp, kwargs, _, a in resumed:
+        b = qp_module.solve_qp(qp, **{**kwargs, "active_hint": tuple(kwargs["active_hint"])})
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations and a.active == b.active
+        assert _rel_err(a.x, b.x) <= 1e-9
+
+
+@pytest.mark.parametrize("n_av, horizon", [(2, 20), (8, 40)])
+def test_solution_objective_is_the_programs_bit_for_bit(n_av, horizon):
+    """``QpSolution.objective`` and ``QuadraticProgram.objective`` at its x
+    take P x from the same factor product, so they agree exactly."""
+    rng = np.random.default_rng(7 * n_av + horizon)
+    cfg = MpcConfig(n_av=n_av, horizon=horizon)
+    gp_terms = FrozenGpTrajectory(mean=rng.uniform(-0.2, 0.2, horizon),
+                                  var=rng.uniform(0.0, 0.05, horizon))
+    for v, frozen in ((0.0, None), (8.0, gp_terms)):
+        cd = _condense(_state(n_av=n_av, v=v), cfg, np.full(horizon, 10.0), frozen=frozen)
+        sol = solve_qp(cd.qp)
+        assert sol.status == "optimal"
+        assert sol.objective == cd.qp.objective(sol.x)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_controller_rejects_a_solver_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        PlatoonController(MpcConfig(horizon=10), solver_tol=tol)
+
+
 def test_fallback_names_violated_row():
     cfg = MpcConfig(horizon=10)
     ctrl = PlatoonController(cfg, mode="nominal")

@@ -6,6 +6,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from gpplatoon.qp import (
+    ActiveRows,
     KroneckerFactor,
     QuadraticProgram,
     TriangularFactor,
@@ -430,6 +431,133 @@ def test_hint_whose_rows_all_drop_returns_the_no_hint_x():
             np.testing.assert_array_equal(state.x, ref.x)
             dropped += 1
     assert dropped == 40
+
+
+def _assert_same_solve(a, b):
+    """Two solves with the same status, iterations and active rows, and the
+    same x and multipliers bit for bit."""
+    assert a.status == b.status and a.iterations == b.iterations and a.active == b.active
+    np.testing.assert_array_equal(a.x, b.x)
+    np.testing.assert_array_equal(a.ineq_multipliers, b.ineq_multipliers)
+
+
+def _spy_on_resume(monkeypatch):
+    """The programs that each resumed solve takes up, in order."""
+    resumed = []
+    resume = _DualActiveSet.resume
+
+    def spy(self, qp):
+        resumed.append(qp)
+        return resume(self, qp)
+
+    monkeypatch.setattr(_DualActiveSet, "resume", spy)
+    return resumed
+
+
+def test_a_token_resumes_once_then_reads_as_its_indices(monkeypatch):
+    """The active rows of an optimal solve, passed to the next program of
+    its template, resume the solver state: the same status, iterations and
+    active set as the same rows given as a plain tuple, and x to 1e-9.
+    Passed a second time the token is stale and takes the index path, the
+    plain tuple's solve bit for bit."""
+    resumed = _spy_on_resume(monkeypatch)
+    rng = np.random.default_rng(37)
+    warm_rows = 0
+    for _ in range(30):
+        n = int(rng.integers(4, 12))
+        base = _random_feasible_qp(rng, n, 3 * n)
+        cold = solve_qp(base)
+        assert isinstance(cold.active, ActiveRows)
+        near = base.with_vectors(base.cost_vector + 0.05 * rng.normal(size=n), base.ineq_vector)
+        first = solve_qp(near, active_hint=cold.active)
+        assert resumed == [near]
+        second = solve_qp(near, active_hint=cold.active)
+        plain = solve_qp(near, active_hint=tuple(cold.active))
+        assert resumed == [near]
+        _assert_same_solve(second, plain)
+        assert first.status == plain.status == "optimal"
+        assert first.iterations == plain.iterations and first.active == plain.active
+        np.testing.assert_allclose(first.x, plain.x, rtol=0, atol=1e-9)
+        warm_rows += len(cold.active)
+        resumed.clear()
+    assert warm_rows >= 30
+
+
+def test_misused_tokens_reach_the_cold_optimum(monkeypatch):
+    """A token passed to a program of another template, a stale token and
+    the rows of an infeasible or max_iter solve each solve from their
+    indices to the cold optimum, and change no later solve: the same
+    sequence of solves on an equal template, without the misuse, gives the
+    same results bit for bit."""
+    resumed = _spy_on_resume(monkeypatch)
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        n = int(rng.integers(4, 10))
+        base = _random_feasible_qp(rng, n, 3 * n)
+        # rows -2 and -1 bound g0 x from both sides: h (.., 0, -1) makes it infeasible
+        g = base.ineq_matrix.toarray()
+        g = np.vstack([g, g[0], -g[0]])
+        m = g.shape[0]
+        p = base.cost_matrix
+        a, a_ref = (QuadraticProgram(p.copy(), np.zeros(n), g.copy(), np.zeros(m))
+                    for _ in range(2))
+        other = _random_feasible_qp(rng, n, m)
+        vectors = [(rng.normal(size=n) * 2.0, g @ rng.normal(size=n) + rng.uniform(0.0, 1.0, m))
+                   for _ in range(4)]
+
+        def solves(t, hint=None, i=0, **kw):
+            return solve_qp(t.with_vectors(*vectors[i]), active_hint=hint, **kw)
+
+        def cold(t, i):
+            sol = solves(t, i=i)
+            assert sol.status == "optimal"
+            return sol
+
+        def resumed_on(t):
+            return sum(q.factor is t.factor for q in resumed)
+
+        t0, r0 = solves(a), solves(a_ref)
+        # another template: its index path; the token stays current for its own
+        foreign = solve_qp(other, active_hint=t0.active)
+        assert foreign.status == "optimal" and not resumed
+        np.testing.assert_allclose(foreign.x, solve_qp(other).x, rtol=0, atol=1e-9)
+        t1 = solves(a, t0.active, 1)
+        assert resumed_on(a) == 1
+        _assert_same_solve(t1, solves(a_ref, r0.active, 1))
+        # stale: the template has been solved since t0
+        stale = solves(a, t0.active, 2)
+        assert resumed_on(a) == 1
+        np.testing.assert_allclose(stale.x, cold(a, 2).x, rtol=0, atol=1e-9)
+        _assert_same_solve(stale, solves(a_ref, tuple(t0.active), 2))
+        # failed solves hand no workspace on
+        h_bad = vectors[3][1].copy()
+        h_bad[-2:] = (0.0, -1.0)
+        infeasible = solve_qp(a.with_vectors(vectors[3][0], h_bad))
+        capped = solves(a, None, 3, max_iter=1)
+        assert infeasible.status == "infeasible" and capped.status == "max_iter"
+        for failed in (infeasible, capped):
+            assert type(failed.active) is tuple
+            got = solves(a, failed.active, 3)
+            np.testing.assert_allclose(got.x, cold(a, 3).x, rtol=0, atol=1e-9)
+            _assert_same_solve(got, solves(a_ref, failed.active, 3))
+        # and a chain started after all that resumes as on the other template
+        t2, r2 = solves(a, None, 1), solves(a_ref, None, 1)
+        _assert_same_solve(solves(a, t2.active, 2), solves(a_ref, r2.active, 2))
+        assert resumed_on(a) == resumed_on(a_ref) == 2
+        resumed.clear()
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    qp = QuadraticProgram(cost_matrix=np.eye(2), cost_vector=np.array([-1.0, -1.0]),
+                          ineq_matrix=np.eye(2), ineq_vector=np.zeros(2))
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_qp(qp, tol=tol)
+    for max_iter in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_qp(qp, max_iter=max_iter)
+    sol = solve_qp(qp, tol=1e-12, max_iter=np.int64(5))
+    assert sol.status == "optimal" and sol.kkt_residual <= 1e-12
 
 
 def test_degenerate_duplicate_rows():
