@@ -85,7 +85,11 @@ class VelocityHistory:
 
 @dataclass(frozen=True)
 class DriverTrace:
-    """Recorded (or synthesized) velocities of a trailing AV and the HV."""
+    """Recorded (or synthesized) velocities of a trailing AV and the HV.
+
+    Every entry is finite and ``time`` is a uniform grid with a positive
+    step; otherwise ``ValueError``.
+    """
 
     time: np.ndarray
     v_av: np.ndarray
@@ -102,7 +106,12 @@ class DriverTrace:
             raise ValueError("time, v_av, v_hv must be equal-length vectors")
         if t.size < N_LAGS + 1:
             raise ValueError(f"trace must contain at least {N_LAGS + 1} samples")
+        for name, a in (("time", t), ("v_av", va), ("v_hv", vh)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         steps = np.diff(t)
+        if not (steps > 0).all():
+            raise ValueError("time grid must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
             raise ValueError("time grid must be uniform")
 

@@ -46,7 +46,11 @@ from .qp import KroneckerFactor, QuadraticProgram, check_tol, solve_qp, spmv, to
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Horizon, weights, bounds and gap parameters of the platoon MPC."""
+    """Horizon, weights, bounds and gap parameters of the platoon MPC.
+
+    Construction checks every field and names the first bad one in a
+    ``ValueError``; ``gap`` must be a :class:`GapConstraintParams`.
+    """
 
     horizon: int = 20
     step: float = 0.1
@@ -82,6 +86,8 @@ class MpcConfig:
             raise ValueError("v_min must be below v_max")
         if not self.acc_min < 0 < self.acc_max:
             raise ValueError("acc_min must be negative and acc_max positive")
+        if not isinstance(self.gap, GapConstraintParams):
+            raise ValueError(f"gap must be a GapConstraintParams, got {self.gap!r}")
 
 
 @dataclass(frozen=True)
@@ -482,12 +488,13 @@ class PlatoonController:
     solution, whose active set warm-starts the next solve: its ``active`` is
     the solver's :class:`~gpplatoon.qp.ActiveRows` token, so unless another
     solve of the same template came in between, the next solve resumes from
-    the previous one's active rows in place. In GP mode it also keeps the GP
-    query pairs of the next solve (``gp_pairs``), taken from the last
-    optimal plan. The shared sparse GP model is only read. The template of
-    ``(cfg, arx)``, the default ARX model if ``arx`` is None, is looked up
-    once, at construction (built there if no controller of an equal
-    configuration came before), and every step condenses through it.
+    the previous one's active rows in place; otherwise, and after a
+    fallback, which keeps no solution, it starts cold. In GP mode it also
+    keeps the GP query pairs of the next solve (``gp_pairs``), taken from
+    the last optimal plan. The shared sparse GP model is only read. The
+    template of ``(cfg, arx)``, the default ARX model if ``arx`` is None, is
+    looked up once, at construction (built there if no controller of an
+    equal configuration came before), and every step condenses through it.
     ``solver_tol`` must be finite and positive (``ValueError``).
     """
 

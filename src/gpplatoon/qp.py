@@ -9,23 +9,21 @@ machine-precision KKT residuals on well-scaled problems, certifies
 infeasibility via an unbounded dual step, and is fully deterministic.
 There are no equality constraints.
 
-A warm-start hint of active rows seeds the iteration (the hot start of
-online active-set QP, Ferreau et al. 2008): the hinted rows are made tight,
-the row with the most negative multiplier is dropped until none is
-negative, and the dual iteration goes on from that dual-feasible point.
-If the hint was the optimal active set, the solve is one linear system.
-The hint the MPC passes is the previous solve's ``active``, an
-:class:`ActiveRows` token that also carries the solver state that solve
-ended in. The active rows' part of that state (their dense rows of G,
-their rows y = -G J and the Gram matrix y y^T) depends only on the
-template and the rows, so a solve of the next program of the same
-template resumes from those buffers in place: it forms only w = -J^T q
-and the multipliers' right-hand side before the drop loop, where a hint
-given by index gathers the rows from G, multiplies them by J and forms
-y y^T anew. As with Goldfarb and Idnani's iteration itself, any
+A warm-start hint seeds the iteration (the hot start of online active-set
+QP, Ferreau et al. 2008). The hint is the previous solve's ``active``, an
+:class:`ActiveRows` token that carries the solver state that solve ended
+in. The active rows' part of that state (their dense rows of G, their rows
+y = -G J and the Gram matrix y y^T) depends only on the template and the
+rows, so a solve of the next program of the same template resumes from
+those buffers in place: it forms only w = -J^T q and the multipliers'
+right-hand side, drops the row with the most negative multiplier until none
+is negative, and goes on with the dual iteration from that dual-feasible
+point. If the carried rows were the optimal active set, the solve is one
+linear system. As with Goldfarb and Idnani's iteration itself, any
 linearly independent set of rows is a valid start, so the state may come
 from a solve with other vectors; the rows it holds were admitted by the
-rank test when they entered.
+rank test when they entered. A token that cannot resume (stale, of another
+template, or from a failed solve) starts the solve cold.
 
 As in Goldfarb and Idnani's method, the iteration works in a fixed basis
 J with J J^T = P^-1: with the active rows mapped to y = G J, each step
@@ -40,9 +38,8 @@ P is factored once per template. The MPC's G is 2-5% nonzeros: at
 copy would take 62.5 MB.
 
 The factor is all the solver reads of J and P. It provides w = -J^T q and
-x = J w (``start_w``, ``start_x``), J v (``mul``), v^T J for one row or the
-k rows of a (k, n) array (``lmul``), row c of J or the rows of an index
-array (``rows``), and P x (``cost``). There are two:
+x = J w (``start_w``, ``start_x``), J v (``mul``), v^T J for one row
+(``lmul``), row c of J (``rows``), and P x (``cost``). There are two:
 
 - :class:`TriangularFactor`, the default, built by Cholesky: J = L^-T for
   P = L L^T, an n x n upper triangular array;
@@ -60,38 +57,34 @@ each iteration costs a fraction of a dense product (about 28 against
 calls scipy's CSR kernel directly through :func:`spmv`: ``csr_array @ x``
 reaches the same kernel through operator dispatch that takes longer than
 the kernel itself on the 200 x 40 G of ``n_av=2, N=20`` (about 9.5 against
-4.9 us). The solver densifies a row of G when it enters the active set or
-is hinted by index, through scipy's ``csr_todense`` and ``csr_row_index``
-kernels (about 3 us more than gathering them from a dense G, for a
-paper-scale hint of about 8 rows; a resumed token densifies none), and
-keeps the dense rows of the active set beside
-their rows y, so the products with them (G_a x when x is moved back onto
-the active rows, and G_a^T u in the final residual) are the same BLAS
-calls as on a dense G. The rows y of the active set, their Gram matrix
-y y^T, the dense rows and the multipliers live in buffers that grow by
-doubling; an entering row adds one Gram row, a dropped row shifts slices,
-and each solve with y y^T is one LAPACK ``dposv``. G J itself is not
-stored: at 1600 x 320 it would add 4 MB per template. A row of G with one
-nonzero, a simple bound such as the MPC's acceleration box, needs no
+4.9 us). The solver densifies a row of G when it enters the active set,
+through scipy's ``csr_todense`` kernel, and keeps the dense rows of the
+active set beside their rows y, so the products with them (G_a x when x is
+moved back onto the active rows, and G_a^T u in the final residual) are
+the same BLAS calls as on a dense G. The rows y of the active set, their
+Gram matrix y y^T, the dense rows and the multipliers live in buffers that
+grow by doubling; an entering row adds one Gram row, a dropped row shifts
+slices, and each solve with y y^T is one LAPACK ``dposv``. G J itself is
+not stored: at 1600 x 320 it would add 4 MB per template. A row of G with
+one nonzero, a simple bound such as the MPC's acceleration box, needs no
 product: its row of G J is that entry times one row of J. The program
 records the column of each such row when it is built (``bound_column``,
-one integer per row), so an entering bound row and the bound rows of a
-hint are gathered from J (``rows``), and only the other rows are
-multiplied (``lmul``): with the triangular factor, one n x n product per
-entering row and one k x n x n product for the k other rows of a hint.
-There the product of a one-entry row adds only exact zeros, so the
-gathered row equals it bit for bit.
+one integer per row), so an entering bound row is gathered from J
+(``rows``), and only the other rows are multiplied (``lmul``): with the
+triangular factor, one n x n product per entering row. There the product
+of a one-entry row adds only exact zeros, so the gathered row equals it
+bit for bit.
 
 The triangular factor's J is upper triangular (its strictly lower part is
 exactly zero), and its two start products go through BLAS ``dtrmv`` on
 the Fortran-ordered view ``J.T``, which reads one triangle in place; x =
-J w is formed only if read, since a hot start that keeps a hinted row sets
-x itself. Its P x, for the reported residual and objective, goes through
-``dsymv`` on P's lower triangle, the one the factor is built from; P is
-symmetric only to within 1e-10, so the upper triangle could disagree with
-the factor. An empty-hint solve at ``n_av=8, N=40`` thus reads half of J
-and half of P (410 KB each) instead of all of both. The products inside
-the iteration (``mul`` and ``lmul`` in ``enter``, ``hot_start`` and
+J w is formed only if read, since a resumed start that keeps a carried row
+sets x itself. Its P x, for the reported residual and objective, goes
+through ``dsymv`` on P's lower triangle, the one the factor is built from;
+P is symmetric only to within 1e-10, so the upper triangle could disagree
+with the factor. A cold solve at ``n_av=8, N=40`` thus reads half of J and
+half of P (410 KB each) instead of all of both. The products inside the
+iteration (``mul`` and ``lmul`` in ``enter``, ``_settle`` and
 ``_retighten``) stay on ``@``: through ``dtrmv`` their last bits change
 the verdict of a degenerate program (an equality written as two opposite
 rows) on one BLAS thread, for a gain in the slow steps of a few percent at
@@ -103,7 +96,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import time
 from dataclasses import dataclass, field
 
@@ -112,7 +104,7 @@ from scipy import sparse
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dsymv, dtrmv
 from scipy.linalg.lapack import dposv
-from scipy.sparse._sparsetools import csr_matvec, csr_row_index, csr_todense
+from scipy.sparse._sparsetools import csr_matvec, csr_todense
 
 # An entering row is dependent on the active rows when the part of it
 # outside their span, |d - y^T r|^2, is below this share of |d|^2.
@@ -269,18 +261,19 @@ class QuadraticProgram:
 class QpSolution:
     """Primal solution with multipliers and solver diagnostics.
 
-    ``active`` holds the sorted active rows. For an optimal solve it is an
-    :class:`ActiveRows` token, which passed as the next solve's
-    ``active_hint`` hands on the solver state; the buffers are the
-    workspace's, not the solution's, and the next solve of the template
-    makes the token stale. Any other status gives a plain tuple.
+    ``active`` holds the sorted active rows as an :class:`ActiveRows`
+    token, whatever the status. An optimal solve's token carries the solver
+    state, which passed as the next solve's ``active_hint`` it hands on; the
+    buffers are the workspace's, not the solution's, and the next solve of
+    the template makes the token stale. A failed solve's token carries
+    none.
     """
 
     x: np.ndarray
     status: str  # "optimal" | "infeasible" | "max_iter"
     iterations: int
     ineq_multipliers: np.ndarray
-    active: tuple
+    active: ActiveRows
     kkt_residual: float
     objective: float  # 0.5 x'Px + q'x at x
     most_violated: int | None = None  # inequality row index
@@ -339,13 +332,13 @@ class TriangularFactor:
         """J v."""
         return self.j @ v
 
-    def lmul(self, v: np.ndarray, out=None) -> np.ndarray:
-        """v^T J for one row v, or the rows of a (k, n) ``v``."""
-        return np.matmul(v, self.j, out=out)
+    def lmul(self, v: np.ndarray) -> np.ndarray:
+        """v^T J."""
+        return v @ self.j
 
-    def rows(self, cols) -> np.ndarray:
-        """Row ``cols`` of J, or the rows of an index array."""
-        return self.j[cols]
+    def rows(self, col: int) -> np.ndarray:
+        """Row ``col`` of J."""
+        return self.j[col]
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """P x."""
@@ -399,27 +392,15 @@ class KroneckerFactor:
         """J v = vec(U (scale * V_) V^T), V_ the (m, N) reshape of v."""
         return (self.u @ ((self.scale * v.reshape(self.shape)) @ self.v.T)).ravel()
 
-    def lmul(self, v: np.ndarray, out=None) -> np.ndarray:
-        """v^T J = scale * vec(U^T V_ V) for one row v; for k rows, one
-        (k m, N) product with V, then k products with U^T."""
-        m, nn = self.shape
-        if v.ndim == 1:
-            res = self.u.T @ (v.reshape(m, nn) @ self.v)
-        else:
-            k = v.shape[0]
-            res = np.matmul(self.u.T, (v.reshape(k * m, nn) @ self.v).reshape(k, m, nn),
-                            out=None if out is None else out.reshape(k, m, nn))
+    def lmul(self, v: np.ndarray) -> np.ndarray:
+        """v^T J = scale * vec(U^T V_ V), V_ the (m, N) reshape of v."""
+        res = self.u.T @ (v.reshape(self.shape) @ self.v)
         res *= self.scale
-        return res.reshape(v.shape)
+        return res.ravel()
 
-    def rows(self, cols) -> np.ndarray:
-        if np.ndim(cols) == 0:
-            i, k = divmod(int(cols), self.shape[1])
-            return (self.u_scaled[i] * self.v[k]).ravel()
-        i, k = np.divmod(cols, self.shape[1])
-        res = self.u_scaled.take(i, axis=0)
-        res *= self.v.take(k, axis=0)[:, None, :]
-        return res.reshape(-1, self.n)
+    def rows(self, col: int) -> np.ndarray:
+        i, k = divmod(int(col), self.shape[1])
+        return (self.u_scaled[i] * self.v[k]).ravel()
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """P x = vec(A X B + c X)."""
@@ -437,25 +418,26 @@ class _DualActiveSet:
     ``-G[i] @ J`` of the active constraints, so each step solves a system
     of the active-set size instead of the bordered KKT system. For a bound
     row (``bound_column[i] >= 0``) that row is ``-G[i, c] * J[c]``,
-    gathered instead of multiplied, in ``hot_start`` and ``enter``. G is
-    stored in CSR form; a row is made dense when it enters or is hinted,
-    and the dense rows ``ga`` of the active set are kept beside ``y`` for
-    the products with G_a. Those rows, their Gram matrix ``y y^T`` and the
-    multipliers ``u`` sit in the first ``k`` rows of buffers that are
-    allocated with 16 rows when the first row arrives (a solve that needs
-    none allocates none) and double when full: an entering row writes one
-    Gram row and column (its products with the active rows are the dual
-    step's right-hand side anyway), a dropped row shifts the slices after
-    it, and each solve is one ``dposv``. A row is admitted only if its part
-    outside the active rows' span is not negligible (``_RANK_TOL``), so the
-    kept rows have full row rank and ``y y^T`` stays positive definite.
+    gathered instead of multiplied. G is stored in CSR form; a row is made
+    dense when it enters, and the dense rows ``ga`` of the active set are
+    kept beside ``y`` for the products with G_a. Those rows, their Gram
+    matrix ``y y^T`` and the multipliers ``u`` sit in the first ``k`` rows
+    of buffers that are allocated with 16 rows when the first row arrives
+    (a solve that needs none allocates none) and double when full: an
+    entering row writes one Gram row and column (its products with the
+    active rows are the dual step's right-hand side anyway), a dropped row
+    shifts the slices after it, and each solve is one ``dposv``. A row is
+    admitted only if its part outside the active rows' span is not
+    negligible (``_RANK_TOL``), so the kept rows have full row rank and
+    ``y y^T`` stays positive definite.
 
     The state is a workspace: an optimal solve issues it in its
     :class:`ActiveRows` token, and the solve that passes the token while it
-    is current takes it over (``resume``), rows and buffers in place. Its
-    buffers belong to one solve at a time, so solves of one template that
-    run at once must pass different tokens; the per-program vectors (h, w,
-    x) are set by ``_load``.
+    is current takes it over (``resume``), rows and buffers in place; every
+    other solve starts from a new state with no rows. Its buffers belong to
+    one solve at a time, so solves of one template that run at once must
+    pass different tokens; the per-program vectors (h, w, x) are set by
+    ``_load``.
     """
 
     def __init__(self, qp: QuadraticProgram):
@@ -482,8 +464,8 @@ class _DualActiveSet:
 
     @property
     def x(self) -> np.ndarray:
-        """The current iterate; until a step or a hot start sets it, the
-        unconstrained minimiser J w, formed on first read because a hot
+        """The current iterate; until a step or a resumed start sets it, the
+        unconstrained minimiser J w, formed on first read because a resumed
         start that keeps a row replaces it unread. (A backing field set in
         ``__init__``: ``functools.cached_property`` writes the instance
         ``__dict__``, which made cold solves 3-5% slower on CPython 3.11.)"""
@@ -550,63 +532,16 @@ class _DualActiveSet:
             if not info:
                 self.x = self.x + self.factor.mul(c @ self.y[:k])
 
-    def hot_start(self, hint) -> None:
-        """Make the hinted rows, given by index, tight, dropping the row with
-        the most negative multiplier until none is negative. A hinted row that
-        depends on the rows before it (its Cholesky pivot of y y^T is
-        negligible) is dropped first, so the kept rows have full rank and are
-        tight at the new x. Each active set tried counts as an iteration, an
-        empty one too.
-
-        With P^-1 = J J^T and a = G_a J = -y, the multipliers solve
-        (a a^T) mu = a w - h_a and x = J (w - a^T mu); ``u`` holds the
-        right-hand side until then.
-        """
-        h = self.h
-        ids = list(hint)
-        # a previous solution's active rows are sorted, unique and in range
-        if ids and not (0 <= ids[0] and ids[-1] < h.size
-                        and all(map(operator.lt, ids, ids[1:]))):
-            ids = sorted({int(i) for i in ids if 0 <= int(i) < h.size})
-        if ids:
-            idx = np.array(ids, dtype=np.intp)
-            k = idx.size
-            self._reserve(k)
-            ga, y = self.ga[:k], self.y[:k]
-            # the hinted rows of G, picked out in CSR form and written into
-            # zeroed dense rows by scipy's CSR kernels; on a paper-scale hint
-            # an intp index and np.add.accumulate are several times faster
-            # than an int32 index and np.cumsum
-            indptr = self.indptr
-            ptr = np.zeros(k + 1, dtype=indptr.dtype)
-            np.add.accumulate(indptr[idx + 1] - indptr[idx], out=ptr[1:])
-            sub_indices, sub_data = np.empty(ptr[-1], dtype=self.indices.dtype), np.empty(ptr[-1])
-            csr_row_index(k, idx.astype(indptr.dtype), indptr, self.indices, self.data,
-                          sub_indices, sub_data)
-            ga.fill(0.0)
-            csr_todense(k, self.n, ptr, sub_indices, sub_data, ga)
-            cols = self.column[idx]
-            dense = cols < 0
-            if dense.all():
-                self.factor.lmul(ga, out=y)
-            else:
-                # a bound row's product is its one entry times a row of J;
-                # the other rows gather J[-1] here and are overwritten below
-                np.multiply(self.factor.rows(cols), ga[np.arange(k), cols][:, None], out=y)
-                if dense.any():
-                    y[dense] = self.factor.lmul(ga[dense])
-            self.gram[:k, :k] = y @ y.T
-            np.subtract(y @ self.w, h[idx], out=self.u[:k])
-            np.negative(y, out=y)
-            self.ids, self.k = idx.tolist(), k
-        self._settle()
-
     def resume(self, qp: QuadraticProgram) -> None:
         """Hot start on ``qp``, a program of this state's template, from the
         active rows the last solve through this state ended with. Their rows
         of G and y and the Gram matrix depend only on the template and the
         rows, so they are kept in place; only w and the right-hand side u =
-        -y w - h_a are formed before ``hot_start``'s drop loop."""
+        -y w - h_a are formed before the drop loop, ``_settle``.
+
+        With P^-1 = J J^T and a = G_a J = -y, the multipliers solve
+        (a a^T) mu = a w - h_a and x = J (w - a^T mu).
+        """
         self._load(qp)
         k = self.k
         if k:
@@ -618,7 +553,16 @@ class _DualActiveSet:
     def _settle(self) -> None:
         """From the tight rows in the buffers, with ``u`` holding the
         multipliers' right-hand side: drop rows until every multiplier is
-        non-negative, then set x and the multipliers."""
+        non-negative, then set x and the multipliers. Each active set tried
+        counts as an iteration, an empty one too.
+
+        A row whose Cholesky pivot of y y^T is negligible depends on the rows
+        before it and is dropped first. Every carried row passed ``enter``'s
+        rank test, and dropping rows before it only widens its part outside
+        their span, so in exact arithmetic no pivot is that small; but the
+        pivot that ``dposv`` forms by cancellation can fall below the bound
+        for a row admitted just above it, which is why the test stays.
+        """
         while True:
             self.iterations += 1
             k = self.k
@@ -702,20 +646,19 @@ class _DualActiveSet:
 
 
 class ActiveRows(tuple):
-    """The sorted active rows of an optimal solve: a tuple, which also
-    carries the solver state the solve ended in (its workspace) and the
-    number of solves of its template by then (``stamp``).
+    """The sorted active rows of a solve: a tuple, which for an optimal
+    solve also carries the solver state the solve ended in (its workspace)
+    and the number of solves of its template by then (``stamp``).
 
     Passed back as ``active_hint`` to the next solve of the same template
     (a program that shares the ``factor`` and ``ineq_matrix`` objects, as
     ``with_vectors`` makes them), it hands that workspace on: the solve
-    resumes from its buffers in place instead of rebuilding the rows from
-    their indices, and the workspace is then that solve's. The token is
-    stale once the template has been solved again, by any hint or none, and
-    a stale token, a token passed to a program of another template and a
-    copy of the rows (``tuple(rows)``, ``rows + (i,)``) are read as row
-    indices alone. A token passed twice is thus resumed by its first use
-    only. A failed solve issues a plain tuple.
+    resumes from its buffers in place, and the workspace is then that
+    solve's. The token is stale once the template has been solved again, by
+    any hint or none. A stale token, a token passed to a program of another
+    template and a failed solve's token, which carries no state, start the
+    solve cold; so does a token passed twice, on its second use. A copy of
+    the rows (``tuple(rows)``, ``rows + (i,)``) is no token.
     """
 
     def __new__(cls, rows=(), state: _DualActiveSet | None = None, stamp: int = -1):
@@ -746,19 +689,18 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
              active_hint=None) -> QpSolution:
     """Solve a convex QP with inequality constraints only.
 
-    ``active_hint`` seeds the active set. It is either row indices
-    (duplicates and indices out of range are ignored) or the ``active`` of
-    an earlier optimal solve, an :class:`ActiveRows`: if that solve was the
-    last solve of this program's template, this one resumes from the
-    workspace the token carries (see :class:`ActiveRows`), and otherwise it
-    takes the token's row indices. Either way the hinted rows start
+    ``active_hint`` is None or the ``active`` of an earlier solve, an
+    :class:`ActiveRows` token; anything else raises ``TypeError``. If that
+    solve was optimal and the last solve of this program's template, this
+    one resumes from the workspace the token carries: the carried rows start
     tight, minus those whose multipliers come out negative, and the dual
     iteration adds what is still violated. Each active set that start tries
-    counts as an iteration, so ``iterations == 1`` means the hint was the
-    optimal active set. Infeasibility is reported with the row the dual step
-    could not add (``most_violated``), never as a silent wrong answer.
-    ``tol`` must be finite and positive, ``max_iter`` None or a positive
-    integer; otherwise ``ValueError``.
+    counts as an iteration, so ``iterations == 1`` means the carried rows
+    were the optimal active set. Any other token starts the solve cold, as
+    None does (see :class:`ActiveRows`). Infeasibility is reported with the
+    row the dual step could not add (``most_violated``), never as a silent
+    wrong answer. ``tol`` must be finite and positive, ``max_iter`` None or
+    a positive integer; otherwise ``ValueError``.
     """
     t0 = time.perf_counter()
     tol = check_tol(tol)
@@ -770,15 +712,19 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
             or max_iter < 1:
         raise ValueError(f"max_iter must be None or a positive integer, got {max_iter!r}")
 
-    state = active_hint.workspace(qp) if isinstance(active_hint, ActiveRows) else None
+    if isinstance(active_hint, ActiveRows):
+        state = active_hint.workspace(qp)
+    elif active_hint is None:
+        state = None
+    else:
+        raise TypeError("active_hint must be None or the ActiveRows token of an earlier "
+                        f"solve, got {type(active_hint).__name__}")
     qp.solves[0] += 1
     stamp = qp.solves[0]
     if state is not None:
         state.resume(qp)
     else:
         state = _DualActiveSet(qp)
-        if active_hint is not None:
-            state.hot_start(active_hint)
 
     def finish(status, excess=None, most=None):
         x = state.x
@@ -799,9 +745,8 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         if status == "max_iter" and mi:
             worst = int(excess.argmax())
             most = worst if excess[worst] > 0 else None
-        active = sorted(state.ids)
         # only an optimal solve hands its workspace on
-        active = ActiveRows(active, state, stamp) if status == "optimal" else tuple(active)
+        active = ActiveRows(sorted(state.ids), state if status == "optimal" else None, stamp)
         return QpSolution(x=x, status=status, iterations=max(state.iterations, 1),
                           ineq_multipliers=mu, active=active, kkt_residual=res,
                           objective=_objective(x, px, qp.cost_vector),

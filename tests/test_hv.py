@@ -318,6 +318,16 @@ def test_trace_validation_uniform_grid():
     with pytest.raises(ValueError):
         DriverTrace(time=np.array([0.0, 0.1, 0.3, 0.4, 0.5]),
                     v_av=np.zeros(5), v_hv=np.zeros(5))
+    # a zero or negative step is uniform too, but no time grid
+    for time in (np.zeros(5), -0.1 * np.arange(5)):
+        with pytest.raises(ValueError, match="increasing"):
+            DriverTrace(time=time, v_av=np.zeros(5), v_hv=np.zeros(5))
+    for name in ("time", "v_av", "v_hv"):
+        for bad in (np.nan, np.inf):
+            data = dict(time=0.1 * np.arange(5), v_av=np.zeros(5), v_hv=np.zeros(5))
+            data[name][2] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                DriverTrace(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,14 @@ from gpplatoon.mpc import (
 )
 from gpplatoon.qp import solve_qp
 from gpplatoon.sim import make_scenario, run_closed_loop
-from oracles import AvState, av_step, constant_history, propagate_hv_mean, propagate_hv_variance
+from oracles import (
+    AvState,
+    av_step,
+    constant_history,
+    propagate_hv_mean,
+    propagate_hv_variance,
+    token_with_active_rows,
+)
 
 
 def _state(n_av=2, spacing=12.0, v=0.0, hv_gap=12.0):
@@ -784,9 +791,8 @@ def test_kronecker_factor_inverts_the_law_cost_matrix(n_av, horizon, q1, q2, r, 
 
 @pytest.mark.parametrize("n_av, horizon, q1, q2, r, step", KRON_CONFIGS)
 def test_kronecker_factor_products_match_the_formed_j(n_av, horizon, q1, q2, r, step):
-    """mul, lmul (one row and k rows, into a buffer too), rows (one and
-    several) and the start products agree with the formed J to 1e-13,
-    relative to each result's size."""
+    """mul, lmul, rows and the start products agree with the formed J to
+    1e-13, relative to each result's size."""
     cfg = MpcConfig(n_av=n_av, horizon=horizon, q1=q1, q2=q2, r=r, step=step)
     f = mpc._kronecker_factor(cfg)
     j, n = _dense_j(f), f.n
@@ -798,14 +804,7 @@ def test_kronecker_factor_products_match_the_formed_j(n_av, horizon, q1, q2, r, 
         w = f.start_w(v)
         assert _rel_err(w, -(v @ j)) <= 1e-13
         assert _rel_err(f.start_x(w), j @ w) <= 1e-13
-        for k in (1, 5):
-            rows = rng.standard_normal((k, n))
-            assert _rel_err(f.lmul(rows), rows @ j) <= 1e-13
-            out = np.empty((k + 2, n))
-            f.lmul(rows, out=out[:k])
-            assert _rel_err(out[:k], rows @ j) <= 1e-13
-        cols = rng.integers(0, n, 6)
-        assert _rel_err(f.rows(cols), j[cols]) <= 1e-13
+        cols = rng.integers(0, n, 2)
         for c in (cols[0], int(cols[1]), 0, n - 1):
             assert _rel_err(f.rows(c), j[c]) <= 1e-13
 
@@ -861,8 +860,9 @@ def test_build_rejects_a_cost_law_that_is_not_the_kronecker_form(monkeypatch):
 def test_kronecker_and_triangular_factors_solve_alike(n_av, horizon, monkeypatch):
     """At closed-loop states of 8x40 and 16x40, the Kronecker-factored
     program and the same program factored by Cholesky reach the same
-    status, iteration count and active set, cold and hinted, and their
-    solutions agree to 1e-9 relative."""
+    status, iteration count and active set, cold and resumed from tokens
+    that carry the recorded hint's rows, and their solutions agree to 1e-9
+    relative."""
     recorded = []
 
     def recording(qp, **kwargs):
@@ -881,8 +881,10 @@ def test_kronecker_and_triangular_factors_solve_alike(n_av, horizon, monkeypatch
     compared = 0
     for qp, hint in recorded[::4]:
         other = dense.with_vectors(qp.cost_vector, qp.ineq_vector)
-        for h in {None, hint}:
-            a, b = solve_qp(qp, active_hint=h), solve_qp(other, active_hint=h)
+        for rows in {None, hint}:
+            a, b = (solve_qp(p, active_hint=None if rows is None
+                             else token_with_active_rows(p, rows))
+                    for p in (qp, other))
             assert a.status == b.status == "optimal"
             assert a.iterations == b.iterations and a.active == b.active
             assert _rel_err(a.x, b.x) <= 1e-9
@@ -892,12 +894,13 @@ def test_kronecker_and_triangular_factors_solve_alike(n_av, horizon, monkeypatch
 
 @pytest.mark.parametrize("n_av, horizon, factor", [(2, 20, qp_module.TriangularFactor),
                                                     (8, 40, qp_module.KroneckerFactor)])
-def test_resumed_solves_match_their_rows_given_by_index(n_av, horizon, factor, monkeypatch):
+def test_resumed_solves_match_fresh_tokens_of_their_rows(n_av, horizon, factor, monkeypatch):
     """At the closed-loop states of 2x20 (triangular factor) and 8x40
     (Kronecker factor), each solve that resumes the previous solve's
-    workspace and a solve from the same active rows as a plain tuple reach
-    the same status, iteration count and active set, and their solutions
-    agree to 1e-9 relative."""
+    workspace and a solve resumed from a fresh token that carries the same
+    rows reach the same status, iteration count and active set, and their
+    solutions agree to 1e-9 relative. Each also reaches the cold solve's
+    active set, with x to 1e-9 relative."""
     recorded = []
 
     def recording(qp, **kwargs):
@@ -915,10 +918,12 @@ def test_resumed_solves_match_their_rows_given_by_index(n_av, horizon, factor, m
     resumed = [r for r in recorded if r[2]]
     assert len(resumed) == len(recorded) - 1
     for qp, kwargs, _, a in resumed:
-        b = qp_module.solve_qp(qp, **{**kwargs, "active_hint": tuple(kwargs["active_hint"])})
-        assert a.status == b.status == "optimal"
-        assert a.iterations == b.iterations and a.active == b.active
-        assert _rel_err(a.x, b.x) <= 1e-9
+        token = token_with_active_rows(qp, kwargs["active_hint"])
+        b = qp_module.solve_qp(qp, **{**kwargs, "active_hint": token})
+        cold = qp_module.solve_qp(qp, **{**kwargs, "active_hint": None})
+        assert a.status == b.status == cold.status == "optimal"
+        assert a.iterations == b.iterations and a.active == b.active == cold.active
+        assert _rel_err(a.x, b.x) <= 1e-9 and _rel_err(a.x, cold.x) <= 1e-9
 
 
 @pytest.mark.parametrize("n_av, horizon", [(2, 20), (8, 40)])
@@ -1089,7 +1094,8 @@ def test_config_validation():
     # values the controller cannot use; each error names its field
     for name, value in (("acc_min", 1.0), ("acc_max", -1.0), ("q1", np.nan),
                         ("q2", np.nan), ("r", np.inf), ("horizon", 2.5), ("n_av", True),
-                        ("step", np.nan), ("v_max", np.inf), ("av_gap", np.inf)):
+                        ("step", np.nan), ("v_max", np.inf), ("av_gap", np.inf),
+                        ("gap", 10.0), ("gap", (10.0, 0.95))):
         with pytest.raises(ValueError, match=name):
             MpcConfig(**{name: value})
     assert MpcConfig(horizon=np.int64(5), n_av=np.int64(3)).horizon == 5
