@@ -41,7 +41,7 @@ from scipy import sparse
 
 from .dynamics import GapConstraintParams, tightened_min_gap
 from .hv import ArxParams, N_LAGS, VelocityHistory, arx_step
-from .qp import KroneckerFactor, QuadraticProgram, check_tol, solve_qp, spmv, to_csr
+from .qp import ActiveRows, KroneckerFactor, QuadraticProgram, check_tol, solve_qp, spmv, to_csr
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,9 @@ class MpcSolution:
     """One step's plan with its predicted trajectories and solver diagnostics.
 
     ``active`` is the QP solution's: on an optimal step the solver's
-    :class:`~gpplatoon.qp.ActiveRows` token, which the controller passes as
-    the next solve's hint. On a fallback the plan is maximum braking,
-    ``cost`` is NaN and ``active`` is empty.
+    :class:`~gpplatoon.qp.ActiveRows` token. On a fallback the plan is
+    maximum braking, ``cost`` is NaN and ``active`` is empty; the controller
+    still passes that solve's token on as the next hint.
     """
 
     acc: np.ndarray             # (n_av, N)
@@ -484,17 +484,18 @@ def condense(template: _QpStructure, state: PlatoonState, v_ref,
 class PlatoonController:
     """Stateful receding-horizon controller (nominal or GP mode).
 
-    One instance is single-threaded. It keeps the previous optimal
-    solution, whose active set warm-starts the next solve: its ``active`` is
-    the solver's :class:`~gpplatoon.qp.ActiveRows` token, so unless another
-    solve of the same template came in between, the next solve resumes from
-    the previous one's active rows in place; otherwise, and after a
-    fallback, which keeps no solution, it starts cold. In GP mode it also
-    keeps the GP query pairs of the next solve (``gp_pairs``), taken from
-    the last optimal plan. The shared sparse GP model is only read. The
-    template of ``(cfg, arx)``, the default ARX model if ``arx`` is None, is
-    looked up once, at construction (built there if no controller of an
-    equal configuration came before), and every step condenses through it.
+    One instance is single-threaded. It keeps the last solve's
+    :class:`~gpplatoon.qp.ActiveRows` token (``active``) and passes it as
+    the next solve's hint, after a fallback too: unless another solve of the
+    same template came in between, the next solve resumes in place from the
+    rows the last one ended on, an optimum's or an infeasibility
+    certificate's; after a ``max_iter`` solve, whose token carries no state,
+    it starts cold. In GP mode it also keeps the GP query pairs of the next
+    solve (``gp_pairs``), taken from the last optimal plan. The shared
+    sparse GP model is only read. The template of ``(cfg, arx)``, the
+    default ARX model if ``arx`` is None, is looked up once, at construction
+    (built there if no controller of an equal configuration came before),
+    and every step condenses through it.
     ``solver_tol`` must be finite and positive (``ValueError``).
     """
 
@@ -509,7 +510,7 @@ class PlatoonController:
         self.mode = mode
         self.gp_model = gp_model
         self.structure = _structure(cfg, arx or ArxParams.default())
-        self.prev_solution: MpcSolution | None = None
+        self.active: ActiveRows | None = None
         self.gp_pairs: np.ndarray | None = None
 
     def step(self, state: PlatoonState, v_ref):
@@ -521,18 +522,19 @@ class PlatoonController:
         current pair, then this plan's (HV velocity, trailing-AV velocity)
         pairs of stages k+1..k+N-2, the last repeated. A failed solve is a
         fallback: the plan is maximum braking for every AV, and the next
-        step starts without a previous plan.
+        step's GP terms start without a previous plan, while its solve is
+        still hinted with the failed solve's token.
         """
         cfg = self.cfg
         n = cfg.horizon
         frozen = None
         if self.mode == "gp":
             current = (state.history.hv[0], state.history.av[0])
-            pairs = self.gp_pairs if self.gp_pairs is not None else np.tile(current, (n, 1))
+            pairs = self.gp_pairs if self.gp_pairs is not None else np.full((n, 2), current)
             frozen = evaluate_gp_along_trajectory(self.gp_model, pairs)
         cd = condense(self.structure, state, v_ref, frozen)
-        hint = self.prev_solution.active if self.prev_solution is not None else None
-        res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=hint)
+        res = solve_qp(cd.qp, tol=self.solver_tol, active_hint=self.active)
+        self.active = res.active
         fallback = res.status != "optimal"
         x = np.full(cd.qp.n, cfg.acc_min) if fallback else res.x
         violated = ""
@@ -551,7 +553,6 @@ class PlatoonController:
                           cost=np.nan if fallback else res.objective + cd.cost_const,
                           active=() if fallback else res.active, fallback=fallback,
                           violated=violated)
-        self.prev_solution = None if fallback else sol
         if self.mode == "gp" and not fallback:
             pairs = np.empty((n, 2))
             pairs[0] = current

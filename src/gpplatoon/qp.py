@@ -12,18 +12,21 @@ There are no equality constraints.
 A warm-start hint seeds the iteration (the hot start of online active-set
 QP, Ferreau et al. 2008). The hint is the previous solve's ``active``, an
 :class:`ActiveRows` token that carries the solver state that solve ended
-in. The active rows' part of that state (their dense rows of G, their rows
-y = -G J and the Gram matrix y y^T) depends only on the template and the
-rows, so a solve of the next program of the same template resumes from
-those buffers in place: it forms only w = -J^T q and the multipliers'
-right-hand side, drops the row with the most negative multiplier until none
-is negative, and goes on with the dual iteration from that dual-feasible
-point. If the carried rows were the optimal active set, the solve is one
-linear system. As with Goldfarb and Idnani's iteration itself, any
-linearly independent set of rows is a valid start, so the state may come
-from a solve with other vectors; the rows it holds were admitted by the
-rank test when they entered. A token that cannot resume (stale, of another
-template, or from a failed solve) starts the solve cold.
+in, at an optimum or at an infeasibility certificate. The active rows'
+part of that state (their dense rows of G, their rows y = -G J and the
+Gram matrix y y^T) depends only on the template and the rows, so a solve
+of the next program of the same template resumes from those buffers in
+place: it forms only w = -J^T q and the multipliers' right-hand side,
+drops the row with the most negative multiplier until none is negative,
+and goes on with the dual iteration from that dual-feasible point. If
+the carried rows were the optimal active set, the solve is one linear
+system. As with Goldfarb and Idnani's iteration itself, any linearly
+independent set of rows is a valid start, so the state may come from a
+solve with other vectors; the rows it holds were admitted by the rank
+test when they entered. The rows an infeasible solve ends on are such a
+set, so its token resumes as an optimal one does. A token that cannot
+resume (stale, of another template, or from a ``max_iter`` solve, whose
+Gram matrix may have lost definiteness) starts the solve cold.
 
 As in Goldfarb and Idnani's method, the iteration works in a fixed basis
 J with J J^T = P^-1: with the active rows mapped to y = G J, each step
@@ -262,11 +265,11 @@ class QpSolution:
     """Primal solution with multipliers and solver diagnostics.
 
     ``active`` holds the sorted active rows as an :class:`ActiveRows`
-    token, whatever the status. An optimal solve's token carries the solver
-    state, which passed as the next solve's ``active_hint`` it hands on; the
-    buffers are the workspace's, not the solution's, and the next solve of
-    the template makes the token stale. A failed solve's token carries
-    none.
+    token, whatever the status. An optimal or infeasible solve's token
+    carries the solver state, which passed as the next solve's
+    ``active_hint`` it hands on; the buffers are the workspace's, not the
+    solution's, and the next solve of the template makes the token stale. A
+    ``max_iter`` solve's token carries none.
     """
 
     x: np.ndarray
@@ -431,10 +434,10 @@ class _DualActiveSet:
     negligible (``_RANK_TOL``), so the kept rows have full row rank and
     ``y y^T`` stays positive definite.
 
-    The state is a workspace: an optimal solve issues it in its
-    :class:`ActiveRows` token, and the solve that passes the token while it
-    is current takes it over (``resume``), rows and buffers in place; every
-    other solve starts from a new state with no rows. Its buffers belong to
+    The state is a workspace: an optimal or infeasible solve issues it in
+    its :class:`ActiveRows` token, and the solve that passes the token
+    while it is current takes it over (``resume``), rows and buffers in
+    place; every other solve starts from a new state with no rows. Its buffers belong to
     one solve at a time, so solves of one template that run at once must
     pass different tokens; the per-program vectors (h, w, x) are set by
     ``_load``.
@@ -646,9 +649,10 @@ class _DualActiveSet:
 
 
 class ActiveRows(tuple):
-    """The sorted active rows of a solve: a tuple, which for an optimal
-    solve also carries the solver state the solve ended in (its workspace)
-    and the number of solves of its template by then (``stamp``).
+    """The sorted active rows of a solve: a tuple, which for an optimal or
+    infeasible solve also carries the solver state the solve ended in (its
+    workspace) and the number of solves of its template by then
+    (``stamp``).
 
     Passed back as ``active_hint`` to the next solve of the same template
     (a program that shares the ``factor`` and ``ineq_matrix`` objects, as
@@ -656,9 +660,9 @@ class ActiveRows(tuple):
     resumes from its buffers in place, and the workspace is then that
     solve's. The token is stale once the template has been solved again, by
     any hint or none. A stale token, a token passed to a program of another
-    template and a failed solve's token, which carries no state, start the
-    solve cold; so does a token passed twice, on its second use. A copy of
-    the rows (``tuple(rows)``, ``rows + (i,)``) is no token.
+    template and a ``max_iter`` solve's token, which carries no state, start
+    the solve cold; so does a token passed twice, on its second use. A copy
+    of the rows (``tuple(rows)``, ``rows + (i,)``) is no token.
     """
 
     def __new__(cls, rows=(), state: _DualActiveSet | None = None, stamp: int = -1):
@@ -691,10 +695,10 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
 
     ``active_hint`` is None or the ``active`` of an earlier solve, an
     :class:`ActiveRows` token; anything else raises ``TypeError``. If that
-    solve was optimal and the last solve of this program's template, this
-    one resumes from the workspace the token carries: the carried rows start
-    tight, minus those whose multipliers come out negative, and the dual
-    iteration adds what is still violated. Each active set that start tries
+    solve was optimal or infeasible and the last solve of this program's
+    template, this one resumes from the workspace the token carries: the
+    carried rows start tight, minus those whose multipliers come out
+    negative, and the dual iteration adds what is still violated. Each active set that start tries
     counts as an iteration, so ``iterations == 1`` means the carried rows
     were the optimal active set. Any other token starts the solve cold, as
     None does (see :class:`ActiveRows`). Infeasibility is reported with the
@@ -745,8 +749,9 @@ def solve_qp(qp: QuadraticProgram, tol: float = 1e-6, max_iter: int | None = Non
         if status == "max_iter" and mi:
             worst = int(excess.argmax())
             most = worst if excess[worst] > 0 else None
-        # only an optimal solve hands its workspace on
-        active = ActiveRows(sorted(state.ids), state if status == "optimal" else None, stamp)
+        # an optimal or infeasible solve hands on its workspace, whose rows are
+        # independent; after max_iter the Gram matrix may have lost definiteness
+        active = ActiveRows(sorted(state.ids), None if status == "max_iter" else state, stamp)
         return QpSolution(x=x, status=status, iterations=max(state.iterations, 1),
                           ineq_multipliers=mu, active=active, kkt_residual=res,
                           objective=_objective(x, px, qp.cost_vector),

@@ -1019,9 +1019,8 @@ def test_warm_start_descent_property():
     for k in range(5):
         ref = np.full(10, 5.0 + 0.1 * k)
         # previous plan shifted one stage, last stage held
-        prev = ctrl.prev_solution
-        warm = None if prev is None else np.hstack([prev.acc[:, 1:],
-                                                    prev.acc[:, -1:]]).ravel()
+        warm = None if prev_sol is None else np.hstack([prev_sol.acc[:, 1:],
+                                                        prev_sol.acc[:, -1:]]).ravel()
         cd = _condense(state, cfg, ref)
         _, sol = ctrl.step(state, ref)
         if warm is not None and cd.qp.max_violation(warm) <= 1e-9:
@@ -1031,19 +1030,20 @@ def test_warm_start_descent_property():
 
 def test_infeasible_state_falls_back_to_max_braking():
     cfg = MpcConfig(horizon=10)
+    ref = np.full(10, 10.0)
     # HV far inside the required gap
     state = PlatoonState(av_pos=np.array([0.0, -12.0]), av_vel=np.array([11.0, 10.0]),
                          hv_pos=-14.0,
                          history=VelocityHistory(hv=np.array([9.0, 8.5, 8.0, 7.5]),
                                                  av=np.array([10.0, 9.5, 9.0, 8.5])))
+    feasible = _state(v=10.0)
     ctrl = PlatoonController(cfg, mode="nominal")
-    acc0, sol = ctrl.step(state, np.full(10, 10.0))
+    acc0, sol = ctrl.step(state, ref)
     assert sol.fallback
-    assert sol.status in ("infeasible", "max_iter")
+    assert sol.status == "infeasible"
     np.testing.assert_allclose(acc0, cfg.acc_min, atol=0)
-    assert ctrl.prev_solution is None
     # the fallback's trajectories are the braking plan's, decoded as a solution's
-    cd = _condense(state, cfg, np.full(10, 10.0))
+    cd = _condense(state, cfg, ref)
     braking = cd.decode(np.full(cd.qp.n, cfg.acc_min))
     for got, want in zip((sol.acc, sol.av_vel, sol.av_pos, sol.hv_vel, sol.hv_pos_mean),
                          braking):
@@ -1051,16 +1051,31 @@ def test_infeasible_state_falls_back_to_max_braking():
     np.testing.assert_array_equal(sol.hv_pos_var, cd.sigma)
     np.testing.assert_array_equal(sol.gap_bounds, cd.gap_bounds)
     assert np.isnan(sol.cost) and sol.active == ()
+    # the infeasible solve's token is still the next hint, and it resumes:
+    # the feasible step that follows plans as a fresh controller does
+    assert ctrl.active.workspace(ctrl.structure.qp) is not None
+    _, sol = ctrl.step(feasible, ref)
+    _, want = PlatoonController(cfg, mode="nominal").step(feasible, ref)
+    assert sol.status == want.status == "optimal"
+    np.testing.assert_allclose(sol.acc, want.acc, rtol=0, atol=1e-9)
     # a GP controller drops its pairs on a fallback, so its next step
     # freezes the GP terms at the measured current pair again
     gp = _RecordingGp(_tiny_sparse_gp(nv=0.01))
     gpc = PlatoonController(cfg, mode="gp", gp_model=gp)
-    _, sol = gpc.step(_state(v=10.0), np.full(10, 10.0))
+    _, sol = gpc.step(feasible, ref)
     assert sol.status == "optimal" and gpc.gp_pairs is not None
-    _, sol = gpc.step(state, np.full(10, 10.0))
-    assert sol.fallback and gpc.gp_pairs is None and gpc.prev_solution is None
-    gpc.step(state, np.full(10, 10.0))
+    _, sol = gpc.step(state, ref)
+    assert sol.fallback and gpc.gp_pairs is None
+    gpc.step(state, ref)
     np.testing.assert_array_equal(gp.queries[-1], np.tile([9.0, 10.0], (10, 1)))
+    # and resumes from that fallback's rows as the nominal controller does
+    assert gpc.active.workspace(gpc.structure.qp) is not None
+    _, sol = gpc.step(feasible, ref)
+    _, want = PlatoonController(cfg, mode="gp", gp_model=gp).step(feasible, ref)
+    assert sol.status == want.status == "optimal"
+    np.testing.assert_allclose(sol.acc, want.acc, rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(gp.queries[-2], np.tile([10.0, 10.0], (10, 1)))
+    np.testing.assert_array_equal(gp.queries[-1], gp.queries[-2])
 
 
 def test_stage_pairs_layout():

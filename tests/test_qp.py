@@ -487,10 +487,12 @@ def test_a_token_resumes_once_then_starts_cold(monkeypatch):
 
 def test_misused_tokens_reach_the_cold_optimum(monkeypatch):
     """A token passed to a program of another template, a stale token and
-    the token of an infeasible or max_iter solve, which carries no state,
-    each start the solve cold, the cold solve bit for bit, and change no
-    later solve: the same sequence of solves on an equal template, without
-    the misuse, gives the same results bit for bit."""
+    the token of a max_iter solve, which carries no state, each start the
+    solve cold, the cold solve bit for bit, and change no later solve: the
+    same sequence of solves on an equal template, without the misuse, gives
+    the same results bit for bit. The token of an infeasible solve is no
+    misuse: it resumes, as on the equal template, and reaches the cold
+    optimum."""
     resumed = _spy_on_resume(monkeypatch)
     rng = np.random.default_rng(41)
     for _ in range(10):
@@ -530,19 +532,27 @@ def test_misused_tokens_reach_the_cold_optimum(monkeypatch):
         stale = solves(a, t0.active, 2)
         assert resumed_on(a) == 1
         _assert_same_solve(stale, cold(a_ref, 2))
-        # failed solves hand no workspace on
+        # an infeasible solve hands its workspace on, on both templates alike
         h_bad = vectors[3][1].copy()
         h_bad[-2:] = (0.0, -1.0)
-        infeasible = solve_qp(a.with_vectors(vectors[3][0], h_bad))
+        infeasible, r_infeasible = (solve_qp(t.with_vectors(vectors[3][0], h_bad))
+                                    for t in (a, a_ref))
+        assert infeasible.status == "infeasible" and infeasible.active.state is not None
+        after = solves(a, infeasible.active, 3)
+        assert resumed_on(a) == 2
+        _assert_same_solve(after, solves(a_ref, r_infeasible.active, 3))
+        ref = cold(a_ref, 3)
+        assert after.status == "optimal" and after.active == ref.active
+        np.testing.assert_allclose(after.x, ref.x, rtol=0, atol=1e-9)
+        # a max_iter solve hands none on
         capped = solves(a, None, 3, max_iter=1)
-        assert infeasible.status == "infeasible" and capped.status == "max_iter"
-        for failed in (infeasible, capped):
-            assert type(failed.active) is ActiveRows and failed.active.state is None
-            _assert_same_solve(solves(a, failed.active, 3), cold(a_ref, 3))
+        assert capped.status == "max_iter"
+        assert type(capped.active) is ActiveRows and capped.active.state is None
+        _assert_same_solve(solves(a, capped.active, 3), cold(a_ref, 3))
         # and a chain started after all that resumes as on the other template
         t2, r2 = solves(a, None, 1), solves(a_ref, None, 1)
         _assert_same_solve(solves(a, t2.active, 2), solves(a_ref, r2.active, 2))
-        assert resumed_on(a) == resumed_on(a_ref) == 2
+        assert resumed_on(a) == resumed_on(a_ref) == 3
         resumed.clear()
 
 
@@ -948,10 +958,15 @@ def _with_dependent_rows(rng, n, m):
 
 def test_dependent_and_duplicate_rows_agree_with_linprog():
     """With dependent rows the solver's verdict matches LP feasibility, and
-    the rows it keeps active are linearly independent, from cold starts and
-    from tokens that carry independent rows alike."""
+    the rows it keeps active are linearly independent, from cold starts, from
+    tokens that carry independent rows and from the token of an infeasible
+    program's cold solve alike. That program shares the template, its h
+    made infeasible along a Farkas certificate y >= 0, y^T G = 0, wherever
+    G has one; resumed from its token, a feasible program reaches its cold
+    solve's x."""
     rng = np.random.default_rng(23)
     verdicts = set()
+    resumed = 0
     for _ in range(150):
         n = int(rng.integers(2, 7))
         qp = _with_dependent_rows(rng, n, int(rng.integers(2, 2 * n + 2)))
@@ -961,16 +976,33 @@ def test_dependent_and_duplicate_rows_agree_with_linprog():
         assert lp.status in (0, 2)
         feasible = lp.status == 0
         m = h.size
-        for start in (None, range(m), (m - 1, m - 2)):
-            hint = None if start is None else token_with_active_rows(qp, _independent(g, start))
+        cold = solve_qp(qp)
+        certificate = linprog(np.zeros(m), A_eq=np.vstack([g.T, np.ones(m)]),
+                              b_eq=np.r_[np.zeros(qp.n), 1.0], bounds=(0, None), method="highs")
+        starts = [None, range(m), (m - 1, m - 2)]
+        if certificate.status == 0:
+            y = certificate.x
+            starts.append(h - (y @ h + 1.0) * y / (y @ y))  # y^T h = -1
+        for start in starts:
+            if isinstance(start, np.ndarray):
+                failed = solve_qp(qp.with_vectors(rng.normal(size=qp.n), start))
+                assert failed.status == "infeasible"
+                hint = failed.active
+                assert hint.workspace(qp) is not None
+                resumed += 1
+            else:
+                hint = None if start is None else token_with_active_rows(qp, _independent(g, start))
             sol = solve_qp(qp, active_hint=hint)
             assert sol.status == ("optimal" if feasible else "infeasible"), hint
             if sol.active:
                 assert np.linalg.matrix_rank(g[list(sol.active)]) == len(sol.active)
             if feasible:
                 assert _full_product_kkt_residual(qp, sol) <= 1e-6
+                if isinstance(start, np.ndarray):
+                    np.testing.assert_allclose(sol.x, cold.x, rtol=0, atol=1e-9)
         verdicts.add(feasible)
     assert verdicts == {True, False}
+    assert resumed >= 50
 
 
 def test_to_csr_matches_scipy_conversion():
