@@ -380,8 +380,8 @@ def _init_hyper(data: Dataset) -> KernelHyper:
     )
 
 
-def fit_hv_correction(traces, params: ArxParams | None = None, fraction: float = 0.2,
-                      seed: int = 0, m: int = 20) -> HvCorrectionFit:
+def fit_hv_correction(traces, fraction: float = 0.2, seed: int = 0,
+                      m: int = 20) -> HvCorrectionFit:
     """Train the discrepancy GP on a random fraction of the pooled trace data.
 
     Mirrors the intended workflow: pool discrepancy points from all traces,
@@ -389,7 +389,7 @@ def fit_hv_correction(traces, params: ArxParams | None = None, fraction: float =
     likelihood, then condense onto ``m`` inducing inputs at the k-means
     centroids of the subsample.
     """
-    params = params or ArxParams.default()
+    params = ArxParams.default()
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
     datasets = [build_discrepancy_dataset(tr, params) for tr in traces]

@@ -40,9 +40,10 @@ P is factored once per template. The MPC's G is 2-5% nonzeros: at
 ``n_av=16, N=80`` (6400 x 1280) its CSR form takes 2.4 MB, where a dense
 copy would take 62.5 MB.
 
-The factor is all the solver reads of J and P. It provides w = -J^T q and
-x = J w (``start_w``, ``start_x``), J v (``mul``), v^T J for one row
-(``lmul``), row c of J (``rows``), and P x (``cost``). There are two:
+The factor is all the solver reads of J and P, through four products: J
+v (``mul``), v^T J (``lmul``), row c of J (``rows``) and P x (``cost``).
+The start w = -J^T q is one ``lmul`` and x = J w one ``mul``. There are
+two:
 
 - :class:`TriangularFactor`, the default, built by Cholesky: J = L^-T for
   P = L L^T, an n x n upper triangular array;
@@ -78,21 +79,12 @@ triangular factor, one n x n product per entering row. There the product
 of a one-entry row adds only exact zeros, so the gathered row equals it
 bit for bit.
 
-The triangular factor's J is upper triangular (its strictly lower part is
-exactly zero), and its two start products go through BLAS ``dtrmv`` on
-the Fortran-ordered view ``J.T``, which reads one triangle in place; x =
-J w is formed only if read, since a resumed start that keeps a carried row
-sets x itself. Its P x, for the reported residual and objective, goes
-through ``dsymv`` on P's lower triangle, the one the factor is built from;
-P is symmetric only to within 1e-10, so the upper triangle could disagree
-with the factor. A cold solve at ``n_av=8, N=40`` thus reads half of J and
-half of P (410 KB each) instead of all of both. The products inside the
-iteration (``mul`` and ``lmul`` in ``enter``, ``_settle`` and
-``_retighten``) stay on ``@``: through ``dtrmv`` their last bits change
-the verdict of a degenerate program (an equality written as two opposite
-rows) on one BLAS thread, for a gain in the slow steps of a few percent at
-most. ``J`` itself is formed with ``solve_triangular``, for the same
-reason.
+The triangular factor applies J with ``@`` in every product. x = J w is
+formed only if read, since a resumed start that keeps a carried row sets x
+itself. P x, for the reported residual and objective, goes through
+``dsymv`` on P's lower triangle, the one the factor is built from; P is
+symmetric only to within 1e-10, so the upper triangle could disagree with
+the factor.
 """
 
 from __future__ import annotations
@@ -105,7 +97,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsymv, dtrmv
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dposv
 from scipy.sparse._sparsetools import csr_matvec, csr_todense
 
@@ -301,35 +293,20 @@ def _chol_or_jitter(p: np.ndarray) -> np.ndarray:
             raise ValueError("cost matrix is not positive semidefinite") from None
 
 
-def _inverse_factor(p: np.ndarray) -> np.ndarray:
-    """J = L^-T with P = L L^T, so P^-1 = J J^T."""
-    chol = _chol_or_jitter(p)
-    return np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
-
-
 class TriangularFactor:
     """J = L^-T of the Cholesky factor P = L L^T (with jitter if P is only
     PSD): upper triangular, its strictly lower part exactly zero.
 
-    The start products go through BLAS ``dtrmv`` on the Fortran-ordered
-    view ``J.T``, which reads one triangle in place, and P x through
-    ``dsymv`` on P's lower triangle, the one the factor is built from. The
-    products inside the iteration stay on ``@`` (see the module docstring).
+    Its products with J are ``@``; P x goes through ``dsymv`` on P's lower
+    triangle, the one the factor is built from.
     """
 
     def __init__(self, p: np.ndarray):
         self.p = p
-        self.j = _inverse_factor(p)
+        chol = _chol_or_jitter(p)
+        self.j = np.ascontiguousarray(solve_triangular(chol, np.eye(p.shape[0]), lower=True).T)
         self.j.flags.writeable = False
         self.n = p.shape[0]
-
-    def start_w(self, q: np.ndarray) -> np.ndarray:
-        """w = -J^T q."""
-        return dtrmv(self.j.T, -q, lower=1, overwrite_x=1)
-
-    def start_x(self, w: np.ndarray) -> np.ndarray:
-        """x = J w, the unconstrained minimiser from ``start_w``'s w."""
-        return dtrmv(self.j.T, w, lower=1, trans=1)
 
     def mul(self, v: np.ndarray) -> np.ndarray:
         """J v."""
@@ -383,13 +360,6 @@ class KroneckerFactor:
         self.n = lam.size
         for arr in (self.a, self.b, u, v, self.scale, self.u_scaled):
             arr.flags.writeable = False
-
-    def start_w(self, q: np.ndarray) -> np.ndarray:
-        w = self.lmul(q)
-        return np.negative(w, out=w)
-
-    def start_x(self, w: np.ndarray) -> np.ndarray:
-        return self.mul(w)
 
     def mul(self, v: np.ndarray) -> np.ndarray:
         """J v = vec(U (scale * V_) V^T), V_ the (m, N) reshape of v."""
@@ -461,7 +431,7 @@ class _DualActiveSet:
     def _load(self, qp: QuadraticProgram) -> None:
         """Take up the vectors of ``qp``: w = -J^T q here, x = J w when read."""
         self.h = qp.ineq_vector
-        self.w = self.factor.start_w(qp.cost_vector)
+        self.w = -self.factor.lmul(qp.cost_vector)
         self._x = None
         self.iterations = 0
 
@@ -474,7 +444,7 @@ class _DualActiveSet:
         ``__dict__``, which made cold solves 3-5% slower on CPython 3.11.)"""
         x = self._x
         if x is None:
-            self._x = x = self.factor.start_x(self.w)
+            self._x = x = self.factor.mul(self.w)
         return x
 
     @x.setter

@@ -190,7 +190,7 @@ def diagnostics_to_csv(result: SimResult, path) -> None:
 
 
 def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
-                    gp_model=None, arx: ArxParams | None = None) -> SimResult:
+                    gp_model=None) -> SimResult:
     """Simulate one scenario under the chosen control policy.
 
     All vehicles start at rest; the leader sits at 0 with each follower and
@@ -203,7 +203,7 @@ def run_closed_loop(spec: ScenarioSpec, controller: str = "nominal",
     An unknown controller, or a GP controller or paper plant without
     ``gp_model``, raises ``ValueError`` from the controller or the plant.
     """
-    arx = arx or ArxParams.default()
+    arx = ArxParams.default()
     cfg = spec.cfg
     profile = spec.profile()
     ctrl = PlatoonController(cfg, mode=controller, gp_model=gp_model, arx=arx)

@@ -1,8 +1,10 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dposv
 from scipy.optimize import linprog
 
@@ -223,9 +225,9 @@ def _psd_jitter_program(rng, n):
 
 
 def test_inverse_factor_is_exactly_upper_triangular():
-    """J = L^-T is applied through BLAS trmv, which reads only its upper
-    triangle: the strictly lower part must be exactly zero, for positive
-    definite programs and for PSD ones factored with jitter."""
+    """J = L^-T is upper triangular: the strictly lower part must be
+    exactly zero, for positive definite programs and for PSD ones factored
+    with jitter."""
     rng = np.random.default_rng(41)
     definite = [_random_feasible_qp(rng, n, 3) for n in (1, 2, 7, 40, 120)]
     for qp in definite + [_psd_jitter_program(rng, n) for n in (4, 30)]:
@@ -242,10 +244,10 @@ def _rel_err(got, want):
 
 
 def test_triangular_and_symmetric_kernels_match_dense_products():
-    """The start w = -J^T q and x = J w (trmv on J's triangle) and the
-    reported objective and KKT residual (symv on P's lower triangle) match
-    the dense products to 1e-13, relative to each quantity's size, with and
-    without active rows."""
+    """The start w = -J^T q and x = J w and the reported objective and KKT
+    residual (symv on P's lower triangle) match the dense products to
+    1e-13, relative to each quantity's size, with and without active
+    rows."""
     rng = np.random.default_rng(43)
     jitter = _psd_jitter_program(rng, 12)
     for qp in [jitter] + [_random_feasible_qp(rng, n, m) for n, m in ((3, 2), (20, 30), (160, 200))]:
@@ -784,6 +786,32 @@ def test_given_factor_is_kept_and_checked_for_its_size():
         QuadraticProgram(np.eye(5), np.zeros(5), factor=TriangularFactor(np.eye(4)))
     with pytest.raises(ValueError, match="positive definite"):
         KroneckerFactor(a, -b, 0.5)
+
+
+def test_a_factor_with_only_the_four_products_solves_like_the_default():
+    """The solver reads a factor only through n, mul (J v), lmul (v^T J),
+    rows (row c of J) and cost (P x): an object with nothing else, making
+    the default factor's calls on its J and P, solves every program as the
+    default does, cold and resumed from a token, bit for bit."""
+    rng = np.random.default_rng(53)
+    for n, m in ((1, 1), (3, 2), (8, 12), (30, 90)):
+        qp = _random_feasible_qp(rng, n, m)
+        j, p = qp.factor.j, qp.cost_matrix
+        bare = SimpleNamespace(n=n, mul=lambda v, j=j: j @ v, lmul=lambda v, j=j: v @ j,
+                               rows=lambda c, j=j: j[c], cost=lambda x, p=p: dsymv(1.0, p.T, x))
+        other = QuadraticProgram(p, qp.cost_vector, qp.ineq_matrix, qp.ineq_vector, bare)
+        q2 = qp.cost_vector + rng.normal(size=n)
+        want_hint = got_hint = None
+        for q in (qp.cost_vector, q2):
+            # the second solve resumes the first one's workspace
+            assert got_hint is None or got_hint.workspace(other) is not None
+            want = solve_qp(qp.with_vectors(q, qp.ineq_vector), active_hint=want_hint)
+            got = solve_qp(other.with_vectors(q, qp.ineq_vector), active_hint=got_hint)
+            assert got.status == want.status == "optimal"
+            assert got.iterations == want.iterations
+            assert got.active == want.active
+            assert np.array_equal(got.x, want.x)
+            want_hint, got_hint = want.active, got.active
 
 
 @pytest.mark.parametrize("field, via", [
